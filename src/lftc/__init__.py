@@ -9,18 +9,11 @@ from .compression import (
     CompressionError,
     DeflateBackend,
     DictCompressor,
-    ReferenceLzBackend,
     SourceSpan,
     TrainedDictionary,
     UnsupportedBackendError,
     ZstdBackend,
-    compressed_size,
-    dict_compressed_size,
-    make_backend,
     ncd,
-    ref_compress_size,
-    ref_entropy_coded_size,
-    ref_longest_match,
     train_dictionary,
 )
 from .corpus import (
@@ -38,10 +31,10 @@ from .cr import (
     GoldData,
     KnnConfig,
     NcdNeighbor,
-    centralized_reason,
     extract_gold,
-    knn_decide,
     ncd_distances,
+    reason_detail,
+    vote_detail,
 )
 from .mcc import (
     CandidatePair,
@@ -61,10 +54,6 @@ from .classifier import (
     Prediction,
     evaluate,
     evaluate_fewshot,
-    predict_ablation_cr,
-    predict_ablation_mcc,
-    predict_baseline_ncd,
-    predict_lftc,
 )
 from .report import EvalReport, confidence_interval
 

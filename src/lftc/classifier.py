@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import cr, mcc
-from .compression import Backend, ZstdBackend
+from .compression import CompressionError, ZstdBackend
 from .corpus import DEFAULT_SEPARATOR, Corpus
 from .report import EvalReport, confidence_interval
 from .mcc import CandidatePair, DegenerateCorpusError, SegmentPlan
@@ -37,7 +37,7 @@ class PipelineConfig:
     variant: str = "lftc"
     plan: SegmentPlan = field(default_factory=SegmentPlan)
     knn: cr.KnnConfig = field(default_factory=cr.KnnConfig)
-    mcc_backend: Backend = field(default_factory=ZstdBackend)
+    mcc_backend: ZstdBackend = field(default_factory=ZstdBackend)
     threads: int = 1
     separator: bytes = DEFAULT_SEPARATOR
     dict_mode: str = "trained"
@@ -65,6 +65,15 @@ class Prediction:
     error: str | None = None
 
 
+def list_plan(config: PipelineConfig) -> SegmentPlan:
+    """The segment plan the variant's compressor lists are built with: the
+    lftc-mcc ablation trains one dictionary per class on the first
+    WHOLE_CLASS_DICT_LIMIT bytes of the concatenated class text."""
+    if config.variant == "lftc-mcc":
+        return SegmentPlan(step_size=WHOLE_CLASS_DICT_LIMIT, max_compressors_per_class=1)
+    return config.plan
+
+
 class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query."""
 
@@ -86,18 +95,9 @@ class Pipeline:
             if missing:
                 raise ValueError(f"prebuilt lists are missing classes: {sorted(missing)}")
             self.lists = prebuilt_lists
-        elif config.variant in ("lftc", "lftc-cr"):
+        else:
             self.lists = mcc.build_all_lists(
-                train, config.plan, config.mcc_backend,
-                separator=config.separator, dict_mode=config.dict_mode,
-                threads=config.threads,
-            )
-        elif config.variant == "lftc-mcc":
-            # One dictionary per class, trained on the first dictionary-limit
-            # bytes of the whole concatenated class text.
-            single = SegmentPlan(step_size=WHOLE_CLASS_DICT_LIMIT, max_compressors_per_class=1)
-            self.lists = mcc.build_all_lists(
-                train, single, config.mcc_backend,
+                train, list_plan(config), config.mcc_backend,
                 separator=config.separator, dict_mode=config.dict_mode,
                 threads=config.threads,
             )
@@ -116,8 +116,9 @@ class Pipeline:
             if self.config.variant == "baseline-ncd":
                 return self._predict_baseline(text, sample_index, truth, t_start)
             return self._predict_listwise(text, sample_index, truth, t_start)
-        except Exception as exc:
-            # Runtime failures count as incorrect, never abort the run.
+        except (ValueError, CompressionError) as exc:
+            # Bad data and compressor failures count as incorrect, never
+            # abort the run; programming errors propagate.
             return Prediction(
                 sample_index=sample_index,
                 predicted="",
@@ -189,27 +190,6 @@ class Pipeline:
             tie=outcome.tie,
             neighbors=outcome.neighbors,
         )
-
-
-def predict_lftc(train: Corpus, test_text: bytes, config: PipelineConfig | None = None) -> Prediction:
-    """One-shot convenience wrapper; for many queries fit a Pipeline once."""
-    config = replace(config or PipelineConfig(), variant="lftc")
-    return Pipeline(train, config).predict(test_text)
-
-
-def predict_ablation_mcc(train: Corpus, test_text: bytes, config: PipelineConfig | None = None) -> Prediction:
-    config = replace(config or PipelineConfig(), variant="lftc-mcc")
-    return Pipeline(train, config).predict(test_text)
-
-
-def predict_ablation_cr(train: Corpus, test_text: bytes, config: PipelineConfig | None = None) -> Prediction:
-    config = replace(config or PipelineConfig(), variant="lftc-cr")
-    return Pipeline(train, config).predict(test_text)
-
-
-def predict_baseline_ncd(train: Corpus, test_text: bytes, config: PipelineConfig | None = None) -> Prediction:
-    config = replace(config or PipelineConfig(), variant="baseline-ncd")
-    return Pipeline(train, config).predict(test_text)
 
 
 def predict_corpus(

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import classifier, mcc
-from .compression import CompressionError, make_backend
+from .compression import CompressionError, ZstdBackend
 from .corpus import Corpus, DatasetError, load_csv
 from .cr import KnnConfig
 from .classifier import PipelineConfig, VARIANTS
@@ -52,8 +52,11 @@ def _positive(value: str) -> int:
 
 
 def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else 1
+    env = os.environ.get(THREADS_ENV) or "1"
+    try:
+        return _positive(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,34 +74,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step-size", type=_positive, default=65536,
                        help="bytes per dictionary segment (default 65536)")
         p.add_argument("--max-compressors", type=_positive, default=16,
-                       help="cap per class; 0 disables via --no-cap")
+                       help="cap on compressors per class (default 16; see --no-cap)")
         p.add_argument("--no-cap", action="store_true",
                        help="unlimited compressors per class")
-        p.add_argument("--level", type=int, default=None,
-                       help="compression level for the list backend")
+        p.add_argument("--level", type=int, default=3,
+                       help="zstd level of the compressor lists (default 3)")
         p.add_argument("--k", type=_positive, default=1, help="KNN neighbour count")
         p.add_argument("--threads", type=_positive, default=_default_threads(),
                        help=f"worker count (default 1 or ${THREADS_ENV})")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend", choices=("zstd", "reference-lz"), default="zstd",
-                       help="dictionary backend for the compressor lists")
         p.add_argument("--dict-mode", choices=("trained", "raw"), default="trained")
         p.add_argument("--label-column", type=_column, default="label")
         p.add_argument("--text-column", type=_column, default="text")
         p.add_argument("--delimiter", default=",")
         p.add_argument("--out", type=Path, default=None, help="write the JSON report here")
-        p.add_argument("--audit", type=Path, default=None,
-                       help="write one JSON audit line per prediction")
-        p.add_argument("--bundle", type=Path, default=None,
-                       help="compressor-list bundle: reused when present, else written")
 
     p_eval = sub.add_parser("eval", help="single evaluation run")
     add_common(p_eval)
+    p_eval.add_argument("--audit", type=Path, default=None,
+                        help="write one JSON audit line per prediction")
+    p_eval.add_argument("--bundle", type=Path, default=None,
+                        help="compressor-list bundle: reused when present, else written")
 
     p_few = sub.add_parser("fewshot", help="repeated few-shot trials")
     add_common(p_few)
     p_few.add_argument("--shots", type=_positive, default=5)
     p_few.add_argument("--trials", type=_positive, default=10)
+    p_few.add_argument("--seed", type=int, default=0)
 
     p_cmp = sub.add_parser("compare", help="lftc vs baseline-ncd timing on one split")
     add_common(p_cmp, variants=False)
@@ -126,7 +127,7 @@ def _config(args, variant=None) -> PipelineConfig:
         variant=variant or getattr(args, "variant", "lftc"),
         plan=SegmentPlan(step_size=args.step_size, max_compressors_per_class=cap),
         knn=KnnConfig(k=args.k),
-        mcc_backend=make_backend(args.backend, args.level),
+        mcc_backend=ZstdBackend(level=args.level),
         threads=args.threads,
         dict_mode=args.dict_mode,
     )
@@ -161,14 +162,18 @@ def _write_audit(path: Path, predictions) -> None:
 
 
 def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
-    """Honour --bundle: reuse persisted compressor lists or persist fresh ones."""
+    """Honour --bundle: reuse persisted compressor lists or persist fresh ones.
+    A bundle built with another plan or zstd level is rejected."""
     uses_lists = config.variant != "baseline-ncd"
+    plan = classifier.list_plan(config)
     if args.bundle and args.bundle.exists() and uses_lists:
-        lists, _plan = mcc.load_bundle(args.bundle, config.mcc_backend)
+        lists, stored_plan = mcc.load_bundle(args.bundle, config.mcc_backend)
+        if stored_plan != plan:
+            raise ValueError(f"{args.bundle}: built with {stored_plan}, this run uses {plan}")
         return classifier.Pipeline(train, config, prebuilt_lists=lists)
     pipeline = classifier.Pipeline(train, config)
     if args.bundle and uses_lists:
-        mcc.save_bundle(args.bundle, pipeline.lists, config.mcc_backend, config.plan)
+        mcc.save_bundle(args.bundle, pipeline.lists, config.mcc_backend, plan)
     return pipeline
 
 
@@ -228,7 +233,7 @@ def run_compare(args) -> int:
 def run_sweep(args) -> int:
     train, test = _load_split(args)
     step_sizes = args.step_sizes or [args.step_size]
-    levels = args.levels or [args.level if args.level is not None else 3]
+    levels = args.levels or [args.level]
     caps = args.caps or ([None] if args.no_cap else [args.max_compressors])
     if not step_sizes or not levels or not caps:
         raise DatasetError("sweep grid is empty")
@@ -240,7 +245,7 @@ def run_sweep(args) -> int:
                     variant=args.variant,
                     plan=SegmentPlan(step_size=step, max_compressors_per_class=cap),
                     knn=KnnConfig(k=args.k),
-                    mcc_backend=make_backend(args.backend, level),
+                    mcc_backend=ZstdBackend(level=level),
                     threads=args.threads,
                     dict_mode=args.dict_mode,
                 )
@@ -265,9 +270,8 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _RUNNERS[args.subcommand](args)
     except (DatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,32 +1,24 @@
 """Compressed-size oracles.
 
-Three interchangeable backends expose ``compressed_size``:
+Two backends expose ``compressed_size``:
 
 * ``ZstdBackend`` -- Zstandard frames via the system libzstd; the only
-  production backend that supports per-segment dictionaries.
+  backend that supports per-segment dictionaries, scored by
+  ``DictCompressor``.
 * ``DeflateBackend`` -- zlib/DEFLATE containers; used for NCD distances.
-* ``ReferenceLzBackend`` -- an in-repo, literal match/replace/entropy-code
-  pipeline used to validate the scoring semantics at small scale.
 
-The reference pipeline parses greedily: at each position the longest
-earlier occurrence of the upcoming bytes (within a sliding window,
-overlap allowed) is replaced by one token; tokens are keyed by the
-substring they cover and charged their empirical Shannon cost.
+The pure-Python reference scorer the tests validate zstd against lives in
+``lftc.reference_lz``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Protocol
 
 from . import zstd_bindings as zb
 
-MIN_MATCH = 3
-DEFAULT_REFERENCE_WINDOW = 32 * 1024
-# Inputs at or above this size are compressed at the fast level when the
-# adaptive rule is on.
+# Inputs at or above this size are compressed at the fast level.
 ADAPTIVE_SIZE_CUTOFF = 64 * 1024
 ADAPTIVE_FAST_LEVEL = 1
 
@@ -53,21 +45,18 @@ class Backend(Protocol):
 
 @dataclass(frozen=True)
 class ZstdBackend:
-    """Zstandard backend. ``adaptive_level`` applies the input-size rule
-    (fast level for inputs >= 64 KiB) to plain compression; dictionary
-    compression always runs at the digested dictionary's level."""
+    """Zstandard backend. Inputs of 64 KiB or more are compressed at the
+    fast level, with or without a dictionary."""
 
     level: int = 3
-    adaptive_level: bool = True
     kind: str = field(default="zstd", init=False)
-    dictionary_capable: bool = field(default=True, init=False)
 
     def __post_init__(self):
         if not (zb.MIN_LEVEL <= self.level <= zb.MAX_LEVEL):
             raise ValueError(f"zstd level out of range: {self.level}")
 
     def effective_level(self, size: int) -> int:
-        if self.adaptive_level and size >= ADAPTIVE_SIZE_CUTOFF:
+        if size >= ADAPTIVE_SIZE_CUTOFF:
             return min(self.level, ADAPTIVE_FAST_LEVEL)
         return self.level
 
@@ -92,7 +81,6 @@ class DeflateBackend:
 
     level: int = 6
     kind: str = field(default="deflate", init=False)
-    dictionary_capable: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if not (0 <= self.level <= 9):
@@ -113,39 +101,6 @@ class DeflateBackend:
 
 
 @dataclass(frozen=True)
-class ReferenceLzBackend:
-    """Literal implementation of the match/replace/entropy-code scoring."""
-
-    window_bytes: int = DEFAULT_REFERENCE_WINDOW
-    kind: str = field(default="reference-lz", init=False)
-    dictionary_capable: bool = field(default=True, init=False)
-
-    def __post_init__(self):
-        if self.window_bytes < 1:
-            raise ValueError("window_bytes must be >= 1")
-
-    def compressed_size(self, data: bytes) -> int:
-        _require_nonempty(data)
-        # Clamp to 1: a backend size is never zero for non-empty input, even
-        # when the token stream is a single repeated symbol.
-        return max(1, ref_compress_size(b"", data, self.window_bytes))
-
-
-BACKEND_KINDS = ("zstd", "deflate", "reference-lz")
-
-
-def make_backend(kind: str, level: int | None = None, **kwargs) -> Backend:
-    """Factory used by the CLI; ``level`` falls back to the backend default."""
-    if kind == "zstd":
-        return ZstdBackend(level=3 if level is None else level, **kwargs)
-    if kind == "deflate":
-        return DeflateBackend(level=6 if level is None else level)
-    if kind == "reference-lz":
-        return ReferenceLzBackend(**kwargs)
-    raise ValueError(f"unknown backend kind: {kind!r} (expected one of {BACKEND_KINDS})")
-
-
-@dataclass(frozen=True)
 class SourceSpan:
     """Where a dictionary's bytes came from: a byte range of one class's
     concatenated training text. ``mode`` records whether ZDICT training
@@ -162,7 +117,6 @@ class SourceSpan:
 class TrainedDictionary:
     payload: bytes
     source_span: SourceSpan
-    overhead_bytes: int = 0
 
     def __post_init__(self):
         if not self.payload:
@@ -172,17 +126,15 @@ class TrainedDictionary:
 
 
 class DictCompressor:
-    """Scores byte strings by their compressed size against one dictionary.
+    """Scores byte strings by their zstd-compressed size against one
+    dictionary.
 
-    For the zstd backend the dictionary is digested once (per level) and the
-    digest is shared across threads; scoring is then a single C call.
+    The dictionary is digested once per level and the digest is shared
+    across threads; scoring is then a single C call.
     """
 
-    def __init__(self, backend: Backend, dictionary: TrainedDictionary):
-        if not getattr(backend, "dictionary_capable", False):
-            raise UnsupportedBackendError(
-                f"{backend.kind} backend does not support dictionaries"
-            )
+    def __init__(self, backend: ZstdBackend, dictionary: TrainedDictionary):
+        _require_zstd(backend)
         self.backend = backend
         self.dictionary = dictionary
         self._cdicts: dict[int, zb.CDict] = {}
@@ -196,37 +148,21 @@ class DictCompressor:
 
     def score(self, data: bytes) -> int:
         _require_nonempty(data)
-        if isinstance(self.backend, ZstdBackend):
-            level = self.backend.effective_level(len(data))
-            try:
-                size = zb.compressed_size_with_cdict(data, self._cdict(level))
-            except zb.ZstdError as exc:
-                raise CompressionError(f"zstd: {exc}") from exc
-        else:
-            size = max(
-                1,
-                ref_compress_size(
-                    self.dictionary.payload, data, self.backend.window_bytes
-                ),
+        try:
+            return zb.compressed_size_with_cdict(
+                data, self._cdict(self.backend.effective_level(len(data)))
             )
-        return size + self.dictionary.overhead_bytes
+        except zb.ZstdError as exc:
+            raise CompressionError(f"zstd: {exc}") from exc
 
     def compress(self, data: bytes) -> bytes:
-        """Actual frame bytes; only meaningful for the zstd backend
-        (round-trip and interoperability checks)."""
-        if not isinstance(self.backend, ZstdBackend):
-            raise UnsupportedBackendError(f"{self.backend.kind} has no payload format")
+        """Actual frame bytes (round-trip and interoperability checks)."""
         _require_nonempty(data)
         return zb.compress_with_cdict(data, self._cdict(self.backend.effective_level(len(data))))
 
 
-def compressed_size(backend: Backend, data: bytes) -> int:
-    """Byte length of ``data`` under ``backend``; deterministic."""
-    return backend.compressed_size(data)
-
-
 def train_dictionary(
-    backend: Backend,
+    backend: ZstdBackend,
     segment: bytes,
     span: SourceSpan,
     mode: str = "trained",
@@ -236,33 +172,18 @@ def train_dictionary(
     ``mode="trained"`` runs ZDICT and falls back to the raw segment bytes when
     the trainer refuses the segment (too small / too uniform); the fallback is
     recorded in the span's ``mode``. ``mode="raw"`` skips training entirely.
-    The reference backend always keeps raw bytes (its dictionary is the
-    window seed).
     """
     if not segment:
         raise ValueError("segment must be non-empty")
-    if not getattr(backend, "dictionary_capable", False):
-        raise UnsupportedBackendError(
-            f"{backend.kind} backend does not support dictionaries"
-        )
+    _require_zstd(backend)
     if mode not in ("trained", "raw"):
         raise ValueError(f"unknown dictionary mode: {mode!r}")
 
-    if mode == "trained" and isinstance(backend, ZstdBackend):
+    if mode == "trained":
         payload = _zdict_train_segment(segment)
         if payload is not None:
-            return TrainedDictionary(
-                payload=payload,
-                source_span=_with_mode(span, "trained"),
-                overhead_bytes=0,
-            )
-    return TrainedDictionary(
-        payload=segment, source_span=_with_mode(span, "raw"), overhead_bytes=0
-    )
-
-
-def _with_mode(span: SourceSpan, mode: str) -> SourceSpan:
-    return SourceSpan(span.class_id, span.segment_index, span.start, span.stop, mode)
+            return TrainedDictionary(payload, replace(span, mode="trained"))
+    return TrainedDictionary(segment, replace(span, mode="raw"))
 
 
 def _zdict_train_segment(segment: bytes) -> bytes | None:
@@ -276,90 +197,6 @@ def _zdict_train_segment(segment: bytes) -> bytes | None:
     except zb.ZstdError:
         return None
     return payload or None
-
-
-def dict_compressed_size(comp: DictCompressor, data: bytes) -> int:
-    """Final per-compressor score: dictionary-compressed size plus the
-    dictionary overhead term (0 under this artifact's accounting)."""
-    return comp.score(data)
-
-
-def ref_longest_match(window: bytes, text: bytes, position: int) -> tuple[int, int]:
-    """Longest prefix of ``text[position:]`` occurring earlier in
-    ``window + text[:position]``.
-
-    Overlapping (self-referential) matches are allowed, so a run like
-    ``aaaa`` matches itself at offset 1.  Returns ``(length, offset)`` with
-    the offset counted backwards from the current position; ties on length
-    prefer the smallest offset.  ``(0, 0)`` when no match reaches MIN_MATCH.
-    """
-    if not (0 <= position < len(text)):
-        raise ValueError(f"position {position} out of range for text of length {len(text)}")
-    buf = bytes(window) + bytes(text)
-    return _longest_match(buf, len(window) + position, 0)
-
-
-def _longest_match(buf: bytes, pos: int, lo: int) -> tuple[int, int]:
-    """Longest match for buf[pos:] with source start in [lo, pos).
-
-    Feasibility of a given length is monotone (a length-L occurrence yields a
-    length-(L-1) one at the same start), so the maximal length is found by
-    bisection over C-level ``find`` calls.
-    """
-    limit = len(buf) - pos
-    if limit < MIN_MATCH or pos <= lo:
-        return (0, 0)
-    if buf.find(buf[pos : pos + MIN_MATCH], lo, pos + MIN_MATCH - 1) < 0:
-        return (0, 0)
-    low, high = MIN_MATCH, limit
-    while low < high:
-        mid = (low + high + 1) // 2
-        if buf.find(buf[pos : pos + mid], lo, pos + mid - 1) >= 0:
-            low = mid
-        else:
-            high = mid - 1
-    start = buf.rfind(buf[pos : pos + low], lo, pos + low - 1)
-    return (low, pos - start)
-
-
-def reference_tokens(dictionary_bytes: bytes, data: bytes, window: int) -> list[bytes]:
-    """Greedy left-to-right parse; each token is the substring it covers
-    (a single byte for literals, >= MIN_MATCH bytes for matches)."""
-    if not data:
-        raise ValueError("data must be non-empty")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    buf = bytes(dictionary_bytes) + bytes(data)
-    out: list[bytes] = []
-    i = len(dictionary_bytes)
-    n = len(buf)
-    while i < n:
-        length, _offset = _longest_match(buf, i, max(0, i - window))
-        if length >= MIN_MATCH:
-            out.append(buf[i : i + length])
-            i += length
-        else:
-            out.append(buf[i : i + 1])
-            i += 1
-    return out
-
-
-def ref_entropy_coded_size(tokens: Sequence | Iterable) -> float:
-    """Shannon lower bound, in bits, of the token stream under its own
-    empirical distribution: sum over occurrences of -log2 p(token)."""
-    counts = Counter(tokens)
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("token stream must be non-empty")
-    log_total = math.log2(total)
-    return sum(c * (log_total - math.log2(c)) for c in counts.values())
-
-
-def ref_compress_size(dictionary_bytes: bytes, data: bytes, window: int = DEFAULT_REFERENCE_WINDOW) -> int:
-    """Reference pipeline size in bytes: greedy parse, then the entropy-coded
-    bit count rounded up to whole bytes.  Degenerate single-symbol streams
-    legitimately cost zero bits."""
-    return math.ceil(ref_entropy_coded_size(reference_tokens(dictionary_bytes, data, window)) / 8)
 
 
 def ncd(backend: Backend, x: bytes, y: bytes) -> float:
@@ -381,3 +218,8 @@ def ncd_value(c_xy: int, c_x: int, c_y: int) -> float:
 def _require_nonempty(data: bytes) -> None:
     if not data:
         raise ValueError("data must be non-empty")
+
+
+def _require_zstd(backend: Backend) -> None:
+    if not isinstance(backend, ZstdBackend):
+        raise UnsupportedBackendError(f"{backend.kind} backend does not support dictionaries")

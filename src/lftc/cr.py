@@ -111,12 +111,10 @@ def ncd_distances(
     return sample_distances(query, gold.samples, config, size_cache)
 
 
-def knn_decide(neighbors: list[NcdNeighbor], config: KnnConfig) -> str:
-    return vote_detail(neighbors, config).label
-
-
 def vote_detail(neighbors: list[NcdNeighbor], config: KnnConfig) -> ReasoningOutcome:
-    """knn_decide plus the audit fields (top-k neighbours, tie flag)."""
+    """KNN vote over the k nearest neighbours (ties on distance go to the
+    lower index, tied votes to the single closest neighbour), with the
+    audit fields (top-k neighbours, tie flag)."""
     if not neighbors:
         raise ValueError("no neighbors to vote on")
     ranked = sorted(neighbors, key=lambda n: (n.distance, n.index))
@@ -138,8 +136,9 @@ def reason_detail(
     config: KnnConfig,
     size_cache: dict[bytes, int] | None = None,
 ) -> ReasoningOutcome:
-    """Full pipeline with audit fields; falls back to pair.first (flagged)
-    when no gold data exists."""
+    """Final label for the query, always one of the candidate pair, with the
+    audit fields; falls back to pair.first (flagged) when no gold data
+    exists."""
     try:
         gold = extract_gold(corpus, pair)
     except EmptyGoldError:
@@ -147,20 +146,3 @@ def reason_detail(
     neighbors = ncd_distances(query, gold, config, size_cache)
     return vote_detail(neighbors, config)
 
-
-def centralized_reason(
-    corpus: Corpus,
-    pair: CandidatePair,
-    query: bytes,
-    config: KnnConfig,
-) -> str:
-    """Final label for the query, always one of the candidate pair."""
-    return reason_detail(corpus, pair, query, config).label
-
-
-def ncd_to_concatenation(query: bytes, gold: GoldData, config: KnnConfig) -> float:
-    """Diagnostic scalar: NCD between the query and the concatenation of all
-    gold texts (the whole-reference reading of the distance definition)."""
-    from .compression import ncd
-
-    return ncd(config.backend, query, b"".join(s.text for s in gold.samples))

@@ -20,12 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .compression import (
-    Backend,
     DictCompressor,
     SourceSpan,
     TrainedDictionary,
-    dict_compressed_size,
-    make_backend,
+    ZstdBackend,
     train_dictionary,
 )
 from .corpus import DEFAULT_SEPARATOR, Corpus, LabeledText, concat_class_text
@@ -75,7 +73,6 @@ class CandidatePair:
 class ClassCompressorList:
     class_id: str
     compressors: tuple[DictCompressor, ...]
-    segment_count: int
 
     def __post_init__(self):
         if not self.compressors:
@@ -102,7 +99,7 @@ def build_class_list(
     corpus: Corpus,
     class_id: str,
     plan: SegmentPlan,
-    backend: Backend,
+    backend: ZstdBackend,
     separator: bytes = DEFAULT_SEPARATOR,
     dict_mode: str = "trained",
 ) -> ClassCompressorList:
@@ -118,15 +115,13 @@ def build_class_list(
         span = SourceSpan(class_id, segment_index, start, stop)
         dictionary = train_dictionary(backend, text[start:stop], span, mode=dict_mode)
         compressors.append(DictCompressor(backend, dictionary))
-    return ClassCompressorList(
-        class_id=class_id, compressors=tuple(compressors), segment_count=len(indices)
-    )
+    return ClassCompressorList(class_id=class_id, compressors=tuple(compressors))
 
 
 def build_all_lists(
     corpus: Corpus,
     plan: SegmentPlan,
-    backend: Backend,
+    backend: ZstdBackend,
     separator: bytes = DEFAULT_SEPARATOR,
     dict_mode: str = "trained",
     threads: int = 1,
@@ -160,7 +155,7 @@ def score_query(
     if not data:
         raise ValueError("query text must be non-empty")
     return [
-        ClassScore(class_id, sum(dict_compressed_size(c, data) for c in lists[class_id].compressors))
+        ClassScore(class_id, sum(c.score(data) for c in lists[class_id].compressors))
         for class_id in sorted(lists)
     ]
 
@@ -175,13 +170,13 @@ def select_candidates(scores: list[ClassScore]) -> CandidatePair:
     return CandidatePair(ordered[0].class_id, ordered[1].class_id, tuple(scores))
 
 
-def save_bundle(path, lists: dict[str, ClassCompressorList], backend: Backend, plan: SegmentPlan) -> None:
+def save_bundle(path, lists: dict[str, ClassCompressorList], backend: ZstdBackend, plan: SegmentPlan) -> None:
     """Persist dictionary payloads so repeated runs skip reconstruction.
     Versioned JSON container; not a cross-version stability promise."""
     doc = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
-        "backend": {"kind": backend.kind, "level": getattr(backend, "level", None)},
+        "backend": {"kind": backend.kind, "level": backend.level},
         "plan": {
             "step_size": plan.step_size,
             "max_compressors_per_class": plan.max_compressors_per_class,
@@ -189,14 +184,12 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], backend: Backend, p
         "classes": [
             {
                 "class": cl.class_id,
-                "segment_count": cl.segment_count,
                 "segments": [
                     {
                         "index": c.dictionary.source_span.segment_index,
                         "start": c.dictionary.source_span.start,
                         "stop": c.dictionary.source_span.stop,
                         "mode": c.dictionary.source_span.mode,
-                        "overhead_bytes": c.dictionary.overhead_bytes,
                         "payload": base64.b64encode(c.dictionary.payload).decode("ascii"),
                     }
                     for c in cl.compressors
@@ -209,32 +202,31 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], backend: Backend, p
         json.dump(doc, fh)
 
 
-def load_bundle(path, backend: Backend | None = None) -> tuple[dict[str, ClassCompressorList], SegmentPlan]:
+def load_bundle(path, backend: ZstdBackend | None = None) -> tuple[dict[str, ClassCompressorList], SegmentPlan]:
+    """Lists and plan from a bundle. A given ``backend`` must be the one the
+    bundle was built with; otherwise the stored one is used."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"{path}: not a compressor bundle")
     if doc.get("version") != BUNDLE_VERSION:
         raise ValueError(f"{path}: unsupported bundle version {doc.get('version')}")
-    if backend is None:
-        meta = doc["backend"]
-        backend = make_backend(meta["kind"], meta["level"])
+    meta = doc["backend"]
+    if meta["kind"] != "zstd":
+        raise ValueError(f"{path}: unsupported bundle backend {meta['kind']!r}")
+    stored = ZstdBackend(level=meta["level"])
+    if backend is not None and backend != stored:
+        raise ValueError(
+            f"{path}: built at zstd level {stored.level}, this run uses level {backend.level}"
+        )
     lists: dict[str, ClassCompressorList] = {}
     for entry in doc["classes"]:
         compressors = []
         for seg in entry["segments"]:
             span = SourceSpan(entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"])
-            dictionary = TrainedDictionary(
-                payload=base64.b64decode(seg["payload"]),
-                source_span=span,
-                overhead_bytes=seg["overhead_bytes"],
-            )
-            compressors.append(DictCompressor(backend, dictionary))
-        lists[entry["class"]] = ClassCompressorList(
-            class_id=entry["class"],
-            compressors=tuple(compressors),
-            segment_count=entry["segment_count"],
-        )
+            dictionary = TrainedDictionary(base64.b64decode(seg["payload"]), span)
+            compressors.append(DictCompressor(stored, dictionary))
+        lists[entry["class"]] = ClassCompressorList(entry["class"], tuple(compressors))
     plan = SegmentPlan(
         step_size=doc["plan"]["step_size"],
         max_compressors_per_class=doc["plan"]["max_compressors_per_class"],

@@ -8,12 +8,9 @@ from lftc.classifier import (
     evaluate,
     evaluate_fewshot,
     evaluate_with_predictions,
-    predict_ablation_cr,
-    predict_ablation_mcc,
-    predict_baseline_ncd,
-    predict_corpus,
-    predict_lftc,
 )
+from lftc import mcc
+from lftc.compression import CompressionError
 from lftc.corpus import Corpus
 from lftc.cr import KnnConfig
 from lftc.synthetic import MotifGenerator
@@ -105,15 +102,6 @@ def test_single_class_degenerate_flagged():
     assert pred.fallback
 
 
-def test_convenience_wrappers(motif_split):
-    train, test = motif_split
-    q = test.samples[0].text
-    assert predict_lftc(train, q).predicted in train.classes
-    assert predict_ablation_mcc(train, q).predicted in train.classes
-    assert predict_ablation_cr(train, q).predicted in train.classes
-    assert predict_baseline_ncd(train, q).predicted in train.classes
-
-
 def test_lftc_synthetic_separation_200_queries():
     gen = MotifGenerator(11, classes=3, tokens_per_doc=(20, 40), noise_ratio=0.45)
     train = gen.corpus("t", 40, "train")
@@ -183,7 +171,7 @@ def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
     def flaky(text, sample_index, truth, t0):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise RuntimeError("injected failure")
+            raise CompressionError("injected failure")
         return original(text, sample_index, truth, t0)
 
     monkeypatch.setattr(pipeline, "_predict_listwise", flaky)
@@ -192,6 +180,26 @@ def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
     assert preds[1].error is not None
     # the failed sample counts as incorrect, the run completes
     assert report.accuracy <= 1.0 - 1 / len(test)
+
+
+def test_empty_query_is_an_error_prediction(motif_split):
+    train, _ = motif_split
+    for variant in ("lftc", "baseline-ncd"):
+        pred = Pipeline(train, PipelineConfig(variant=variant)).predict(b"", truth="alpha")
+        assert pred.error is not None and "ValueError" in pred.error
+        assert pred.predicted == ""
+
+
+def test_programming_error_propagates(motif_split, monkeypatch):
+    train, test = motif_split
+    pipeline = Pipeline(train, PipelineConfig())
+
+    def broken(lists, query):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(mcc, "score_query", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        pipeline.predict(test.samples[0].text)
 
 
 def test_prebuilt_lists_reuse(motif_split):

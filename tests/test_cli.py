@@ -76,6 +76,32 @@ def test_eval_bundle_reuse(tmp_path, capsys):
     assert b.timings["list_build_seconds"] <= a.timings["list_build_seconds"]
 
 
+def test_eval_bundle_config_mismatch(tmp_path, capsys):
+    bundle = tmp_path / "lists.bundle"
+    base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
+    assert run(base + ["--step-size", "65536"]) == EXIT_OK
+    capsys.readouterr()
+    for other in (["--step-size", "4096"], ["--level", "5"], ["--variant", "lftc-mcc"]):
+        assert run(base + other) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bundle) in err
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("eval", "--seed=1"),
+    ("compare", "--seed=1"),
+    ("sweep", "--seed=1"),
+    ("fewshot", "--audit=a.jsonl"),
+    ("compare", "--bundle=b.bundle"),
+    ("sweep", "--bundle=b.bundle"),
+    ("eval", "--backend=zstd"),
+])
+def test_unused_flags_rejected(subcommand, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--train", TRAIN, "--test", TEST, flag])
+    assert exc.value.code == EXIT_VALIDATION
+
+
 def test_fewshot_reproducible(tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):
@@ -147,7 +173,7 @@ def test_sweep_empty_grid_rejected(capsys):
     assert exc.value.code == EXIT_VALIDATION
 
 
-def test_threads_env_var_default(monkeypatch):
+def test_threads_env_var_default(monkeypatch, capsys):
     from lftc.cli import build_parser
 
     monkeypatch.setenv("LFTC_THREADS", "6")
@@ -156,6 +182,12 @@ def test_threads_env_var_default(monkeypatch):
     monkeypatch.delenv("LFTC_THREADS")
     args = build_parser().parse_args(["eval", "--train", TRAIN, "--test", TEST])
     assert args.threads == 1
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("LFTC_THREADS", bad)
+        assert run(["eval", "--train", TRAIN, "--test", TEST]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "LFTC_THREADS" in err
+        assert err.count("\n") == 1
 
 
 def test_unwritable_output_is_runtime_failure(tmp_path, capsys):

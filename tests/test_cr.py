@@ -9,12 +9,10 @@ from lftc.cr import (
     EmptyGoldError,
     KnnConfig,
     NcdNeighbor,
-    centralized_reason,
     extract_gold,
-    knn_decide,
     ncd_distances,
-    ncd_to_concatenation,
     reason_detail,
+    vote_detail,
 )
 from lftc.mcc import CandidatePair, ClassScore
 
@@ -123,27 +121,27 @@ def test_backend_failure_reports_sample_index():
         ncd_distances(b"query", gold, KnnConfig(backend=Exploding()))
 
 
-# --- knn_decide ----------------------------------------------------------------
+# --- vote_detail -------------------------------------------------------------
 
 def test_k1_argmin():
-    assert knn_decide(neighbors((0.4, "p"), (0.2, "q")), KnnConfig(k=1)) == "q"
+    assert vote_detail(neighbors((0.4, "p"), (0.2, "q")), KnnConfig(k=1)).label == "q"
 
 
 def test_k2_tie_takes_closest():
-    assert knn_decide(neighbors((0.1, "p"), (0.2, "q")), KnnConfig(k=2)) == "p"
+    assert vote_detail(neighbors((0.1, "p"), (0.2, "q")), KnnConfig(k=2)).label == "p"
 
 
 def test_k3_majority():
-    assert knn_decide(neighbors((0.1, "p"), (0.2, "q"), (0.3, "q")), KnnConfig(k=3)) == "q"
+    assert vote_detail(neighbors((0.1, "p"), (0.2, "q"), (0.3, "q")), KnnConfig(k=3)).label == "q"
 
 
 def test_k1_equal_distance_index_tiebreak():
     nbrs = [NcdNeighbor(0.5, "b", 1), NcdNeighbor(0.5, "a", 0)]
-    assert knn_decide(nbrs, KnnConfig(k=1)) == "a"
+    assert vote_detail(nbrs, KnnConfig(k=1)).label == "a"
 
 
 def test_k_larger_than_pool():
-    assert knn_decide(neighbors((0.3, "p"), (0.2, "p"), (0.1, "q")), KnnConfig(k=10)) == "p"
+    assert vote_detail(neighbors((0.3, "p"), (0.2, "p"), (0.1, "q")), KnnConfig(k=10)).label == "p"
 
 
 def brute_knn(nbrs, k):
@@ -171,7 +169,7 @@ def brute_knn(nbrs, k):
 )
 def test_knn_matches_brute_oracle(items, k):
     nbrs = neighbors(*items)
-    assert knn_decide(nbrs, KnnConfig(k=k)) == brute_knn(nbrs, k)
+    assert vote_detail(nbrs, KnnConfig(k=k)).label == brute_knn(nbrs, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,37 +186,37 @@ def test_knn_matches_brute_oracle(items, k):
 def test_knn_scale_invariance(items, k, factor):
     nbrs = neighbors(*items)
     scaled = [NcdNeighbor(n.distance * factor, n.label, n.index) for n in nbrs]
-    assert knn_decide(nbrs, KnnConfig(k=k)) == knn_decide(scaled, KnnConfig(k=k))
+    assert vote_detail(nbrs, KnnConfig(k=k)).label == vote_detail(scaled, KnnConfig(k=k)).label
 
 
 def test_knn_permutation_invariance_distinct_distances():
     rng = random.Random(0)
     base = [(round(0.1 + 0.07 * i, 3), rng.choice("pq")) for i in range(9)]
-    want = knn_decide(neighbors(*base), KnnConfig(k=3))
+    want = vote_detail(neighbors(*base), KnnConfig(k=3)).label
     for _ in range(10):
         perm = base[:]
         rng.shuffle(perm)
         # re-indexing after the shuffle models a reordered gold corpus
-        assert knn_decide(neighbors(*perm), KnnConfig(k=3)) == want
+        assert vote_detail(neighbors(*perm), KnnConfig(k=3)).label == want
 
 
 def test_knn_output_in_present_labels():
     nbrs = neighbors((0.9, "a"), (0.8, "b"), (0.7, "c"))
-    assert knn_decide(nbrs, KnnConfig(k=2)) in {"a", "b", "c"}
+    assert vote_detail(nbrs, KnnConfig(k=2)).label in {"a", "b", "c"}
 
 
 def test_knn_rejects_empty():
     with pytest.raises(ValueError):
-        knn_decide([], KnnConfig())
+        vote_detail([], KnnConfig())
     with pytest.raises(ValueError):
         KnnConfig(k=0)
 
 
-# --- centralized_reason ---------------------------------------------------------
+# --- reason_detail -----------------------------------------------------------
 
 def test_reason_single_label_gold():
     corpus = corpus_from([("p", b"aaa bbb ccc"), ("p", b"ddd eee fff")])
-    assert centralized_reason(corpus, pair(), b"some query", KnnConfig()) == "p"
+    assert reason_detail(corpus, pair(), b"some query", KnnConfig()).label == "p"
 
 
 def test_reason_exact_copy_wins():
@@ -226,14 +224,14 @@ def test_reason_exact_copy_wins():
     corpus = corpus_from(
         [("p", seeded_text(i)) for i in range(5)] + [("q", query)]
     )
-    assert centralized_reason(corpus, pair(), query, KnnConfig(k=1)) == "q"
+    assert reason_detail(corpus, pair(), query, KnnConfig(k=1)).label == "q"
 
 
 def test_reason_deterministic():
     corpus = corpus_from([("p", seeded_text(1)), ("q", seeded_text(2)), ("p", seeded_text(3))])
     q = seeded_text(9)
-    a = centralized_reason(corpus, pair(), q, KnnConfig())
-    b = centralized_reason(corpus, pair(), q, KnnConfig())
+    a = reason_detail(corpus, pair(), q, KnnConfig()).label
+    b = reason_detail(corpus, pair(), q, KnnConfig()).label
     assert a == b
 
 
@@ -250,12 +248,6 @@ def test_reason_always_within_pair():
         [("p", seeded_text(1)), ("q", seeded_text(2)), ("r", seeded_text(3))]
     )
     for seed in range(10):
-        got = centralized_reason(corpus, pair(), seeded_text(100 + seed), KnnConfig())
+        got = reason_detail(corpus, pair(), seeded_text(100 + seed), KnnConfig()).label
         assert got in {"p", "q"}
 
-
-def test_ncd_to_concatenation_diagnostic():
-    corpus = corpus_from([("p", b"alpha " * 50), ("q", b"omega " * 50)])
-    gold = extract_gold(corpus, pair())
-    value = ncd_to_concatenation(b"alpha alpha alpha", gold, KnnConfig())
-    assert -0.05 <= value <= 1.15

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftc.compression import ReferenceLzBackend, ZstdBackend, dict_compressed_size
+from lftc.compression import ZstdBackend
 from lftc.corpus import concat_class_text
 from lftc.mcc import (
     ClassScore,
@@ -18,6 +18,7 @@ from lftc.mcc import (
     segment_count,
     select_candidates,
 )
+from lftc.reference_lz import ref_compress_size
 from lftc.synthetic import MotifGenerator
 
 from conftest import corpus_from
@@ -57,7 +58,7 @@ def test_build_class_list_spans_tile():
     corpus = one_class_corpus(1000)
     cl = build_class_list(corpus, "a", SegmentPlan(step_size=400, max_compressors_per_class=None),
                           ZstdBackend())
-    assert cl.segment_count == 3
+    assert len(cl.compressors) == 3
     assert spans(cl) == [(0, 400), (400, 800), (800, 1000)]
 
 
@@ -65,7 +66,7 @@ def test_build_class_list_cap_evenly_spaced():
     corpus = one_class_corpus(10_000)
     cl = build_class_list(corpus, "a", SegmentPlan(step_size=100, max_compressors_per_class=10),
                           ZstdBackend())
-    assert cl.segment_count == 10
+    assert len(cl.compressors) == 10
     got = [c.dictionary.source_span.segment_index for c in cl.compressors]
     assert got == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
     starts = [s for s, _ in spans(cl)]
@@ -75,7 +76,7 @@ def test_build_class_list_cap_evenly_spaced():
 def test_build_class_list_single_short_text():
     corpus = corpus_from([("a", b"tiny text of fifty bytes or so, quite short."), ("b", b"zz")])
     cl = build_class_list(corpus, "a", SegmentPlan(step_size=400), ZstdBackend())
-    assert cl.segment_count == 1
+    assert len(cl.compressors) == 1
     assert cl.compressors[0].dictionary.source_span.mode == "raw"  # too small to train
 
 
@@ -139,7 +140,7 @@ def test_score_query_equals_recomputed_sum(motif_split):
     lists = build_all_lists(train, SegmentPlan(step_size=2048), ZstdBackend())
     q = test.samples[1].text
     for cs in score_query(lists, q):
-        manual = sum(dict_compressed_size(c, q) for c in lists[cs.class_id].compressors)
+        manual = sum(c.score(q) for c in lists[cs.class_id].compressors)
         assert cs.score == manual
 
 
@@ -182,20 +183,29 @@ def test_class_regularity_separation():
 
 def test_reference_and_zstd_rankings_agree():
     # sanity link between the literal scoring pipeline and the production
-    # backend: argmin class agrees on >= 90% of repetitive synthetic trials
+    # backend: argmin class agrees on >= 90% of repetitive synthetic trials.
+    # The reference scores each query against the raw bytes of the same
+    # segments the zstd lists were built from.
     agree = 0
     trials = 0
     for seed in range(5):
         gen = MotifGenerator(seed, classes=3, tokens_per_doc=(25, 45), noise_ratio=0.2)
         train = gen.corpus("t", 10, "train")
-        plan = SegmentPlan(step_size=4096)
-        zstd_lists = build_all_lists(train, plan, ZstdBackend())
-        ref_lists = build_all_lists(train, plan, ReferenceLzBackend())
+        zstd_lists = build_all_lists(train, SegmentPlan(step_size=4096), ZstdBackend())
+        segments = {}
+        for class_id, cl in zstd_lists.items():
+            text = concat_class_text(train, class_id)
+            spans = [c.dictionary.source_span for c in cl.compressors]
+            segments[class_id] = [text[s.start : s.stop] for s in spans]
         rng = random.Random(f"agree:{seed}")
         for i in range(10):
             query = gen.document(gen.class_names[i % 3], rng)
             z = select_candidates(score_query(zstd_lists, query)).first
-            r = select_candidates(score_query(ref_lists, query)).first
+            ref_scores = [
+                ClassScore(c, sum(ref_compress_size(seg, query) for seg in segs))
+                for c, segs in sorted(segments.items())
+            ]
+            r = select_candidates(ref_scores).first
             agree += z == r
             trials += 1
     assert trials == 50
