@@ -29,7 +29,6 @@ from .corpus import (
 from .cr import (
     EmptyGoldError,
     GoldData,
-    KnnConfig,
     NcdNeighbor,
     extract_gold,
     ncd_distances,

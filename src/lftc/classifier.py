@@ -6,11 +6,15 @@ Variants:
 * ``lftc-mcc``     -- ablation: one whole-class dictionary per class instead of
                       a segment list; reasoning stage unchanged.
 * ``lftc-cr``      -- ablation: no reasoning stage; the lowest-scoring class wins.
-* ``baseline-ncd`` -- single-compressor NCD-KNN over the entire training set.
+* ``baseline-ncd`` -- the reasoning stage alone, with the whole training set
+                      as gold data.
 
 A pipeline is fitted once per (train corpus, config) and reused for every
-query; fitted state is read-only, so evaluation parallelizes over test
-samples with bit-identical results at any worker count.
+query. The fit builds the compressor lists and each training text's NCD
+size C(y) (``Pipeline.sizes``). Apart from each dictionary's digest, made
+on first use per zstd level, nothing is written after the fit, so
+evaluation parallelizes over test samples with bit-identical results at
+any worker count.
 """
 
 from __future__ import annotations
@@ -36,15 +40,16 @@ WHOLE_CLASS_DICT_LIMIT = 1 << 20
 class PipelineConfig:
     variant: str = "lftc"
     plan: SegmentPlan = field(default_factory=SegmentPlan)
-    knn: cr.KnnConfig = field(default_factory=cr.KnnConfig)
+    k: int = 1
     mcc_backend: ZstdBackend = field(default_factory=ZstdBackend)
     threads: int = 1
-    separator: bytes = DEFAULT_SEPARATOR
     dict_mode: str = "trained"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -98,16 +103,10 @@ class Pipeline:
         else:
             self.lists = mcc.build_all_lists(
                 train, list_plan(config), config.mcc_backend,
-                separator=config.separator, dict_mode=config.dict_mode,
-                threads=config.threads,
+                dict_mode=config.dict_mode, threads=config.threads,
             )
-        # Memoized per-sample self-compression sizes for the NCD stage; shared
-        # by all variants that reach it so comparisons stay apples-to-apples.
-        self._size_cache: dict[bytes, int] = {}
-        if config.variant == "baseline-ncd":
-            for s in train.samples:
-                if s.text not in self._size_cache:
-                    self._size_cache[s.text] = config.knn.backend.compressed_size(s.text)
+        # C(y) of every training text, aligned with train.samples.
+        self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)
         self.list_build_seconds = time.perf_counter() - t0
 
     def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
@@ -157,7 +156,7 @@ class Pipeline:
                 mcc_seconds=t_mid - t_start,
             )
 
-        outcome = cr.reason_detail(self.train, pair, text, self.config.knn, self._size_cache)
+        outcome = cr.reason_detail(self.train, pair, text, self.sizes, self.config.k)
         t_end = time.perf_counter()
         return Prediction(
             sample_index=sample_index,
@@ -174,10 +173,8 @@ class Pipeline:
         )
 
     def _predict_baseline(self, text, sample_index, truth, t_start) -> Prediction:
-        if not text:
-            raise ValueError("query text must be non-empty")
-        neighbors = cr.sample_distances(text, self.train.samples, self.config.knn, self._size_cache)
-        outcome = cr.vote_detail(neighbors, self.config.knn)
+        neighbors = cr.ncd_distances(text, self.train.samples, self.sizes)
+        outcome = cr.vote_detail(neighbors, self.config.k)
         t_end = time.perf_counter()
         return Prediction(
             sample_index=sample_index,
@@ -195,7 +192,7 @@ class Pipeline:
 def predict_corpus(
     train: Corpus, test: Corpus, config: PipelineConfig, pipeline: Pipeline | None = None
 ) -> tuple[list[Prediction], Pipeline]:
-    """All test predictions, ordered by sample index regardless of workers."""
+    """All test predictions, in test order at any worker count."""
     pipeline = pipeline or Pipeline(train, config)
     items = list(enumerate(test.samples))
 
@@ -208,7 +205,6 @@ def predict_corpus(
             preds = list(pool.map(run, items))
     else:
         preds = [run(it) for it in items]
-    preds.sort(key=lambda p: p.sample_index)
     return preds, pipeline
 
 
@@ -260,23 +256,22 @@ def evaluate_with_predictions(
 
 
 def config_echo(config: PipelineConfig, train: Corpus, test: Corpus | None = None) -> dict:
-    """Full run configuration for the report."""
+    """Full run configuration for the report; the plan is the one the
+    variant's lists are built with."""
+    plan = list_plan(config)
     echo = {
         "variant": config.variant,
-        "step_size": config.plan.step_size,
-        "max_compressors": config.plan.max_compressors_per_class,
+        "step_size": plan.step_size,
+        "max_compressors": plan.max_compressors_per_class,
         "mcc_backend": {
             "kind": config.mcc_backend.kind,
             "level": getattr(config.mcc_backend, "level", None),
         },
-        "ncd_backend": {
-            "kind": config.knn.backend.kind,
-            "level": getattr(config.knn.backend, "level", None),
-        },
-        "k": config.knn.k,
+        "ncd_backend": {"kind": cr.NCD_BACKEND.kind, "level": cr.NCD_BACKEND.level},
+        "k": config.k,
         "threads": config.threads,
         "dict_mode": config.dict_mode,
-        "separator": config.separator.decode("utf-8", "backslashreplace"),
+        "separator": DEFAULT_SEPARATOR.decode(),
         "train_dataset": train.name,
         "train_size": len(train),
         "train_sha256": train.digest(),

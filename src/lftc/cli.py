@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from pathlib import Path
 from . import classifier, mcc
 from .compression import CompressionError, ZstdBackend
 from .corpus import Corpus, DatasetError, load_csv
-from .cr import KnnConfig
 from .classifier import PipelineConfig, VARIANTS
 from .mcc import SegmentPlan
 from .report import EvalReport, write_csv_summary
@@ -126,7 +126,7 @@ def _config(args, variant=None) -> PipelineConfig:
     return PipelineConfig(
         variant=variant or getattr(args, "variant", "lftc"),
         plan=SegmentPlan(step_size=args.step_size, max_compressors_per_class=cap),
-        knn=KnnConfig(k=args.k),
+        k=args.k,
         mcc_backend=ZstdBackend(level=args.level),
         threads=args.threads,
         dict_mode=args.dict_mode,
@@ -163,17 +163,23 @@ def _write_audit(path: Path, predictions) -> None:
 
 def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
     """Honour --bundle: reuse persisted compressor lists or persist fresh ones.
-    A bundle built with another plan or zstd level is rejected."""
+    A bundle built with another zstd level, plan, train split or dictionary
+    mode is rejected."""
     uses_lists = config.variant != "baseline-ncd"
-    plan = classifier.list_plan(config)
+    source = mcc.BundleSource(
+        config.mcc_backend, classifier.list_plan(config), train.digest(), config.dict_mode
+    )
     if args.bundle and args.bundle.exists() and uses_lists:
-        lists, stored_plan = mcc.load_bundle(args.bundle, config.mcc_backend)
-        if stored_plan != plan:
-            raise ValueError(f"{args.bundle}: built with {stored_plan}, this run uses {plan}")
+        lists, stored = mcc.load_bundle(args.bundle)
+        diffs = [f.name for f in dataclasses.fields(source)
+                 if getattr(stored, f.name) != getattr(source, f.name)]
+        if diffs:
+            raise ValueError(f"{args.bundle}: built with another {', '.join(diffs)}; "
+                             "delete it to rebuild")
         return classifier.Pipeline(train, config, prebuilt_lists=lists)
     pipeline = classifier.Pipeline(train, config)
     if args.bundle and uses_lists:
-        mcc.save_bundle(args.bundle, pipeline.lists, config.mcc_backend, plan)
+        mcc.save_bundle(args.bundle, pipeline.lists, source)
     return pipeline
 
 
@@ -237,17 +243,15 @@ def run_sweep(args) -> int:
     caps = args.caps or ([None] if args.no_cap else [args.max_compressors])
     if not step_sizes or not levels or not caps:
         raise DatasetError("sweep grid is empty")
+    base = _config(args)
     reports = []
     for step in step_sizes:
         for level in levels:
             for cap in caps:
-                config = PipelineConfig(
-                    variant=args.variant,
+                config = dataclasses.replace(
+                    base,
                     plan=SegmentPlan(step_size=step, max_compressors_per_class=cap),
-                    knn=KnnConfig(k=args.k),
                     mcc_backend=ZstdBackend(level=level),
-                    threads=args.threads,
-                    dict_mode=args.dict_mode,
                 )
                 reports.append(classifier.evaluate(train, test, config))
     out = args.out or Path("sweep.json")

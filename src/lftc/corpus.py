@@ -95,6 +95,9 @@ def load_csv(
     record number.
     """
     path = Path(path)
+    for column in (label_column, text_column):
+        if isinstance(column, int) and column < 0:
+            raise DatasetError(f"{path}: column index {column} is negative")
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
     positional = isinstance(label_column, int) and isinstance(text_column, int)

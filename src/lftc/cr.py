@@ -5,16 +5,22 @@ classes (nothing is removed: candidates are class labels, not individual
 training texts, so there is no sample-level exclusion to perform). The
 query's NCD to each gold sample feeds a KNN vote; on a tied vote the label
 of the single closest neighbour wins.
+
+Every compression goes through ``NCD_BACKEND`` (DEFLATE level 6). Each
+training text's C(y) is computed once at fit (``sample_sizes``), so a query
+costs one C(x) plus one C(xy) per gold sample.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .compression import Backend, CompressionError, DeflateBackend, ncd_value
+from .compression import CompressionError, DeflateBackend, ncd_value
 from .corpus import Corpus, LabeledText
 from .mcc import CandidatePair
+
+NCD_BACKEND = DeflateBackend(level=6)
 
 
 class EmptyGoldError(ValueError):
@@ -24,8 +30,7 @@ class EmptyGoldError(ValueError):
 @dataclass(frozen=True)
 class GoldData:
     samples: tuple[LabeledText, ...]
-    corpus_indices: tuple[int, ...]  # positions in the training corpus
-    source: CandidatePair
+    corpus_indices: tuple[int, ...]  # positions in the training corpus and its sizes
 
 
 @dataclass(frozen=True)
@@ -36,22 +41,17 @@ class NcdNeighbor:
 
 
 @dataclass(frozen=True)
-class KnnConfig:
-    k: int = 1
-    backend: Backend = field(default_factory=DeflateBackend)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
 class ReasoningOutcome:
     label: str
     neighbors: tuple[NcdNeighbor, ...]  # the k used for the decision
     ncd_calls: int
     fallback: bool = False
     tie: bool = False
+
+
+def sample_sizes(samples: tuple[LabeledText, ...]) -> tuple[int, ...]:
+    """C(y) of each sample, aligned with ``samples``."""
+    return tuple(NCD_BACKEND.compressed_size(s.text) for s in samples)
 
 
 def extract_gold(corpus: Corpus, pair: CandidatePair) -> GoldData:
@@ -65,60 +65,36 @@ def extract_gold(corpus: Corpus, pair: CandidatePair) -> GoldData:
     return GoldData(
         samples=tuple(s for _, s in picked),
         corpus_indices=tuple(i for i, _ in picked),
-        source=pair,
     )
 
 
-def sample_distances(
-    query: bytes,
-    samples: tuple[LabeledText, ...],
-    config: KnnConfig,
-    size_cache: dict[bytes, int] | None = None,
+def ncd_distances(
+    query: bytes, samples: tuple[LabeledText, ...], sizes: tuple[int, ...]
 ) -> list[NcdNeighbor]:
-    """NCD from the query to each sample; the machinery behind both the
-    gold-data distances and the whole-training-set baseline."""
-    backend = config.backend
-    c_query = backend.compressed_size(query)
+    """One neighbour per sample; ``sizes`` holds each sample's C(y)."""
+    if not query:
+        raise ValueError("query text must be non-empty")
+    c_query = NCD_BACKEND.compressed_size(query)
     out = []
-    for i, sample in enumerate(samples):
+    for i, (sample, c_y) in enumerate(zip(samples, sizes, strict=True)):
         try:
-            if size_cache is not None:
-                c_y = size_cache.get(sample.text)
-                if c_y is None:
-                    c_y = backend.compressed_size(sample.text)
-                    size_cache[sample.text] = c_y
-            else:
-                c_y = backend.compressed_size(sample.text)
-            c_xy = backend.compressed_size(query + sample.text)
+            c_xy = NCD_BACKEND.compressed_size(query + sample.text)
         except CompressionError as exc:
             raise CompressionError(f"sample {i}: {exc}") from exc
         out.append(NcdNeighbor(ncd_value(c_xy, c_query, c_y), sample.label, i))
     return out
 
 
-def ncd_distances(
-    query: bytes,
-    gold: GoldData,
-    config: KnnConfig,
-    size_cache: dict[bytes, int] | None = None,
-) -> list[NcdNeighbor]:
-    """One neighbour per gold sample. ``size_cache`` may memoize the
-    samples' own compressed sizes; distances are identical either way."""
-    if not query:
-        raise ValueError("query must be non-empty")
-    if not gold.samples:
-        raise EmptyGoldError("gold data is empty")
-    return sample_distances(query, gold.samples, config, size_cache)
-
-
-def vote_detail(neighbors: list[NcdNeighbor], config: KnnConfig) -> ReasoningOutcome:
+def vote_detail(neighbors: list[NcdNeighbor], k: int = 1) -> ReasoningOutcome:
     """KNN vote over the k nearest neighbours (ties on distance go to the
     lower index, tied votes to the single closest neighbour), with the
     audit fields (top-k neighbours, tie flag)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not neighbors:
         raise ValueError("no neighbors to vote on")
     ranked = sorted(neighbors, key=lambda n: (n.distance, n.index))
-    top = ranked[: config.k]
+    top = ranked[:k]
     counts = Counter(n.label for n in top)
     best = max(counts.values())
     winners = [label for label, c in counts.items() if c == best]
@@ -133,16 +109,16 @@ def reason_detail(
     corpus: Corpus,
     pair: CandidatePair,
     query: bytes,
-    config: KnnConfig,
-    size_cache: dict[bytes, int] | None = None,
+    sizes: tuple[int, ...],
+    k: int = 1,
 ) -> ReasoningOutcome:
     """Final label for the query, always one of the candidate pair, with the
-    audit fields; falls back to pair.first (flagged) when no gold data
-    exists."""
+    audit fields; ``sizes`` is ``sample_sizes(corpus.samples)``. Falls back
+    to pair.first (flagged) when no gold data exists."""
     try:
         gold = extract_gold(corpus, pair)
     except EmptyGoldError:
         return ReasoningOutcome(label=pair.first, neighbors=(), ncd_calls=0, fallback=True)
-    neighbors = ncd_distances(query, gold, config, size_cache)
-    return vote_detail(neighbors, config)
-
+    gold_sizes = tuple(sizes[i] for i in gold.corpus_indices)
+    neighbors = ncd_distances(query, gold.samples, gold_sizes)
+    return vote_detail(neighbors, k)

@@ -10,6 +10,9 @@ Per-class scores are plain sums over the list, so lists are only directly
 comparable when every class has the same number of compressors; pick
 step_size and the cap so all classes reach the cap (or produce a single
 segment) on unbalanced corpora.
+
+A saved bundle of lists records what they were built from (``BundleSource``)
+and is reusable only by a run with the same source.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import base64
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .compression import (
     DictCompressor,
@@ -26,10 +29,10 @@ from .compression import (
     ZstdBackend,
     train_dictionary,
 )
-from .corpus import DEFAULT_SEPARATOR, Corpus, LabeledText, concat_class_text
+from .corpus import Corpus, LabeledText, concat_class_text
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 class DegenerateCorpusError(ValueError):
@@ -100,12 +103,11 @@ def build_class_list(
     class_id: str,
     plan: SegmentPlan,
     backend: ZstdBackend,
-    separator: bytes = DEFAULT_SEPARATOR,
     dict_mode: str = "trained",
 ) -> ClassCompressorList:
     """Slice the class's concatenated text into step_size segments (the last
     one may be shorter) and train one dictionary per kept segment."""
-    text = concat_class_text(corpus, class_id, separator)
+    text = concat_class_text(corpus, class_id)
     n_full = segment_count(len(text), plan.step_size)
     indices = _segment_indices(n_full, plan.max_compressors_per_class)
     compressors = []
@@ -122,7 +124,6 @@ def build_all_lists(
     corpus: Corpus,
     plan: SegmentPlan,
     backend: ZstdBackend,
-    separator: bytes = DEFAULT_SEPARATOR,
     dict_mode: str = "trained",
     threads: int = 1,
 ) -> dict[str, ClassCompressorList]:
@@ -132,7 +133,7 @@ def build_all_lists(
 
     def build(class_id: str) -> ClassCompressorList:
         try:
-            return build_class_list(corpus, class_id, plan, backend, separator, dict_mode)
+            return build_class_list(corpus, class_id, plan, backend, dict_mode)
         except Exception as exc:
             raise type(exc)(f"class {class_id!r}: {exc}") from exc
 
@@ -170,17 +171,28 @@ def select_candidates(scores: list[ClassScore]) -> CandidatePair:
     return CandidatePair(ordered[0].class_id, ordered[1].class_id, tuple(scores))
 
 
-def save_bundle(path, lists: dict[str, ClassCompressorList], backend: ZstdBackend, plan: SegmentPlan) -> None:
+@dataclass(frozen=True)
+class BundleSource:
+    """What a bundle's lists were built from; only a run with the same
+    source may reuse them. ``dict_mode`` is the requested mode: a segment's
+    own ``mode`` reads "raw" under "trained" when ZDICT refused it."""
+
+    backend: ZstdBackend
+    plan: SegmentPlan
+    train_sha256: str
+    dict_mode: str
+
+
+def save_bundle(path, lists: dict[str, ClassCompressorList], source: BundleSource) -> None:
     """Persist dictionary payloads so repeated runs skip reconstruction.
     Versioned JSON container; not a cross-version stability promise."""
     doc = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
-        "backend": {"kind": backend.kind, "level": backend.level},
-        "plan": {
-            "step_size": plan.step_size,
-            "max_compressors_per_class": plan.max_compressors_per_class,
-        },
+        "backend": {"kind": source.backend.kind, "level": source.backend.level},
+        "plan": asdict(source.plan),
+        "train_sha256": source.train_sha256,
+        "dict_mode": source.dict_mode,
         "classes": [
             {
                 "class": cl.class_id,
@@ -202,33 +214,28 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], backend: ZstdBacken
         json.dump(doc, fh)
 
 
-def load_bundle(path, backend: ZstdBackend | None = None) -> tuple[dict[str, ClassCompressorList], SegmentPlan]:
-    """Lists and plan from a bundle. A given ``backend`` must be the one the
-    bundle was built with; otherwise the stored one is used."""
+def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
+    """Lists from a bundle and what they were built from."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"{path}: not a compressor bundle")
     if doc.get("version") != BUNDLE_VERSION:
-        raise ValueError(f"{path}: unsupported bundle version {doc.get('version')}")
+        # Version 1 recorded neither the train split nor the dictionary mode.
+        raise ValueError(
+            f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
+        )
     meta = doc["backend"]
     if meta["kind"] != "zstd":
         raise ValueError(f"{path}: unsupported bundle backend {meta['kind']!r}")
-    stored = ZstdBackend(level=meta["level"])
-    if backend is not None and backend != stored:
-        raise ValueError(
-            f"{path}: built at zstd level {stored.level}, this run uses level {backend.level}"
-        )
+    backend = ZstdBackend(level=meta["level"])
     lists: dict[str, ClassCompressorList] = {}
     for entry in doc["classes"]:
         compressors = []
         for seg in entry["segments"]:
             span = SourceSpan(entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"])
             dictionary = TrainedDictionary(base64.b64decode(seg["payload"]), span)
-            compressors.append(DictCompressor(stored, dictionary))
+            compressors.append(DictCompressor(backend, dictionary))
         lists[entry["class"]] = ClassCompressorList(entry["class"], tuple(compressors))
-    plan = SegmentPlan(
-        step_size=doc["plan"]["step_size"],
-        max_compressors_per_class=doc["plan"]["max_compressors_per_class"],
-    )
-    return lists, plan
+    plan = SegmentPlan(**doc["plan"])
+    return lists, BundleSource(backend, plan, doc["train_sha256"], doc["dict_mode"])

@@ -17,7 +17,7 @@ import pytest
 from lftc.classifier import Pipeline, PipelineConfig, evaluate, evaluate_fewshot, evaluate_with_predictions
 from lftc.compression import ncd
 from lftc.corpus import load_csv
-from lftc.cr import KnnConfig, NcdNeighbor, vote_detail
+from lftc.cr import NcdNeighbor, vote_detail
 from lftc.reference_lz import ref_entropy_coded_size, ref_longest_match
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
@@ -135,7 +135,7 @@ def test_criterion_2_knn_oracle(status):
             for i in range(size)
         ]
         for k in (1, 2, 3, 5):
-            assert vote_detail(nbrs, KnnConfig(k=k)).label == brute_vote(nbrs, k)
+            assert vote_detail(nbrs, k).label == brute_vote(nbrs, k)
             checked += 1
     assert checked == 10_000
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,6 @@ from lftc.classifier import (
 from lftc import mcc
 from lftc.compression import CompressionError
 from lftc.corpus import Corpus
-from lftc.cr import KnnConfig
 from lftc.synthetic import MotifGenerator
 
 from conftest import corpus_from
@@ -90,7 +89,7 @@ def test_lftc_counts_gold_only(motif_split):
 def test_baseline_exact_copy_query(motif_split):
     train, _ = motif_split
     query = train.samples[5].text
-    config = PipelineConfig(variant="baseline-ncd", knn=KnnConfig(k=1))
+    config = PipelineConfig(variant="baseline-ncd", k=1)
     pred = Pipeline(train, config).predict(query)
     assert pred.predicted == train.samples[5].label
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lftc.cli import EXIT_OK, EXIT_VALIDATION, main
+from lftc.corpus import Corpus, load_csv, save_csv
 from lftc.report import EvalReport, confidence_interval, write_csv_summary
 
 from conftest import DATA_DIR
@@ -81,10 +82,32 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
     base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
     assert run(base + ["--step-size", "65536"]) == EXIT_OK
     capsys.readouterr()
-    for other in (["--step-size", "4096"], ["--level", "5"], ["--variant", "lftc-mcc"]):
+    # Same classes, one training text fewer: another split.
+    train = load_csv(TRAIN)
+    other_train = tmp_path / "other_train.csv"
+    save_csv(Corpus("other", train.samples[1:]), other_train)
+    for other in (["--step-size", "4096"], ["--level", "5"], ["--variant", "lftc-mcc"],
+                  ["--train", str(other_train)], ["--dict-mode", "raw"]):
         assert run(base + other) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bundle) in err
+        assert err.count("\n") == 1
+    # A version 1 bundle does not record its split: it must be rebuilt.
+    doc = json.loads(bundle.read_text())
+    doc["version"] = 1
+    del doc["train_sha256"], doc["dict_mode"]
+    bundle.write_text(json.dumps(doc))
+    assert run(base) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rebuild" in err
+
+
+def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["eval", "--train", TRAIN, "--test", TEST, "--variant", "lftc-mcc",
+                "--out", str(out)]) == EXIT_OK
+    config = EvalReport.loads(out.read_text()).config
+    assert (config["step_size"], config["max_compressors"]) == (1048576, 1)
 
 
 @pytest.mark.parametrize("subcommand, flag", [

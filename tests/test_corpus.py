@@ -72,6 +72,14 @@ def test_load_unknown_column(tmp_path):
         load_csv(path, text_column="body")
 
 
+@pytest.mark.parametrize("label_column, text_column", [(-1, 1), (0, -1), (-1, "text"), ("label", -2)])
+def test_load_rejects_negative_column_index(tmp_path, label_column, text_column):
+    # row[-1] would read the text as the label: every text its own class.
+    path = write_csv(tmp_path, "label,text\na,doc one\nb,doc two\n")
+    with pytest.raises(DatasetError, match="negative"):
+        load_csv(path, label_column=label_column, text_column=text_column)
+
+
 def test_load_extra_columns_ok(tmp_path):
     path = write_csv(tmp_path, "id,label,text\n1,a,doc one\n2,b,doc two\n")
     corpus = load_csv(path)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lftc.compression import CompressionError, DeflateBackend, ncd
 from lftc.cr import (
     EmptyGoldError,
-    KnnConfig,
     NcdNeighbor,
     extract_gold,
     ncd_distances,
     reason_detail,
+    sample_sizes,
     vote_detail,
 )
 from lftc.mcc import CandidatePair, ClassScore
@@ -25,6 +26,14 @@ def pair(p="p", q="q"):
 
 def neighbors(*items):
     return [NcdNeighbor(d, label, i) for i, (d, label) in enumerate(items)]
+
+
+def gold_distances(query, gold):
+    return ncd_distances(query, gold.samples, sample_sizes(gold.samples))
+
+
+def reason(corpus, query):
+    return reason_detail(corpus, pair(), query, sample_sizes(corpus.samples))
 
 
 # --- extract_gold -------------------------------------------------------------
@@ -71,7 +80,7 @@ def test_exact_copy_is_nearest():
     samples = [("q", query)] + [("p", seeded_text(i)) for i in range(20)]
     corpus = corpus_from(samples)
     gold = extract_gold(corpus, pair())
-    dists = ncd_distances(query, gold, KnnConfig())
+    dists = gold_distances(query, gold)
     best = min(dists, key=lambda n: n.distance)
     assert best.label == "q"
     others = [d.distance for d in dists if d.index != best.index]
@@ -81,67 +90,72 @@ def test_exact_copy_is_nearest():
 def test_single_gold_sample():
     corpus = corpus_from([("p", b"lone sample")])
     gold = extract_gold(corpus, pair())
-    dists = ncd_distances(b"query text", gold, KnnConfig())
+    dists = gold_distances(b"query text", gold)
     assert len(dists) == 1
     assert dists[0].index == 0
 
 
 def test_distances_deterministic_and_cache_neutral():
-    corpus = corpus_from([("p", seeded_text(1)), ("q", seeded_text(2))])
+    # Distances read from the fitted sizes equal NCDs computed from scratch.
+    corpus = corpus_from([("p", seeded_text(1)), ("q", seeded_text(2)), ("p", seeded_text(1))])
     gold = extract_gold(corpus, pair())
     q = seeded_text(3)
-    plain = ncd_distances(q, gold, KnnConfig())
-    cached = ncd_distances(q, gold, KnnConfig(), size_cache={})
-    again = ncd_distances(q, gold, KnnConfig())
-    assert plain == cached == again
+    fitted = gold_distances(q, gold)
+    assert fitted == gold_distances(q, gold)
+    assert [n.distance for n in fitted] == [
+        ncd(DeflateBackend(), q, s.text) for s in gold.samples
+    ]
+
+
+def test_distances_reject_misaligned_sizes():
+    corpus = corpus_from([("p", b"first"), ("q", b"second")])
+    with pytest.raises(ValueError):
+        ncd_distances(b"query", corpus.samples, sample_sizes(corpus.samples)[:1])
 
 
 def test_distances_reject_empty_query():
     corpus = corpus_from([("p", b"x")])
     with pytest.raises(ValueError):
-        ncd_distances(b"", extract_gold(corpus, pair()), KnnConfig())
+        gold_distances(b"", extract_gold(corpus, pair()))
 
 
-def test_backend_failure_reports_sample_index():
-    from lftc.compression import CompressionError
-
-    class Exploding:
-        kind = "boom"
-        calls = 0
-
-        def compressed_size(self, data):
-            Exploding.calls += 1
-            if Exploding.calls > 3:
-                raise CompressionError("boom: synthetic failure")
-            return len(data)
-
+def test_backend_failure_reports_sample_index(monkeypatch):
     corpus = corpus_from([("p", b"first"), ("q", b"second"), ("p", b"third")])
     gold = extract_gold(corpus, pair())
+    sizes = sample_sizes(gold.samples)
+    real = DeflateBackend.compressed_size
+
+    def exploding(self, data):
+        if data == b"query" + b"second":
+            raise CompressionError("deflate: synthetic failure")
+        return real(self, data)
+
+    monkeypatch.setattr(DeflateBackend, "compressed_size", exploding)
     with pytest.raises(CompressionError, match="sample 1"):
-        ncd_distances(b"query", gold, KnnConfig(backend=Exploding()))
+        ncd_distances(b"query", gold.samples, sizes)
 
 
 # --- vote_detail -------------------------------------------------------------
 
 def test_k1_argmin():
-    assert vote_detail(neighbors((0.4, "p"), (0.2, "q")), KnnConfig(k=1)).label == "q"
+    assert vote_detail(neighbors((0.4, "p"), (0.2, "q")), 1).label == "q"
 
 
 def test_k2_tie_takes_closest():
-    assert vote_detail(neighbors((0.1, "p"), (0.2, "q")), KnnConfig(k=2)).label == "p"
+    assert vote_detail(neighbors((0.1, "p"), (0.2, "q")), 2).label == "p"
 
 
 def test_k3_majority():
-    assert vote_detail(neighbors((0.1, "p"), (0.2, "q"), (0.3, "q")), KnnConfig(k=3)).label == "q"
+    assert vote_detail(neighbors((0.1, "p"), (0.2, "q"), (0.3, "q")), 3).label == "q"
 
 
 def test_k1_equal_distance_index_tiebreak():
     nbrs = [NcdNeighbor(0.5, "b", 1), NcdNeighbor(0.5, "a", 0)]
-    assert vote_detail(nbrs, KnnConfig(k=1)).label == "a"
+    assert vote_detail(nbrs, 1).label == "a"
 
 
 def test_k_larger_than_pool():
-    assert vote_detail(neighbors((0.3, "p"), (0.2, "p"), (0.1, "q")), KnnConfig(k=10)).label == "p"
+    assert vote_detail(neighbors((0.3, "p"), (0.2, "p"), (0.1, "q")), 10).label == "p"
 
 
 def brute_knn(nbrs, k):
@@ -169,7 +183,7 @@ def brute_knn(nbrs, k):
 )
 def test_knn_matches_brute_oracle(items, k):
     nbrs = neighbors(*items)
-    assert vote_detail(nbrs, KnnConfig(k=k)).label == brute_knn(nbrs, k)
+    assert vote_detail(nbrs, k).label == brute_knn(nbrs, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,37 +200,37 @@ def test_knn_matches_brute_oracle(items, k):
 def test_knn_scale_invariance(items, k, factor):
     nbrs = neighbors(*items)
     scaled = [NcdNeighbor(n.distance * factor, n.label, n.index) for n in nbrs]
-    assert vote_detail(nbrs, KnnConfig(k=k)).label == vote_detail(scaled, KnnConfig(k=k)).label
+    assert vote_detail(nbrs, k).label == vote_detail(scaled, k).label
 
 
 def test_knn_permutation_invariance_distinct_distances():
     rng = random.Random(0)
     base = [(round(0.1 + 0.07 * i, 3), rng.choice("pq")) for i in range(9)]
-    want = vote_detail(neighbors(*base), KnnConfig(k=3)).label
+    want = vote_detail(neighbors(*base), 3).label
     for _ in range(10):
         perm = base[:]
         rng.shuffle(perm)
         # re-indexing after the shuffle models a reordered gold corpus
-        assert vote_detail(neighbors(*perm), KnnConfig(k=3)).label == want
+        assert vote_detail(neighbors(*perm), 3).label == want
 
 
 def test_knn_output_in_present_labels():
     nbrs = neighbors((0.9, "a"), (0.8, "b"), (0.7, "c"))
-    assert vote_detail(nbrs, KnnConfig(k=2)).label in {"a", "b", "c"}
+    assert vote_detail(nbrs, 2).label in {"a", "b", "c"}
 
 
 def test_knn_rejects_empty():
     with pytest.raises(ValueError):
-        vote_detail([], KnnConfig())
+        vote_detail([])
     with pytest.raises(ValueError):
-        KnnConfig(k=0)
+        vote_detail(neighbors((0.1, "p")), 0)
 
 
 # --- reason_detail -----------------------------------------------------------
 
 def test_reason_single_label_gold():
     corpus = corpus_from([("p", b"aaa bbb ccc"), ("p", b"ddd eee fff")])
-    assert reason_detail(corpus, pair(), b"some query", KnnConfig()).label == "p"
+    assert reason(corpus, b"some query").label == "p"
 
 
 def test_reason_exact_copy_wins():
@@ -224,20 +238,20 @@ def test_reason_exact_copy_wins():
     corpus = corpus_from(
         [("p", seeded_text(i)) for i in range(5)] + [("q", query)]
     )
-    assert reason_detail(corpus, pair(), query, KnnConfig(k=1)).label == "q"
+    assert reason(corpus, query).label == "q"
 
 
 def test_reason_deterministic():
     corpus = corpus_from([("p", seeded_text(1)), ("q", seeded_text(2)), ("p", seeded_text(3))])
     q = seeded_text(9)
-    a = reason_detail(corpus, pair(), q, KnnConfig()).label
-    b = reason_detail(corpus, pair(), q, KnnConfig()).label
+    a = reason(corpus, q).label
+    b = reason(corpus, q).label
     assert a == b
 
 
 def test_reason_fallback_flagged():
     corpus = corpus_from([("r", b"unrelated class only")])
-    outcome = reason_detail(corpus, pair(), b"query", KnnConfig())
+    outcome = reason(corpus, b"query")
     assert outcome.fallback
     assert outcome.label == "p"
     assert outcome.ncd_calls == 0
@@ -248,6 +262,6 @@ def test_reason_always_within_pair():
         [("p", seeded_text(1)), ("q", seeded_text(2)), ("r", seeded_text(3))]
     )
     for seed in range(10):
-        got = reason_detail(corpus, pair(), seeded_text(100 + seed), KnnConfig()).label
+        got = reason(corpus, seeded_text(100 + seed)).label
         assert got in {"p", "q"}
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lftc.compression import ZstdBackend
 from lftc.corpus import concat_class_text
 from lftc.mcc import (
+    BundleSource,
     ClassScore,
     DegenerateCorpusError,
     SegmentPlan,
@@ -218,9 +219,10 @@ def test_bundle_round_trip(tmp_path, motif_split):
     backend = ZstdBackend()
     lists = build_all_lists(train, plan, backend)
     path = tmp_path / "lists.bundle"
-    save_bundle(path, lists, backend, plan)
-    loaded, loaded_plan = load_bundle(path)
-    assert loaded_plan == plan
+    source = BundleSource(backend, plan, train.digest(), "trained")
+    save_bundle(path, lists, source)
+    loaded, loaded_source = load_bundle(path)
+    assert loaded_source == source
     q = test.samples[0].text
     assert score_query(loaded, q) == score_query(lists, q)
 
