@@ -27,7 +27,6 @@ from .corpus import (
     save_csv,
 )
 from .cr import (
-    EmptyGoldError,
     GoldData,
     NcdNeighbor,
     extract_gold,

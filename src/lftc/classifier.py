@@ -6,8 +6,13 @@ Variants:
 * ``lftc-mcc``     -- ablation: one whole-class dictionary per class instead of
                       a segment list; reasoning stage unchanged.
 * ``lftc-cr``      -- ablation: no reasoning stage; the lowest-scoring class wins.
-* ``baseline-ncd`` -- the reasoning stage alone, with the whole training set
-                      as gold data.
+* ``baseline-ncd`` -- the reasoning stage over every class: NCD-KNN with the
+                      whole training set as gold data (gzip-KNN).
+
+Every variant goes through the one ``Pipeline.predict`` body: MCC when the
+pipeline has lists, CR when it has fitted sizes. There is no CR fallback;
+``Prediction.fallback`` flags only a single-class corpus, where MCC has no
+pair to choose.
 
 A pipeline is fitted once per (train corpus, config) and reused for every
 query. The fit builds the compressor lists and each training text's NCD
@@ -24,10 +29,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import cr, mcc
-from .compression import CompressionError, ZstdBackend
+from .compression import DICT_MODES, CompressionError, ZstdBackend
 from .corpus import DEFAULT_SEPARATOR, Corpus
 from .report import EvalReport, confidence_interval
-from .mcc import CandidatePair, DegenerateCorpusError, SegmentPlan
+from .mcc import CandidatePair, SegmentPlan
 
 VARIANTS = ("lftc", "lftc-mcc", "lftc-cr", "baseline-ncd")
 
@@ -48,6 +53,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.dict_mode not in DICT_MODES:
+            raise ValueError(
+                f"unknown dictionary mode {self.dict_mode!r}, expected one of {DICT_MODES}"
+            )
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.threads < 1:
@@ -96,9 +105,11 @@ class Pipeline:
         if config.variant == "baseline-ncd":
             pass
         elif prebuilt_lists is not None:
-            missing = set(self.classes) - set(prebuilt_lists)
-            if missing:
-                raise ValueError(f"prebuilt lists are missing classes: {sorted(missing)}")
+            differ = set(self.classes) ^ set(prebuilt_lists)
+            if differ:
+                raise ValueError(
+                    f"prebuilt lists do not match the training classes: {sorted(differ)}"
+                )
             self.lists = prebuilt_lists
         else:
             self.lists = mcc.build_all_lists(
@@ -110,11 +121,26 @@ class Pipeline:
         self.list_build_seconds = time.perf_counter() - t0
 
     def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
-        t_start = time.perf_counter()
+        """MCC shortlists a pair when the pipeline has lists and two or more
+        classes; CR then votes over the pair's training texts, or over every
+        class for baseline-ncd. lftc-cr, which fits no sizes, answers the
+        pair's first class; a single-class corpus with lists answers its only
+        class, flagged as a fallback."""
+        t_start = mcc_end = cr_end = time.perf_counter()
+        pair = None
+        labels = self.classes
+        fallback = self.lists is not None and len(self.classes) < 2
         try:
-            if self.config.variant == "baseline-ncd":
-                return self._predict_baseline(text, sample_index, truth, t_start)
-            return self._predict_listwise(text, sample_index, truth, t_start)
+            if self.lists is not None:
+                scores = mcc.score_query(self.lists, text)
+                if not fallback:
+                    pair = mcc.select_candidates(scores)
+                    labels = [pair.first, pair.second]
+                mcc_end = cr_end = time.perf_counter()
+            outcome = cr.ReasoningOutcome(label=labels[0], neighbors=(), ncd_calls=0)
+            if self.sizes and not fallback:
+                outcome = cr.reason_detail(self.train, labels, text, self.sizes, self.config.k)
+                cr_end = time.perf_counter()
         except (ValueError, CompressionError) as exc:
             # Bad data and compressor failures count as incorrect, never
             # abort the run; programming errors propagate.
@@ -126,64 +152,16 @@ class Pipeline:
                 elapsed=time.perf_counter() - t_start,
                 error=f"{type(exc).__name__}: {exc}",
             )
-
-    def _predict_listwise(self, text, sample_index, truth, t_start) -> Prediction:
-        assert self.lists is not None
-        scores = mcc.score_query(self.lists, text)
-        try:
-            pair = mcc.select_candidates(scores)
-        except DegenerateCorpusError:
-            # Single-class corpus: flag and return the only class.
-            t_mid = time.perf_counter()
-            return Prediction(
-                sample_index=sample_index,
-                predicted=scores[0].class_id,
-                truth=truth,
-                candidate_pair=None,
-                elapsed=t_mid - t_start,
-                mcc_seconds=t_mid - t_start,
-                fallback=True,
-            )
-        t_mid = time.perf_counter()
-
-        if self.config.variant == "lftc-cr":
-            return Prediction(
-                sample_index=sample_index,
-                predicted=pair.first,
-                truth=truth,
-                candidate_pair=pair,
-                elapsed=t_mid - t_start,
-                mcc_seconds=t_mid - t_start,
-            )
-
-        outcome = cr.reason_detail(self.train, pair, text, self.sizes, self.config.k)
-        t_end = time.perf_counter()
         return Prediction(
             sample_index=sample_index,
             predicted=outcome.label,
             truth=truth,
             candidate_pair=pair,
-            elapsed=t_end - t_start,
+            elapsed=cr_end - t_start,
             ncd_calls=outcome.ncd_calls,
-            mcc_seconds=t_mid - t_start,
-            cr_seconds=t_end - t_mid,
-            fallback=outcome.fallback,
-            tie=outcome.tie,
-            neighbors=outcome.neighbors,
-        )
-
-    def _predict_baseline(self, text, sample_index, truth, t_start) -> Prediction:
-        neighbors = cr.ncd_distances(text, self.train.samples, self.sizes)
-        outcome = cr.vote_detail(neighbors, self.config.k)
-        t_end = time.perf_counter()
-        return Prediction(
-            sample_index=sample_index,
-            predicted=outcome.label,
-            truth=truth,
-            candidate_pair=None,
-            elapsed=t_end - t_start,
-            ncd_calls=len(neighbors),
-            cr_seconds=t_end - t_start,
+            mcc_seconds=mcc_end - t_start,
+            cr_seconds=cr_end - mcc_end,
+            fallback=fallback,
             tie=outcome.tie,
             neighbors=outcome.neighbors,
         )

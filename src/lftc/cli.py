@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import classifier, mcc
-from .compression import CompressionError, ZstdBackend
+from .compression import DICT_MODES, CompressionError, ZstdBackend
 from .corpus import Corpus, DatasetError, load_csv
 from .classifier import PipelineConfig, VARIANTS
 from .mcc import SegmentPlan
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=_positive, default=1, help="KNN neighbour count")
         p.add_argument("--threads", type=_positive, default=_default_threads(),
                        help=f"worker count (default 1 or ${THREADS_ENV})")
-        p.add_argument("--dict-mode", choices=("trained", "raw"), default="trained")
+        p.add_argument("--dict-mode", choices=DICT_MODES, default="trained")
         p.add_argument("--label-column", type=_column, default="label")
         p.add_argument("--text-column", type=_column, default="text")
         p.add_argument("--delimiter", default=",")

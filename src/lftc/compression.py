@@ -22,6 +22,9 @@ from . import zstd_bindings as zb
 ADAPTIVE_SIZE_CUTOFF = 64 * 1024
 ADAPTIVE_FAST_LEVEL = 1
 
+# "trained" runs ZDICT on a segment, "raw" keeps its bytes as the dictionary.
+DICT_MODES = ("trained", "raw")
+
 # Trained dictionaries: a lone segment is chunked into pseudo-samples for
 # ZDICT, capacity clamped to [1 KiB, 110 KiB].
 _ZDICT_CHUNKS = 64
@@ -176,7 +179,7 @@ def train_dictionary(
     if not segment:
         raise ValueError("segment must be non-empty")
     _require_zstd(backend)
-    if mode not in ("trained", "raw"):
+    if mode not in DICT_MODES:
         raise ValueError(f"unknown dictionary mode: {mode!r}")
 
     if mode == "trained":

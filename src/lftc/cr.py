@@ -1,10 +1,12 @@
-"""Candidate-pair reasoning: NCD nearest neighbours over gold data.
+"""Centralized reasoning: NCD nearest neighbours over gold data.
 
-Gold data is every training sample labeled with one of the two candidate
-classes (nothing is removed: candidates are class labels, not individual
-training texts, so there is no sample-level exclusion to perform). The
-query's NCD to each gold sample feeds a KNN vote; on a tied vote the label
-of the single closest neighbour wins.
+Gold data is every training sample labeled with one of the labels reasoned
+over: the MCC candidate pair for lftc, every class for baseline-ncd
+(gzip-KNN). Nothing is removed: candidates are class labels, not
+individual training texts, so there is no sample-level exclusion to
+perform. The query's NCD to each gold sample feeds a KNN vote; on a tied
+vote the label of the single closest neighbour wins. There is no fallback:
+labels with no training text are an error.
 
 Every compression goes through ``NCD_BACKEND`` (DEFLATE level 6). Each
 training text's C(y) is computed once at fit (``sample_sizes``), so a query
@@ -14,17 +16,13 @@ costs one C(x) plus one C(xy) per gold sample.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .compression import CompressionError, DeflateBackend, ncd_value
 from .corpus import Corpus, LabeledText
-from .mcc import CandidatePair
 
 NCD_BACKEND = DeflateBackend(level=6)
-
-
-class EmptyGoldError(ValueError):
-    """Neither candidate label occurs in the training corpus."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,6 @@ class ReasoningOutcome:
     label: str
     neighbors: tuple[NcdNeighbor, ...]  # the k used for the decision
     ncd_calls: int
-    fallback: bool = False
     tie: bool = False
 
 
@@ -54,14 +51,13 @@ def sample_sizes(samples: tuple[LabeledText, ...]) -> tuple[int, ...]:
     return tuple(NCD_BACKEND.compressed_size(s.text) for s in samples)
 
 
-def extract_gold(corpus: Corpus, pair: CandidatePair) -> GoldData:
-    """Training samples labeled first or second, corpus order preserved."""
-    wanted = {pair.first, pair.second}
+def extract_gold(corpus: Corpus, labels: Collection[str]) -> GoldData:
+    """Training samples labeled with any of ``labels``, corpus order
+    preserved; a ValueError when there are none."""
+    wanted = set(labels)
     picked = [(i, s) for i, s in enumerate(corpus.samples) if s.label in wanted]
     if not picked:
-        raise EmptyGoldError(
-            f"no training samples labeled {pair.first!r} or {pair.second!r}"
-        )
+        raise ValueError(f"no training samples labeled {sorted(wanted)}")
     return GoldData(
         samples=tuple(s for _, s in picked),
         corpus_indices=tuple(i for i, _ in picked),
@@ -107,18 +103,14 @@ def vote_detail(neighbors: list[NcdNeighbor], k: int = 1) -> ReasoningOutcome:
 
 def reason_detail(
     corpus: Corpus,
-    pair: CandidatePair,
+    labels: Collection[str],
     query: bytes,
     sizes: tuple[int, ...],
     k: int = 1,
 ) -> ReasoningOutcome:
-    """Final label for the query, always one of the candidate pair, with the
-    audit fields; ``sizes`` is ``sample_sizes(corpus.samples)``. Falls back
-    to pair.first (flagged) when no gold data exists."""
-    try:
-        gold = extract_gold(corpus, pair)
-    except EmptyGoldError:
-        return ReasoningOutcome(label=pair.first, neighbors=(), ncd_calls=0, fallback=True)
+    """Final label for the query, always one of ``labels``, with the audit
+    fields; ``sizes`` is ``sample_sizes(corpus.samples)``."""
+    gold = extract_gold(corpus, labels)
     gold_sizes = tuple(sizes[i] for i in gold.corpus_indices)
     neighbors = ncd_distances(query, gold.samples, gold_sizes)
     return vote_detail(neighbors, k)

@@ -132,10 +132,7 @@ def build_all_lists(
     classes = sorted(corpus.classes)
 
     def build(class_id: str) -> ClassCompressorList:
-        try:
-            return build_class_list(corpus, class_id, plan, backend, dict_mode)
-        except Exception as exc:
-            raise type(exc)(f"class {class_id!r}: {exc}") from exc
+        return build_class_list(corpus, class_id, plan, backend, dict_mode)
 
     if threads > 1 and len(classes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -215,27 +212,36 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], source: BundleSourc
 
 
 def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
-    """Lists from a bundle and what they were built from."""
+    """Lists from a bundle and what they were built from; a ValueError that
+    names the bundle when it is not a well-formed version 2 bundle."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != BUNDLE_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON
+            raise ValueError(f"{path}: not a compressor bundle ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"{path}: not a compressor bundle")
     if doc.get("version") != BUNDLE_VERSION:
         # Version 1 recorded neither the train split nor the dictionary mode.
         raise ValueError(
             f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
         )
-    meta = doc["backend"]
-    if meta["kind"] != "zstd":
-        raise ValueError(f"{path}: unsupported bundle backend {meta['kind']!r}")
-    backend = ZstdBackend(level=meta["level"])
-    lists: dict[str, ClassCompressorList] = {}
-    for entry in doc["classes"]:
-        compressors = []
-        for seg in entry["segments"]:
-            span = SourceSpan(entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"])
-            dictionary = TrainedDictionary(base64.b64decode(seg["payload"]), span)
-            compressors.append(DictCompressor(backend, dictionary))
-        lists[entry["class"]] = ClassCompressorList(entry["class"], tuple(compressors))
-    plan = SegmentPlan(**doc["plan"])
-    return lists, BundleSource(backend, plan, doc["train_sha256"], doc["dict_mode"])
+    try:
+        meta = doc["backend"]
+        if meta["kind"] != "zstd":
+            raise ValueError(f"unsupported backend {meta['kind']!r}")
+        backend = ZstdBackend(level=meta["level"])
+        lists: dict[str, ClassCompressorList] = {}
+        for entry in doc["classes"]:
+            compressors = []
+            for seg in entry["segments"]:
+                span = SourceSpan(
+                    entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"]
+                )
+                dictionary = TrainedDictionary(base64.b64decode(seg["payload"]), span)
+                compressors.append(DictCompressor(backend, dictionary))
+            lists[entry["class"]] = ClassCompressorList(entry["class"], tuple(compressors))
+        plan = SegmentPlan(**doc["plan"])
+        return lists, BundleSource(backend, plan, doc["train_sha256"], doc["dict_mode"])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed bundle ({type(exc).__name__}: {exc})") from exc

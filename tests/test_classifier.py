@@ -165,18 +165,18 @@ def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
     train, test = motif_split
     pipeline = Pipeline(train, PipelineConfig())
     calls = {"n": 0}
-    original = pipeline._predict_listwise
+    original = mcc.score_query
 
-    def flaky(text, sample_index, truth, t0):
+    def flaky(lists, query):
         calls["n"] += 1
         if calls["n"] == 2:
             raise CompressionError("injected failure")
-        return original(text, sample_index, truth, t0)
+        return original(lists, query)
 
-    monkeypatch.setattr(pipeline, "_predict_listwise", flaky)
+    monkeypatch.setattr(mcc, "score_query", flaky)
     report, preds, _ = evaluate_with_predictions(train, test, PipelineConfig(), pipeline)
     assert report.errors == 1
-    assert preds[1].error is not None
+    assert preds[1].error == "CompressionError: injected failure"
     # the failed sample counts as incorrect, the run completes
     assert report.accuracy <= 1.0 - 1 / len(test)
 
@@ -210,6 +210,17 @@ def test_prebuilt_lists_reuse(motif_split):
     assert reused.predict(q).predicted == fitted.predict(q).predicted
 
 
+def test_prebuilt_lists_must_match_training_classes(motif_split):
+    train, _ = motif_split
+    lists = Pipeline(train, PipelineConfig()).lists
+    two = Corpus("two", tuple(s for s in train.samples if s.label in ("alpha", "beta")))
+    with pytest.raises(ValueError, match="gamma"):
+        Pipeline(two, PipelineConfig(), prebuilt_lists=lists)  # an extra class
+    fewer = {c: cl for c, cl in lists.items() if c != "gamma"}
+    with pytest.raises(ValueError, match="gamma"):
+        Pipeline(train, PipelineConfig(), prebuilt_lists=fewer)  # a missing class
+
+
 def test_fewshot_evaluate_trials_and_ci(motif_split):
     train, test = motif_split
     report = evaluate_fewshot(train, test, PipelineConfig(), shots=3, seed=5, trials=3)
@@ -227,3 +238,5 @@ def test_variant_validation():
         PipelineConfig(variant="bogus")
     with pytest.raises(ValueError):
         PipelineConfig(threads=0)
+    with pytest.raises(ValueError, match="dictionary mode"):
+        PipelineConfig(dict_mode="bogus")

@@ -102,6 +102,31 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
     assert err.startswith("error: ") and "rebuild" in err
 
 
+def _drop_classes(doc):
+    del doc["classes"]
+    return json.dumps(doc)
+
+
+def _unknown_plan_key(doc):
+    doc["plan"]["segment_bytes"] = 1
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_classes, _unknown_plan_key, lambda doc: json.dumps([doc]), lambda doc: "{not json",
+], ids=["missing-classes", "unknown-plan-key", "top-level-list", "not-json"])
+def test_eval_malformed_bundle_exit_code(tmp_path, capsys, corrupt):
+    bundle = tmp_path / "lists.bundle"
+    base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
+    assert run(base) == EXIT_OK
+    bundle.write_text(corrupt(json.loads(bundle.read_text())))
+    capsys.readouterr()
+    assert run(base) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bundle) in err
+    assert err.count("\n") == 1
+
+
 def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["eval", "--train", TRAIN, "--test", TEST, "--variant", "lftc-mcc",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lftc.compression import CompressionError, DeflateBackend, ncd
 from lftc.cr import (
-    EmptyGoldError,
     NcdNeighbor,
     extract_gold,
     ncd_distances,
@@ -15,13 +14,9 @@ from lftc.cr import (
     sample_sizes,
     vote_detail,
 )
-from lftc.mcc import CandidatePair, ClassScore
-
 from conftest import corpus_from
 
-
-def pair(p="p", q="q"):
-    return CandidatePair(p, q, (ClassScore(p, 10), ClassScore(q, 12)))
+PAIR = ("p", "q")
 
 
 def neighbors(*items):
@@ -33,7 +28,7 @@ def gold_distances(query, gold):
 
 
 def reason(corpus, query):
-    return reason_detail(corpus, pair(), query, sample_sizes(corpus.samples))
+    return reason_detail(corpus, PAIR, query, sample_sizes(corpus.samples))
 
 
 # --- extract_gold -------------------------------------------------------------
@@ -44,28 +39,35 @@ def test_extract_gold_filters_and_counts():
         + [("q", b"q%d" % i) for i in range(7)]
         + [("r", b"r%d" % i) for i in range(9)]
     )
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     assert len(gold.samples) == 12
     assert all(s.label in {"p", "q"} for s in gold.samples)
 
 
 def test_extract_gold_preserves_order():
     corpus = corpus_from([("r", b"x1"), ("p", b"x2"), ("q", b"x3"), ("p", b"x4")])
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     assert gold.corpus_indices == (1, 2, 3)
     assert list(gold.corpus_indices) == sorted(gold.corpus_indices)
 
 
 def test_extract_gold_single_label_present():
     corpus = corpus_from([("p", b"only p here"), ("p", b"more p")])
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     assert {s.label for s in gold.samples} == {"p"}
 
 
 def test_extract_gold_empty_raises():
     corpus = corpus_from([("r", b"nothing relevant")])
-    with pytest.raises(EmptyGoldError):
-        extract_gold(corpus, pair())
+    with pytest.raises(ValueError, match="no training samples"):
+        extract_gold(corpus, PAIR)
+
+
+def test_extract_gold_every_class_is_the_corpus():
+    corpus = corpus_from([("r", b"x1"), ("p", b"x2"), ("q", b"x3")])
+    gold = extract_gold(corpus, sorted(corpus.classes))
+    assert gold.samples == corpus.samples
+    assert gold.corpus_indices == (0, 1, 2)
 
 
 # --- ncd_distances ------------------------------------------------------------
@@ -79,7 +81,7 @@ def test_exact_copy_is_nearest():
     query = b"the exact same document body, repeated words repeated words." * 4
     samples = [("q", query)] + [("p", seeded_text(i)) for i in range(20)]
     corpus = corpus_from(samples)
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     dists = gold_distances(query, gold)
     best = min(dists, key=lambda n: n.distance)
     assert best.label == "q"
@@ -89,7 +91,7 @@ def test_exact_copy_is_nearest():
 
 def test_single_gold_sample():
     corpus = corpus_from([("p", b"lone sample")])
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     dists = gold_distances(b"query text", gold)
     assert len(dists) == 1
     assert dists[0].index == 0
@@ -98,7 +100,7 @@ def test_single_gold_sample():
 def test_distances_deterministic_and_cache_neutral():
     # Distances read from the fitted sizes equal NCDs computed from scratch.
     corpus = corpus_from([("p", seeded_text(1)), ("q", seeded_text(2)), ("p", seeded_text(1))])
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     q = seeded_text(3)
     fitted = gold_distances(q, gold)
     assert fitted == gold_distances(q, gold)
@@ -116,12 +118,12 @@ def test_distances_reject_misaligned_sizes():
 def test_distances_reject_empty_query():
     corpus = corpus_from([("p", b"x")])
     with pytest.raises(ValueError):
-        gold_distances(b"", extract_gold(corpus, pair()))
+        gold_distances(b"", extract_gold(corpus, PAIR))
 
 
 def test_backend_failure_reports_sample_index(monkeypatch):
     corpus = corpus_from([("p", b"first"), ("q", b"second"), ("p", b"third")])
-    gold = extract_gold(corpus, pair())
+    gold = extract_gold(corpus, PAIR)
     sizes = sample_sizes(gold.samples)
     real = DeflateBackend.compressed_size
 
@@ -249,12 +251,11 @@ def test_reason_deterministic():
     assert a == b
 
 
-def test_reason_fallback_flagged():
+def test_reason_without_gold_raises():
+    # Labels with no training text are an error, not a flagged guess.
     corpus = corpus_from([("r", b"unrelated class only")])
-    outcome = reason(corpus, b"query")
-    assert outcome.fallback
-    assert outcome.label == "p"
-    assert outcome.ncd_calls == 0
+    with pytest.raises(ValueError, match="no training samples"):
+        reason(corpus, b"query")
 
 
 def test_reason_always_within_pair():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lftc import mcc
 from lftc.compression import ZstdBackend
 from lftc.corpus import concat_class_text
 from lftc.mcc import (
@@ -110,6 +111,20 @@ def test_build_all_lists_parallel_identical(motif_split):
         a = [c.dictionary for c in serial[class_id].compressors]
         b = [c.dictionary for c in parallel[class_id].compressors]
         assert a == b
+
+
+def test_build_all_lists_passes_errors_through(motif_split, monkeypatch):
+    # An exception whose constructor takes more than a message comes out as
+    # itself, not as a TypeError from rebuilding it.
+    train, _ = motif_split
+
+    def failing(*args, **kwargs):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(mcc, "train_dictionary", failing)
+    for threads in (1, 2):
+        with pytest.raises(UnicodeDecodeError):
+            build_all_lists(train, SegmentPlan(), ZstdBackend(), threads=threads)
 
 
 def test_score_query_prefers_own_class():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftc.classifier import VARIANTS, Pipeline, PipelineConfig
+from lftc import cr, mcc
+from lftc.classifier import VARIANTS, Pipeline, PipelineConfig, list_plan
 from lftc.compression import DeflateBackend
 from lftc.corpus import Corpus, LabeledText
 
@@ -53,6 +54,49 @@ def test_baseline_makes_one_ncd_per_training_text(pipelines, query):
     assert pred.ncd_calls == len(pipe.train)
     # C(x) once, then C(xy) per training text: every C(y) comes from the fit.
     assert inputs == [query] + [query + s.text for s in pipe.train.samples]
+
+
+@pytest.fixture(scope="module")
+def baselines(motif_split):
+    train, _ = motif_split
+    return {k: Pipeline(train, PipelineConfig(variant="baseline-ncd", k=k)) for k in (1, 3)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(query=queries, k=st.sampled_from([1, 3]))
+def test_baseline_is_knn_over_the_whole_train_set(baselines, query, k):
+    # CR over every class is NCD-KNN over every training text, in corpus order.
+    pipe = baselines[k]
+    pred = pipe.predict(query)
+    want = cr.vote_detail(cr.ncd_distances(query, pipe.train.samples, pipe.sizes), k)
+    assert (pred.predicted, pred.neighbors, pred.tie) == (want.label, want.neighbors, want.tie)
+    assert pred.candidate_pair is None and not pred.fallback
+
+
+@pytest.fixture(scope="module")
+def reloaded(pipelines, tmp_path_factory):
+    """lftc and lftc-mcc pipelines on lists saved to a bundle and loaded back."""
+    out = {}
+    for variant in ("lftc", "lftc-mcc"):
+        pipe = pipelines[variant]
+        path = tmp_path_factory.mktemp("bundle") / f"{variant}.bundle"
+        source = mcc.BundleSource(
+            pipe.config.mcc_backend, list_plan(pipe.config), pipe.train.digest(),
+            pipe.config.dict_mode,
+        )
+        mcc.save_bundle(path, pipe.lists, source)
+        lists, _ = mcc.load_bundle(path)
+        out[variant] = Pipeline(pipe.train, pipe.config, prebuilt_lists=lists)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(query=queries)
+def test_bundle_round_trip_predicts_as_a_fresh_fit(pipelines, reloaded, query):
+    for variant, pipe in reloaded.items():
+        a, b = pipelines[variant].predict(query), pipe.predict(query)
+        assert (a.predicted, a.candidate_pair, a.neighbors, a.tie, a.fallback) == (
+            b.predicted, b.candidate_pair, b.neighbors, b.tie, b.fallback), variant
 
 
 texts = st.binary(min_size=1, max_size=300)
