@@ -19,7 +19,8 @@ query. The fit builds the compressor lists and each training text's NCD
 size C(y) (``Pipeline.sizes``). Apart from each dictionary's digest, made
 on first use per zstd level, nothing is written after the fit, so
 evaluation parallelizes over test samples with bit-identical results at
-any worker count.
+any worker count. ``PipelineConfig.threads`` sets only those prediction
+workers; the fit trains its dictionaries on one thread (see ``lftc.mcc``).
 """
 
 from __future__ import annotations
@@ -113,8 +114,7 @@ class Pipeline:
             self.lists = prebuilt_lists
         else:
             self.lists = mcc.build_all_lists(
-                train, list_plan(config), config.mcc_backend,
-                dict_mode=config.dict_mode, threads=config.threads,
+                train, list_plan(config), config.mcc_backend, dict_mode=config.dict_mode
             )
         # C(y) of every training text, aligned with train.samples.
         self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)

@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zstd level of the compressor lists (default 3)")
         p.add_argument("--k", type=_positive, default=1, help="KNN neighbour count")
         p.add_argument("--threads", type=_positive, default=_default_threads(),
-                       help=f"worker count (default 1 or ${THREADS_ENV})")
+                       help=f"prediction worker count; the fit runs on one thread "
+                            f"(default 1 or ${THREADS_ENV})")
         p.add_argument("--dict-mode", choices=DICT_MODES, default="trained")
         p.add_argument("--label-column", type=_column, default="label")
         p.add_argument("--text-column", type=_column, default="text")

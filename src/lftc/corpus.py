@@ -92,7 +92,7 @@ def load_csv(
     Columns are addressed by header name (a header row is then required) or
     by zero-based index (the file is then read as headerless). Quoting per
     RFC 4180; rows with missing/blank label or text are rejected with their
-    record number.
+    record number. A leading UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     for column in (label_column, text_column):
@@ -103,7 +103,7 @@ def load_csv(
     positional = isinstance(label_column, int) and isinstance(text_column, int)
 
     samples: list[LabeledText] = []
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         if positional:
             label_idx, text_idx = label_column, text_column

@@ -31,6 +31,13 @@ def test_load_basic(tmp_path):
     assert corpus.name == "data"
 
 
+def test_load_skips_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbflabel,text\na,first doc\nb,caf\xc3\xa9\n")
+    corpus = load_csv(path)
+    assert corpus.samples == (LabeledText("a", b"first doc"), LabeledText("b", b"caf\xc3\xa9"))
+
+
 def test_load_by_index_headerless(tmp_path):
     path = write_csv(tmp_path, "x,doc one\ny,doc two\n")
     corpus = load_csv(path, label_column=0, text_column=1)
