@@ -4,7 +4,8 @@ Subcommands:
 
 * ``eval``    -- one evaluation run on a train/test split.
 * ``fewshot`` -- repeated seeded n-shot draws with a 95% confidence interval.
-* ``compare`` -- lftc vs baseline-ncd on identical splits; reports the speed ratio.
+* ``compare`` -- lftc vs baseline-ncd on identical splits; reports the ratio of
+                their prediction times (each fit is outside it).
 * ``sweep``   -- grid over step-size / level / compressor cap; CSV summary.
 
 Exit codes: 0 success, 2 validation error, 3 runtime failure.
@@ -211,10 +212,11 @@ def run_compare(args) -> int:
     head = Corpus(name="warmup", samples=test.samples[: min(10, len(test))])
     for variant in ("lftc", "baseline-ncd"):
         config = _config(args, variant=variant)
+        pipeline = classifier.Pipeline(train, config)
         # untimed warmup pass: the first compression-heavy run in a fresh
         # process is measurably slower (allocator growth, cpu ramp-up)
-        classifier.evaluate(train, head, config)
-        reports[variant] = classifier.evaluate(train, test, config)
+        classifier.evaluate(train, head, config, pipeline)
+        reports[variant] = classifier.evaluate(train, test, config, pipeline)
     split = {
         "train_sha256": train.digest(),
         "test_sha256": test.digest(),

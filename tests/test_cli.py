@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from lftc import classifier
 from lftc.cli import EXIT_OK, EXIT_VALIDATION, main
 from lftc.corpus import Corpus, load_csv, save_csv
 from lftc.report import EvalReport, confidence_interval, write_csv_summary
@@ -200,6 +202,34 @@ def test_compare_bundled(tmp_path, capsys):
     assert lftc_cfg["train_sha256"] == base_cfg["train_sha256"] == doc["split"]["train_sha256"]
     assert lftc_cfg["test_sha256"] == base_cfg["test_sha256"] == doc["split"]["test_sha256"]
     assert lftc_cfg["threads"] == base_cfg["threads"]
+
+
+def test_fit_is_outside_total_seconds(tmp_path, monkeypatch):
+    # total_seconds times the predictions only, with or without a fitted
+    # pipeline passed in; compare fits each variant once, for both its
+    # warm-up and its timed run.
+    delay = 0.5
+    real_init = classifier.Pipeline.__init__
+    built = []
+
+    def slow_init(self, train, config, prebuilt_lists=None):
+        time.sleep(delay)
+        real_init(self, train, config, prebuilt_lists)
+        built.append(config.variant)
+
+    monkeypatch.setattr(classifier.Pipeline, "__init__", slow_init)
+    train, test = load_csv(TRAIN), load_csv(TEST)
+    small_test = tmp_path / "test.csv"
+    save_csv(Corpus("small", test.samples[::12]), small_test)
+    report = classifier.evaluate(train, load_csv(small_test), classifier.PipelineConfig())
+    assert report.timings["total_seconds"] < delay
+    built.clear()
+    out = tmp_path / "cmp.json"
+    assert run(["compare", "--train", TRAIN, "--test", str(small_test),
+                "--out", str(out)]) == EXIT_OK
+    assert built == ["lftc", "baseline-ncd"]
+    for rep in json.loads(out.read_text())["reports"].values():
+        assert rep["timings"]["total_seconds"] < delay
 
 
 def test_sweep_grid(tmp_path, capsys):

@@ -22,10 +22,10 @@ from lftc.mcc import (
     segment_count,
     select_candidates,
 )
-from lftc.reference_lz import ref_compress_size
 from lftc.synthetic import MotifGenerator
 
 from conftest import corpus_from
+from reference_lz import ref_compress_size
 
 
 def test_segment_count_examples():
