@@ -16,7 +16,10 @@ pair to choose.
 
 A pipeline is fitted once per (train corpus, config) and reused for every
 query. The fit builds the compressor lists, with each dictionary digested,
-and each training text's NCD size C(y) (``Pipeline.sizes``). Nothing is
+and each training text's NCD size C(y) (``Pipeline.sizes``). It runs inside
+``zstd_bindings.keep_heap()``, whatever the variant and wherever the lists
+come from, so every process that predicts does so on the tuned heap, where
+each query's deflate state is served without fresh pages. Nothing is
 written after the fit, so evaluation parallelizes over test samples with
 bit-identical results at any worker count. ``PipelineConfig.threads`` sets
 only those prediction workers; the fit trains its dictionaries on one
@@ -35,6 +38,7 @@ from .compression import DICT_MODES, CompressionError, ZstdBackend
 from .corpus import DEFAULT_SEPARATOR, Corpus
 from .report import EvalReport, confidence_interval
 from .mcc import CandidatePair, SegmentPlan
+from .zstd_bindings import keep_heap
 
 VARIANTS = ("lftc", "lftc-mcc", "lftc-cr", "baseline-ncd")
 
@@ -104,21 +108,22 @@ class Pipeline:
         self.classes = sorted(train.classes)
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
-        if config.variant == "baseline-ncd":
-            pass
-        elif prebuilt_lists is not None:
-            differ = set(self.classes) ^ set(prebuilt_lists)
-            if differ:
-                raise ValueError(
-                    f"prebuilt lists do not match the training classes: {sorted(differ)}"
+        with keep_heap():
+            if config.variant == "baseline-ncd":
+                pass
+            elif prebuilt_lists is not None:
+                differ = set(self.classes) ^ set(prebuilt_lists)
+                if differ:
+                    raise ValueError(
+                        f"prebuilt lists do not match the training classes: {sorted(differ)}"
+                    )
+                self.lists = prebuilt_lists
+            else:
+                self.lists = mcc.build_all_lists(
+                    train, list_plan(config), config.mcc_backend, dict_mode=config.dict_mode
                 )
-            self.lists = prebuilt_lists
-        else:
-            self.lists = mcc.build_all_lists(
-                train, list_plan(config), config.mcc_backend, dict_mode=config.dict_mode
-            )
-        # C(y) of every training text, aligned with train.samples.
-        self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)
+            # C(y) of every training text, aligned with train.samples.
+            self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)
         self.list_build_seconds = time.perf_counter() - t0
 
     def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:

@@ -3,14 +3,17 @@
 * ``ZstdBackend`` -- the zstd level of the per-segment dictionaries,
   which ``DictCompressor`` digests once and scores with, whatever the
   query's size.
-* ``DeflateBackend`` -- zlib/DEFLATE containers; its ``compressed_size``
-  is C(.) of the NCD distances.
+* ``DeflateBackend`` -- zlib/DEFLATE containers, C(.) of the NCD
+  distances: ``compressed_size`` for one text, ``prefixed_sizes`` for one
+  prefix followed by each of many suffixes, with the prefix compressed once.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+import zlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
@@ -55,13 +58,15 @@ class ZstdBackend:
 
 @dataclass(frozen=True)
 class DeflateBackend:
-    """zlib container (RFC 1950); no dictionary support in this toolkit."""
+    """zlib container (RFC 1950); no dictionary support in this toolkit.
+    Level 0 is refused: its stored blocks are cut where the input was
+    split, so ``prefixed_sizes`` would not match ``compressed_size``."""
 
     level: int = 6
     kind: str = field(default="deflate", init=False)
 
     def __post_init__(self):
-        if not (0 <= self.level <= 9):
+        if not (1 <= self.level <= 9):
             raise ValueError(f"deflate level out of range: {self.level}")
 
     def compressed_size(self, data: bytes) -> int:
@@ -69,13 +74,33 @@ class DeflateBackend:
         return len(self.compress(data))
 
     def compress(self, data: bytes) -> bytes:
-        import zlib
-
         _require_nonempty(data)
         try:
             return zlib.compress(data, self.level)
         except zlib.error as exc:  # pragma: no cover - zlib does not fail on bytes
             raise CompressionError(f"deflate: {exc}") from exc
+
+    def prefixed_sizes(
+        self, prefix: bytes, suffixes: Iterable[bytes]
+    ) -> tuple[int, Iterator[int]]:
+        """C(prefix), and C(prefix + suffix) for each suffix as it is drawn.
+
+        The prefix goes through one deflate stream; each suffix is
+        compressed and flushed on a copy of it, and C(prefix) comes from a
+        copy flushed with no suffix. Deflate's output does not depend on
+        how its input is split, so every size equals
+        ``compressed_size(prefix + suffix)``.
+        """
+        _require_nonempty(prefix)
+        primed = zlib.compressobj(self.level)
+        head = len(primed.compress(prefix))
+
+        def sizes() -> Iterator[int]:
+            for suffix in suffixes:
+                fork = primed.copy()
+                yield head + len(fork.compress(suffix)) + len(fork.flush())
+
+        return head + len(primed.copy().flush()), sizes()
 
 
 @dataclass(frozen=True)

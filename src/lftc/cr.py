@@ -9,8 +9,11 @@ vote the label of the single closest neighbour wins. There is no fallback:
 labels with no training text are an error.
 
 Every compression goes through ``NCD_BACKEND`` (DEFLATE level 6). Each
-training text's C(y) is computed once at fit (``sample_sizes``), so a query
-costs one C(x) plus one C(xy) per gold sample.
+training text's C(y) is computed once at fit (``sample_sizes``), and a
+query is compressed once per prediction: ``DeflateBackend.prefixed_sizes``
+primes one deflate stream with it and forks a copy per gold sample, so C(x)
+and every C(xy) cost one pass over the query plus one over each gold text.
+The sizes are those of compressing x and xy from scratch.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ def ncd_distances(
     """One neighbour per sample; ``sizes`` holds each sample's C(y)."""
     if not query:
         raise ValueError("query text must be non-empty")
-    c_query = NCD_BACKEND.compressed_size(query)
+    c_query, c_xys = NCD_BACKEND.prefixed_sizes(query, (s.text for s in samples))
     out = []
     for i, (sample, c_y) in enumerate(zip(samples, sizes, strict=True)):
         try:
-            c_xy = NCD_BACKEND.compressed_size(query + sample.text)
+            c_xy = next(c_xys)
         except CompressionError as exc:
             raise CompressionError(f"sample {i}: {exc}") from exc
         out.append(NcdNeighbor(ncd_value(c_xy, c_query, c_y), sample.label, i))

@@ -7,19 +7,24 @@ output buffers are kept thread-local because ZSTD_CCtx/ZSTD_DCtx are not
 thread-safe; CDict handles are immutable and may be shared freely between
 threads.
 
-``keep_heap()`` wraps a run of ZDICT trainings. Each ZDICT call runs
-zstd's fastCover optimiser, which allocates about 10 MB of scratch tables
-per value of k it tries. Under glibc's default thresholds those tables are
-mmapped fresh and unmapped on every call, so the kernel zero-fills them
-page by page: a 16-class fit of 193 dictionaries took ~575,000 minor page
-faults, with more system time than user time. Inside the block, glibc
-serves such tables from the heap and keeps them mapped (mmap threshold
-32 MiB, trim threshold 64 MiB), which cuts that fit to ~3,300 faults, one
-dictionary's worth; leaving the block returns the free heap to the system
-with ``malloc_trim(0)``. The thresholds are set on the first entry only,
-so a process that never trains keeps glibc's defaults, and stay set for
-the rest of the process. Where libc lacks ``mallopt`` or ``malloc_trim``
-the block does nothing. The allocator cannot change ZDICT's output.
+``keep_heap()`` wraps every fit (``lftc.classifier.Pipeline``). Each ZDICT
+call runs zstd's fastCover optimiser, which allocates about 10 MB of
+scratch tables per value of k it tries. Under glibc's default thresholds
+those tables are mmapped fresh and unmapped on every call, so the kernel
+zero-fills them page by page: a 16-class fit of 193 dictionaries took
+~575,000 minor page faults, with more system time than user time. Inside
+the block, glibc serves such tables from the heap and keeps them mapped
+(mmap threshold 32 MiB, trim threshold 64 MiB), which cuts that fit to
+~3,300 faults, one dictionary's worth; leaving the block returns the free
+heap to the system with ``malloc_trim(0)``. The thresholds are set on the
+first entry and stay set for the rest of the process, so the predictions
+after a fit run under them too. There they keep zlib's ~256 KB deflate
+state, taken afresh by every NCD compression, off fresh pages: under the
+defaults a process that reused a bundle took, depending on its heap
+layout, up to ~1,600 minor faults per query of the bundled corpus, and
+under the thresholds fewer than 10. Where libc lacks ``mallopt`` or
+``malloc_trim`` the block does nothing. The allocator changes no
+compressor's output.
 """
 
 from __future__ import annotations
@@ -66,8 +71,6 @@ def _load():
 
         c = ctypes
         lib.ZSTD_versionNumber.restype = c.c_uint
-        lib.ZSTD_isError.restype = c.c_uint
-        lib.ZSTD_isError.argtypes = [c.c_size_t]
         lib.ZSTD_getErrorName.restype = c.c_char_p
         lib.ZSTD_getErrorName.argtypes = [c.c_size_t]
         lib.ZSTD_compressBound.restype = c.c_size_t
@@ -113,10 +116,20 @@ def _load():
     return _lib
 
 
-def _check(lib, code: int) -> int:
-    if lib.ZSTD_isError(code):
+def _check(lib, code: int, capacity: int) -> int:
+    """``code`` when it is a size that fits ``capacity`` bytes, else a
+    ZstdError: zstd's error codes are the top values of size_t, above any
+    buffer's size, so this needs no ZSTD_isError call."""
+    if code > capacity:
         raise ZstdError(lib.ZSTD_getErrorName(code).decode("ascii", "replace"))
     return code
+
+
+def _compress_bound(size: int) -> int:
+    """ZSTD_compressBound(size), as zstd.h's ZSTD_COMPRESSBOUND macro
+    computes it, without a call into libzstd."""
+    margin = ((128 << 10) - size) >> 11 if size < (128 << 10) else 0
+    return size + (size >> 8) + margin
 
 
 class _CCtxHolder:
@@ -138,7 +151,7 @@ def _cctx_dst(lib, size: int):
     if holder is None:
         holder = _CCtxHolder(lib)
         _tls.cctx = holder
-    bound = lib.ZSTD_compressBound(size)
+    bound = _compress_bound(size)
     if len(holder.dst) < bound:
         holder.dst = ctypes.create_string_buffer(bound)
     return holder.ptr, holder.dst, bound
@@ -153,14 +166,14 @@ def compress(data: bytes, level: int) -> bytes:
     """One-shot compression into a standard Zstandard frame."""
     lib = _load()
     cctx, dst, bound = _cctx_dst(lib, len(data))
-    n = _check(lib, lib.ZSTD_compressCCtx(cctx, dst, bound, data, len(data), level))
+    n = _check(lib, lib.ZSTD_compressCCtx(cctx, dst, bound, data, len(data), level), bound)
     return ctypes.string_at(dst, n)
 
 
 def compressed_size(data: bytes, level: int) -> int:
     lib = _load()
     cctx, dst, bound = _cctx_dst(lib, len(data))
-    return _check(lib, lib.ZSTD_compressCCtx(cctx, dst, bound, data, len(data), level))
+    return _check(lib, lib.ZSTD_compressCCtx(cctx, dst, bound, data, len(data), level), bound)
 
 
 class CDict:
@@ -185,6 +198,7 @@ def compress_with_cdict(data: bytes, cdict: CDict) -> bytes:
     n = _check(
         lib,
         lib.ZSTD_compress_usingCDict(cctx, dst, bound, data, len(data), cdict._ptr),
+        bound,
     )
     return ctypes.string_at(dst, n)
 
@@ -195,6 +209,7 @@ def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
     return _check(
         lib,
         lib.ZSTD_compress_usingCDict(cctx, dst, bound, data, len(data), cdict._ptr),
+        bound,
     )
 
 
@@ -231,9 +246,11 @@ def _tuned_libc():
 
 @contextlib.contextmanager
 def keep_heap():
-    """Keep ZDICT's scratch tables mapped across the trainings in the block
-    and release the free heap once at its end (see the module docstring).
-    Only the main glibc arena can be trimmed, so train on one thread."""
+    """Keep freed memory mapped, from here to the end of the process: ZDICT's
+    scratch tables across the trainings in the block, and the deflate state
+    of every NCD compression after it. The free heap is released once at the
+    block's end (see the module docstring). Only the main glibc arena can be
+    trimmed, so train on one thread."""
     libc = _tuned_libc()
     try:
         yield
@@ -258,6 +275,7 @@ def decompress(frame: bytes, dict_payload: bytes = b"") -> bytes:
             lib.ZSTD_decompress_usingDict(
                 dctx, dst, size, frame, len(frame), dict_payload, len(dict_payload)
             ),
+            size,
         )
         return dst.raw[:n]
     finally:

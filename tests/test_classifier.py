@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,11 +13,12 @@ from lftc.classifier import (
     evaluate_with_predictions,
 )
 from lftc import mcc
+from lftc import zstd_bindings as zb
 from lftc.compression import CompressionError
 from lftc.corpus import Corpus
 from lftc.synthetic import MotifGenerator
 
-from conftest import corpus_from
+from conftest import DATA_DIR, REPO_ROOT, corpus_from
 
 
 def test_two_class_corpus_forces_pair(motif_split):
@@ -208,6 +212,42 @@ def test_prebuilt_lists_reuse(motif_split):
     reused = Pipeline(train, config, prebuilt_lists=fitted.lists)
     q = test.samples[0].text
     assert reused.predict(q).predicted == fitted.predict(q).predicted
+
+
+# Predicts 20 bundled test queries with lists read from a bundle, and prints
+# the minor page faults per query.
+_BUNDLE_REUSE_FAULTS = """
+import resource, sys
+from lftc import mcc
+from lftc.classifier import Pipeline, PipelineConfig
+from lftc.corpus import load_csv
+train, test, bundle = (load_csv(sys.argv[1]), load_csv(sys.argv[2]), sys.argv[3])
+lists, _ = mcc.load_bundle(bundle)
+pipeline = Pipeline(train, PipelineConfig(), prebuilt_lists=lists)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for sample in test.samples[:20]:
+    pipeline.predict(sample.text)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(zb._tuned_libc() is None, reason="libc cannot keep the heap (not glibc)")
+def test_bundle_reuse_predicts_without_fresh_pages(bundled_train, tmp_path):
+    # A process that only loads a bundle still fits inside keep_heap(), so
+    # each deflate state comes from the kept heap. Under glibc's default
+    # thresholds the same loop took about 1,600 faults per query.
+    config = PipelineConfig()
+    lists = Pipeline(bundled_train, config).lists
+    bundle = tmp_path / "bundle.json"
+    source = mcc.BundleSource(config.mcc_backend, config.plan, bundled_train.digest(), "trained")
+    mcc.save_bundle(bundle, lists, source)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUNDLE_REUSE_FAULTS, str(DATA_DIR / "synthetic_train.csv"),
+         str(DATA_DIR / "synthetic_test.csv"), str(bundle)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert float(proc.stdout) < 100, proc.stdout
 
 
 def test_prebuilt_lists_must_match_training_classes(motif_split):

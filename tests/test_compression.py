@@ -5,7 +5,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lftc import zstd_bindings as zb
@@ -140,6 +140,65 @@ def test_zstd_dict_frame_round_trip():
     frame = zb.compress_with_cdict(data, comp.cdict)
     assert zb.decompress(frame, dictionary.payload) == data
     assert len(frame) == comp.score(data)
+
+
+def test_mismatched_dictionary_raises_zstd_error():
+    seg = motif_bytes(5, tokens=2000)
+    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    frame = zb.compress_with_cdict(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
+    seg = motif_bytes(6, tokens=2000)
+    other = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    with pytest.raises(zb.ZstdError, match="(?i)dictionary"):
+        zb.decompress(frame, other.payload)
+
+
+def test_output_bound_is_libzstds():
+    # The bound is computed in Python; the margin term ends at 128 KiB.
+    lib = zb._load()
+    sizes = range(300_001)
+    assert [zb._compress_bound(n) for n in sizes] == [lib.ZSTD_compressBound(n) for n in sizes]
+
+
+# --- deflate prefixed sizes --------------------------------------------------
+
+def _seeded_bytes(seed_and_size) -> bytes:
+    seed, size = seed_and_size
+    return random.Random(seed).randbytes(size)
+
+
+prefixes = st.one_of(
+    st.binary(min_size=1, max_size=2000),
+    # repetitive, up to 192 KiB: matches reach back across the 32 KiB window
+    st.tuples(st.binary(min_size=1, max_size=64), st.integers(1, 3000)).map(
+        lambda t: t[0] * t[1]
+    ),
+    # incompressible, up to 96 KiB
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 96 << 10)).map(_seeded_bytes),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prefix=prefixes,
+    suffixes=st.lists(st.binary(min_size=1, max_size=3000), max_size=4),
+    level=st.integers(1, 9),
+)
+@example(prefix=_seeded_bytes((1, 70_000)), suffixes=[b"x", b"\0"], level=6)
+@example(prefix=motif_bytes(8, tokens=30000), suffixes=[b"a", motif_bytes(9)], level=6)
+def test_prefixed_sizes_match_one_shot_compression(prefix, suffixes, level):
+    c_prefix, c_xys = DeflateBackend(level).prefixed_sizes(prefix, suffixes)
+    assert c_prefix == len(zlib.compress(prefix, level))
+    assert list(c_xys) == [len(zlib.compress(prefix + y, level)) for y in suffixes]
+
+
+def test_prefixed_sizes_reject_an_empty_prefix():
+    with pytest.raises(ValueError):
+        DeflateBackend().prefixed_sizes(b"", [b"x"])
+
+
+def test_deflate_level_0_refused():
+    with pytest.raises(ValueError, match="level"):
+        DeflateBackend(0)
 
 
 # --- dictionary training -----------------------------------------------------

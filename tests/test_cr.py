@@ -125,15 +125,19 @@ def test_backend_failure_reports_sample_index(monkeypatch):
     corpus = corpus_from([("p", b"first"), ("q", b"second"), ("p", b"third")])
     gold = extract_gold(corpus, PAIR)
     sizes = sample_sizes(gold.samples)
-    real = DeflateBackend.compressed_size
+    real = DeflateBackend.prefixed_sizes
 
-    def exploding(self, data):
-        if data == b"query" + b"second":
+    def exploding(self, prefix, suffixes):
+        c_prefix, c_xys = real(self, prefix, suffixes)
+
+        def failing_on_the_second():
+            yield next(c_xys)
             raise CompressionError("deflate: synthetic failure")
-        return real(self, data)
 
-    monkeypatch.setattr(DeflateBackend, "compressed_size", exploding)
-    with pytest.raises(CompressionError, match="sample 1"):
+        return c_prefix, failing_on_the_second()
+
+    monkeypatch.setattr(DeflateBackend, "prefixed_sizes", exploding)
+    with pytest.raises(CompressionError, match="sample 1: deflate: synthetic failure"):
         ncd_distances(b"query", gold.samples, sizes)
 
 

@@ -53,18 +53,24 @@ def test_lftc_prediction_in_candidate_pair(pipelines, query):
 @given(query=queries)
 def test_baseline_makes_one_ncd_per_training_text(pipelines, query):
     pipe = pipelines["baseline-ncd"]
-    real = DeflateBackend.compressed_size
-    inputs = []
+    real = DeflateBackend.prefixed_sizes
+    primed = []
 
-    def counting(self, data):
-        inputs.append(data)
-        return real(self, data)
+    def recording(self, prefix, suffixes):
+        suffixes = list(suffixes)
+        primed.append((prefix, suffixes))
+        return real(self, prefix, suffixes)
 
-    with mock.patch.object(DeflateBackend, "compressed_size", counting):
+    with (
+        mock.patch.object(DeflateBackend, "compressed_size") as single,
+        mock.patch.object(DeflateBackend, "prefixed_sizes", recording),
+    ):
         pred = pipe.predict(query)
     assert pred.ncd_calls == len(pipe.train)
-    # C(x) once, then C(xy) per training text: every C(y) comes from the fit.
-    assert inputs == [query] + [query + s.text for s in pipe.train.samples]
+    # Every C(y) comes from the fit; the query is compressed once, followed
+    # by each training text in corpus order.
+    assert single.call_count == 0
+    assert primed == [(query, [s.text for s in pipe.train.samples])]
 
 
 @pytest.fixture(scope="module")
