@@ -75,7 +75,6 @@ class Prediction:
     predicted: str
     truth: str | None
     candidate_pair: CandidatePair | None
-    elapsed: float
     ncd_calls: int = 0
     mcc_seconds: float = 0.0
     cr_seconds: float = 0.0
@@ -155,7 +154,6 @@ class Pipeline:
                 predicted="",
                 truth=truth,
                 candidate_pair=None,
-                elapsed=time.perf_counter() - t_start,
                 error=f"{type(exc).__name__}: {exc}",
             )
         return Prediction(
@@ -163,7 +161,6 @@ class Pipeline:
             predicted=outcome.label,
             truth=truth,
             candidate_pair=pair,
-            elapsed=cr_end - t_start,
             ncd_calls=outcome.ncd_calls,
             mcc_seconds=mcc_end - t_start,
             cr_seconds=cr_end - mcc_end,
@@ -250,10 +247,7 @@ def config_echo(config: PipelineConfig, train: Corpus, test: Corpus | None = Non
         "variant": config.variant,
         "step_size": plan.step_size,
         "max_compressors": plan.max_compressors_per_class,
-        "mcc_backend": {
-            "kind": config.mcc_backend.kind,
-            "level": getattr(config.mcc_backend, "level", None),
-        },
+        "mcc_backend": {"kind": config.mcc_backend.kind, "level": config.mcc_backend.level},
         "ncd_backend": {"kind": cr.NCD_BACKEND.kind, "level": cr.NCD_BACKEND.level},
         "k": config.k,
         "threads": config.threads,

@@ -151,11 +151,13 @@ class DictCompressor:
     The dictionary is digested at construction, at the backend's level, or
     the live digest of an identical dictionary is reused; a digest is never
     written again and is shared across threads, so scoring is a single C
-    call.
+    call. Only a ``ZstdBackend`` can digest a dictionary; any other backend
+    raises ``UnsupportedBackendError``.
     """
 
     def __init__(self, backend: ZstdBackend, dictionary: TrainedDictionary):
-        _require_zstd(backend)
+        if not isinstance(backend, ZstdBackend):
+            raise UnsupportedBackendError(f"{backend.kind} backend does not support dictionaries")
         self.backend = backend
         self.dictionary = dictionary
         try:
@@ -171,21 +173,17 @@ class DictCompressor:
             raise CompressionError(f"zstd: {exc}") from exc
 
 
-def train_dictionary(
-    backend: ZstdBackend,
-    segment: bytes,
-    span: SourceSpan,
-    mode: str = "trained",
-) -> TrainedDictionary:
+def train_dictionary(segment: bytes, span: SourceSpan, mode: str = "trained") -> TrainedDictionary:
     """Build a dictionary from one corpus segment.
 
     ``mode="trained"`` runs ZDICT and falls back to the raw segment bytes when
     the trainer refuses the segment (too small / too uniform); the fallback is
     recorded in the span's ``mode``. ``mode="raw"`` skips training entirely.
+    No zstd level enters the dictionary: ZDICT is given none, and the level
+    applies only when ``DictCompressor`` digests it.
     """
     if not segment:
         raise ValueError("segment must be non-empty")
-    _require_zstd(backend)
     if mode not in DICT_MODES:
         raise ValueError(f"unknown dictionary mode: {mode!r}")
 
@@ -228,8 +226,3 @@ def ncd_value(c_xy: int, c_x: int, c_y: int) -> float:
 def _require_nonempty(data: bytes) -> None:
     if not data:
         raise ValueError("data must be non-empty")
-
-
-def _require_zstd(backend: ZstdBackend | Backend) -> None:
-    if not isinstance(backend, ZstdBackend):
-        raise UnsupportedBackendError(f"{backend.kind} backend does not support dictionaries")

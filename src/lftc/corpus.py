@@ -91,10 +91,13 @@ def load_csv(
 
     Columns are addressed by header name (a header row is then required) or
     by zero-based index (the file is then read as headerless). Quoting per
-    RFC 4180; rows with missing/blank label or text are rejected with their
-    record number. A leading UTF-8 byte order mark is skipped.
+    RFC 4180; rows with missing/blank label or text, or that the csv module
+    cannot parse, are rejected with their record number. A leading UTF-8
+    byte order mark is skipped.
     """
     path = Path(path)
+    if len(delimiter) != 1:
+        raise DatasetError(f"delimiter must be one character, got {delimiter!r}")
     for column in (label_column, text_column):
         if isinstance(column, int) and column < 0:
             raise DatasetError(f"{path}: column index {column} is negative")
@@ -104,17 +107,16 @@ def load_csv(
 
     samples: list[LabeledText] = []
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        records = _records(csv.reader(fh, delimiter=delimiter), path)
         if positional:
             label_idx, text_idx = label_column, text_column
         else:
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetError(f"{path}: empty file") from None
+            _, header = next(records, (0, None))
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
             label_idx = _resolve_column(header, label_column, path)
             text_idx = _resolve_column(header, text_column, path)
-        for row_no, row in enumerate(reader, start=2 if not positional else 1):
+        for row_no, row in records:
             if not row:
                 continue
             if max(label_idx, text_idx) >= len(row):
@@ -132,6 +134,21 @@ def load_csv(
     if not samples:
         raise DatasetError(f"{path}: no data rows")
     return Corpus(name=name or path.stem, samples=tuple(samples))
+
+
+def _records(reader, path):
+    """(record number from 1, row) for each row; a record the csv module
+    cannot parse, such as a field over its size limit, is a DatasetError."""
+    row_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: row {row_no} is not valid CSV ({exc})") from None
+        yield row_no, row
+        row_no += 1
 
 
 def _resolve_column(header: list[str], column: str | int, path) -> int:

@@ -53,6 +53,15 @@ def test_eval_missing_file_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;", "\\t"])
+def test_eval_bad_delimiter_exit_code(delimiter, capsys):
+    code = run(["eval", "--train", TRAIN, "--test", TEST, "--delimiter", delimiter])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: delimiter must be one character")
+    assert err.count("\n") == 1
+
+
 def test_eval_audit_jsonl(tmp_path, capsys):
     audit = tmp_path / "audit.jsonl"
     code = run(["eval", "--train", TRAIN, "--test", TEST, "--audit", str(audit)])

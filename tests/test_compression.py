@@ -45,7 +45,7 @@ class ZstdSizes:
 def dict_scorer(data: bytes) -> int:
     """DictCompressor.score against a fixed raw dictionary."""
     return DictCompressor(ZstdBackend(), train_dictionary(
-        ZstdBackend(), b"dictionary", SourceSpan("c", 0, 0, 10), mode="raw")).score(data)
+        b"dictionary", SourceSpan("c", 0, 0, 10), mode="raw")).score(data)
 
 
 REAL_BACKENDS = [ZstdSizes(), DeflateBackend()]
@@ -109,7 +109,7 @@ def test_size_positive_property(data):
 def test_large_query_scores_at_the_backend_level():
     # One level for every query size: 64 KiB and more too.
     seg = motif_bytes(2, tokens=2000)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     comp = DictCompressor(ZstdBackend(level=3), dictionary)
     for query in (motif_bytes(12, tokens=12000)[: 64 * 1024], motif_bytes(13, tokens=30000)):
         assert len(query) >= 64 * 1024
@@ -134,7 +134,7 @@ def test_deflate_container_round_trip():
 
 def test_zstd_dict_frame_round_trip():
     seg = motif_bytes(5, tokens=2000)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     comp = DictCompressor(ZstdBackend(), dictionary)
     data = motif_bytes(5, tokens=150)
     frame = zb.compress_with_cdict(data, comp.cdict)
@@ -144,10 +144,10 @@ def test_zstd_dict_frame_round_trip():
 
 def test_mismatched_dictionary_raises_zstd_error():
     seg = motif_bytes(5, tokens=2000)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     frame = zb.compress_with_cdict(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
     seg = motif_bytes(6, tokens=2000)
-    other = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    other = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     with pytest.raises(zb.ZstdError, match="(?i)dictionary"):
         zb.decompress(frame, other.payload)
 
@@ -205,7 +205,7 @@ def test_deflate_level_0_refused():
 
 def test_train_dictionary_benefit():
     seg = b"abcabcabc" * 100
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     assert dictionary.payload
     comp = DictCompressor(ZstdBackend(), dictionary)
     query = b"abcabc" * 40
@@ -214,31 +214,32 @@ def test_train_dictionary_benefit():
 
 def test_train_dictionary_empty_segment():
     with pytest.raises(ValueError):
-        train_dictionary(ZstdBackend(), b"", SourceSpan("c", 0, 0, 1))
+        train_dictionary(b"", SourceSpan("c", 0, 0, 1))
 
 
 def test_train_dictionary_deflate_unsupported():
+    dictionary = train_dictionary(b"abc" * 100, SourceSpan("c", 0, 0, 300))
     with pytest.raises(UnsupportedBackendError):
-        train_dictionary(DeflateBackend(), b"abc" * 100, SourceSpan("c", 0, 0, 300))
+        DictCompressor(DeflateBackend(), dictionary)
 
 
 def test_train_dictionary_small_segment_falls_back_to_raw():
     seg = b"xyz" * 20
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     assert dictionary.source_span.mode == "raw"
     assert dictionary.payload == seg
 
 
 def test_train_dictionary_large_segment_trains():
     seg = motif_bytes(6, tokens=12000)[:65536]
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     assert dictionary.source_span.mode == "trained"
     assert 0 < len(dictionary.payload) < len(seg)
 
 
 def test_train_dictionary_raw_mode_requested():
     seg = motif_bytes(6, tokens=12000)[:65536]
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)), mode="raw")
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode="raw")
     assert dictionary.source_span.mode == "raw"
     assert dictionary.payload == seg
 
@@ -248,7 +249,7 @@ def test_train_dictionary_raw_mode_requested():
 @pytest.mark.parametrize("mode", ["trained", "raw"])
 def test_dict_size_smaller_on_source_segment(mode):
     seg = motif_bytes(8, tokens=2000)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)), mode=mode)
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode=mode)
     comp = DictCompressor(ZstdBackend(), dictionary)
     assert comp.score(seg) < zstd_size(seg)
 
@@ -265,7 +266,7 @@ def _disjoint_alphabet_pair():
 def test_dict_size_disjoint_alphabet_near_plain_raw_mode():
     seg, query = _disjoint_alphabet_pair()
     plain = zstd_size(query)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)), mode="raw")
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode="raw")
     size = DictCompressor(ZstdBackend(), dictionary).score(query)
     assert abs(size - plain) <= 0.05 * plain
 
@@ -277,7 +278,7 @@ def test_dict_size_disjoint_alphabet_inflates_trained_mode():
     # is pinned here rather than hidden (observed +24%).
     seg, query = _disjoint_alphabet_pair()
     plain = zstd_size(query)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)), mode="trained")
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode="trained")
     assert dictionary.source_span.mode == "trained"
     size = DictCompressor(ZstdBackend(), dictionary).score(query)
     assert plain <= size <= 1.4 * plain
@@ -285,7 +286,7 @@ def test_dict_size_disjoint_alphabet_inflates_trained_mode():
 
 def test_identical_dictionaries_share_one_digest():
     seg = motif_bytes(14, tokens=2000)
-    dictionary = train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     copy = TrainedDictionary(bytes(bytearray(dictionary.payload)), dictionary.source_span)
     assert copy.payload is not dictionary.payload
     comp = DictCompressor(ZstdBackend(), dictionary)
@@ -316,7 +317,7 @@ def test_concurrent_construction_makes_one_digest_per_dictionary():
 def test_dict_size_deterministic():
     seg = motif_bytes(10, tokens=1500)
     comp = DictCompressor(
-        ZstdBackend(), train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+        ZstdBackend(), train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     )
     q = motif_bytes(10, tokens=100)
     assert comp.score(q) == comp.score(q)
@@ -327,7 +328,7 @@ def test_dictionary_benefit_property():
     for seed in range(8):
         seg = motif_bytes(100 + seed, tokens=3000)
         comp = DictCompressor(
-            ZstdBackend(), train_dictionary(ZstdBackend(), seg, SourceSpan("c", 0, 0, len(seg)))
+            ZstdBackend(), train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
         )
         query = motif_bytes(100 + seed, tokens=60)
         assert len(query) >= 256

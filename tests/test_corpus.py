@@ -73,6 +73,25 @@ def test_load_short_row_names_row(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;", "\\t"])
+def test_load_rejects_delimiter_not_one_character(tmp_path, delimiter):
+    path = write_csv(tmp_path, "label,text\na,doc\n")
+    with pytest.raises(DatasetError, match="delimiter must be one character"):
+        load_csv(path, delimiter=delimiter)
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_load_oversized_field_names_file_and_row(tmp_path, header):
+    # Over the csv module's field limit (131,072 characters by default),
+    # which is process-wide and so is left as it is.
+    rows = "a,short doc\nb," + "x" * 200_000 + "\n"
+    path = write_csv(tmp_path, ("label,text\n" if header else "") + rows)
+    columns = {} if header else {"label_column": 0, "text_column": 1}
+    with pytest.raises(DatasetError, match=f"data.csv: row {3 if header else 2} ") as exc:
+        load_csv(path, **columns)
+    assert "field larger than field limit" in str(exc.value)
+
+
 def test_load_unknown_column(tmp_path):
     path = write_csv(tmp_path, "label,text\na,doc\n")
     with pytest.raises(DatasetError, match="no column named 'body'"):

@@ -116,6 +116,22 @@ def test_build_all_lists_passes_errors_through(motif_split, monkeypatch):
         build_all_lists(train, SegmentPlan(), ZstdBackend())
 
 
+def test_dictionaries_do_not_depend_on_the_level(motif_split):
+    # ZDICT is given no level: the level enters only the digest.
+    train, _ = motif_split
+    plan = SegmentPlan(step_size=2048, max_compressors_per_class=None)
+
+    def dictionaries(level):
+        lists = build_all_lists(train, plan, ZstdBackend(level))
+        return {c: [x.dictionary for x in l.compressors] for c, l in lists.items()}
+
+    fast = dictionaries(1)
+    modes = {d.source_span.mode for ds in fast.values() for d in ds}
+    assert modes == {"trained", "raw"}
+    assert dictionaries(3) == fast
+    assert dictionaries(19) == fast
+
+
 @pytest.mark.skipif(
     not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt (not glibc)"
 )
