@@ -23,8 +23,12 @@ each query's deflate state is served without fresh pages. Nothing is
 written after the fit, so evaluation parallelizes over test samples with
 bit-identical results at any worker count. ``PipelineConfig.threads`` sets
 only those prediction workers; the fit trains its dictionaries on one
-thread (see ``lftc.mcc``). Report timings keep the two apart:
-``list_build_seconds`` is the fit, ``total_seconds`` the predictions.
+thread (see ``lftc.mcc``).
+
+``evaluate(pipeline, test)`` takes only a fitted pipeline, so its report
+echoes the train split and config that the predictions came from. Report
+timings keep the fit and the predictions apart: ``list_build_seconds`` is
+the fit, ``total_seconds`` the predictions.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from dataclasses import dataclass, field
 
 from . import cr, mcc
 from .compression import DICT_MODES, CompressionError, ZstdBackend
-from .corpus import DEFAULT_SEPARATOR, Corpus
-from .report import EvalReport, confidence_interval
+from .corpus import DEFAULT_SEPARATOR, Corpus, FewShotSpec, few_shot_sample
+from .report import TIMING_KEYS, EvalReport, confidence_interval
 from .mcc import CandidatePair, SegmentPlan
 from .zstd_bindings import keep_heap
 
@@ -189,23 +193,13 @@ def predict_corpus(
     return preds, pipeline
 
 
-def evaluate(
-    train: Corpus, test: Corpus, config: PipelineConfig, pipeline: Pipeline | None = None
-) -> EvalReport:
-    """Run the configured variant over the whole test corpus."""
-    report, _preds, _pipeline = evaluate_with_predictions(train, test, config, pipeline)
-    return report
-
-
-def evaluate_with_predictions(
-    train: Corpus, test: Corpus, config: PipelineConfig, pipeline: Pipeline | None = None
-) -> tuple[EvalReport, list[Prediction], Pipeline]:
-    """evaluate() plus the per-sample predictions (audit, determinism checks).
-    A pipeline not passed in is fitted before the clock of ``total_seconds``
-    starts."""
+def evaluate(pipeline: Pipeline, test: Corpus) -> tuple[EvalReport, list[Prediction]]:
+    """The fitted pipeline over the whole test corpus: its report, whose
+    echo is the pipeline's own train split and config, and the per-sample
+    predictions. ``total_seconds`` times the predictions only."""
+    train, config = pipeline.train, pipeline.config
     if not (train.classes & test.classes):
         raise ValueError("train and test label sets do not overlap")
-    pipeline = pipeline or Pipeline(train, config)
     t0 = time.perf_counter()
     preds, _ = predict_corpus(train, test, config, pipeline)
     total_seconds = time.perf_counter() - t0
@@ -236,7 +230,7 @@ def evaluate_with_predictions(
         },
         errors=errors,
     )
-    return report, preds, pipeline
+    return report, preds
 
 
 def config_echo(config: PipelineConfig, train: Corpus, test: Corpus | None = None) -> dict:
@@ -271,30 +265,23 @@ def evaluate_fewshot(
     seed: int,
     trials: int,
 ) -> EvalReport:
-    """Repeated seeded few-shot draws; mean accuracy with a normal-approx
-    95% interval when there are at least two trials."""
-    from .corpus import FewShotSpec, few_shot_sample
-
+    """Repeated seeded few-shot draws, one pipeline fitted per trial; mean
+    accuracy with a normal-approx 95% interval when there are at least two
+    trials. The echo is the full train split plus shots, seed and trials."""
     spec = FewShotSpec(shots=shots, seed=seed, trials=trials)
-    accs: list[float] = []
-    reports: list[EvalReport] = []
-    for trial in range(trials):
-        sub = few_shot_sample(train, spec, trial)
-        rep = evaluate(sub, test, config)
-        accs.append(rep.accuracy)
-        reports.append(rep)
-    mean_acc = sum(accs) / len(accs)
-    timings = {
-        key: sum(r.timings[key] for r in reports)
-        for key in ("list_build_seconds", "mcc_seconds", "cr_seconds", "total_seconds")
-    }
+    reports = [
+        evaluate(Pipeline(few_shot_sample(train, spec, trial), config), test)[0]
+        for trial in range(trials)
+    ]
+    accs = [r.accuracy for r in reports]
+    timings = {key: sum(r.timings[key] for r in reports) for key in TIMING_KEYS}
     echo = config_echo(config, train, test)
     echo.update({"shots": shots, "seed": seed, "trials": trials})
     return EvalReport(
         dataset=test.name,
         variant=config.variant,
         config=echo,
-        accuracy=mean_acc,
+        accuracy=sum(accs) / len(accs),
         per_class=_mean_per_class(reports),
         timings=timings,
         trials=accs,

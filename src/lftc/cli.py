@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -38,11 +39,16 @@ def _column(value: str) -> str | int:
     return int(value) if value.lstrip("-").isdigit() else value
 
 
-def _int_list(value: str) -> list[int]:
-    items = [v for v in value.split(",") if v.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return [int(v) for v in items]
+def _list_of(item):
+    """Comma-list type of the sweep's grid axes."""
+
+    def parse(value: str) -> list:
+        items = [item(v) for v in value.split(",") if v.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("empty list")
+        return items
+
+    return parse
 
 
 def _positive(value: str) -> int:
@@ -67,19 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, variants=True):
+    def add_common(p, variants=True, grid=False):
+        # sweep reads each grid axis as a comma list. The defaults are
+        # strings, which argparse passes through the type; a parsed value
+        # is then never the default object, so the cap group sees
+        # "--max-compressors 16 --no-cap" as a conflict too.
+        positive, level = (_list_of(_positive), _list_of(int)) if grid else (_positive, int)
+        axis = " (a comma list)" if grid else ""
         p.add_argument("--train", required=True, help="training CSV")
         p.add_argument("--test", required=True, help="test CSV")
         if variants:
             p.add_argument("--variant", choices=VARIANTS, default="lftc")
-        p.add_argument("--step-size", type=_positive, default=65536,
-                       help="bytes per dictionary segment (default 65536)")
-        p.add_argument("--max-compressors", type=_positive, default=16,
-                       help="cap on compressors per class (default 16; see --no-cap)")
-        p.add_argument("--no-cap", action="store_true",
-                       help="unlimited compressors per class")
-        p.add_argument("--level", type=int, default=3,
-                       help="zstd level of the compressor lists (default 3)")
+        p.add_argument("--step-size", type=positive, default="65536",
+                       help=f"bytes per dictionary segment{axis} (default 65536)")
+        cap = p.add_mutually_exclusive_group()
+        cap.add_argument("--max-compressors", type=positive, default="16",
+                         help=f"cap on compressors per class{axis} (default 16)")
+        cap.add_argument("--no-cap", action="store_true",
+                         help="unlimited compressors per class")
+        p.add_argument("--level", type=level, default="3",
+                       help=f"zstd level of the compressor lists{axis} (default 3)")
         p.add_argument("--k", type=_positive, default=1, help="KNN neighbour count")
         p.add_argument("--threads", type=_positive, default=_default_threads(),
                        help=f"prediction worker count; the fit runs on one thread "
@@ -107,13 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp, variants=False)
 
     p_sweep = sub.add_parser("sweep", help="grid over step-size/level/cap")
-    add_common(p_sweep)
-    p_sweep.add_argument("--step-sizes", type=_int_list, default=None,
-                         help="comma list; overrides --step-size")
-    p_sweep.add_argument("--levels", type=_int_list, default=None,
-                         help="comma list; overrides --level")
-    p_sweep.add_argument("--caps", type=_int_list, default=None,
-                         help="comma list; overrides --max-compressors")
+    add_common(p_sweep, grid=True)
     return parser
 
 
@@ -187,9 +194,8 @@ def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
 
 def run_eval(args) -> int:
     train, test = _load_split(args)
-    config = _config(args)
-    pipeline = _fitted_pipeline(train, config, args)
-    report, preds, _ = classifier.evaluate_with_predictions(train, test, config, pipeline)
+    pipeline = _fitted_pipeline(train, _config(args), args)
+    report, preds = classifier.evaluate(pipeline, test)
     if args.audit:
         _write_audit(args.audit, preds)
     _emit(report.to_dict(), args.out)
@@ -211,12 +217,11 @@ def run_compare(args) -> int:
     reports: dict[str, EvalReport] = {}
     head = Corpus(name="warmup", samples=test.samples[: min(10, len(test))])
     for variant in ("lftc", "baseline-ncd"):
-        config = _config(args, variant=variant)
-        pipeline = classifier.Pipeline(train, config)
+        pipeline = classifier.Pipeline(train, _config(args, variant=variant))
         # untimed warmup pass: the first compression-heavy run in a fresh
         # process is measurably slower (allocator growth, cpu ramp-up)
-        classifier.evaluate(train, head, config, pipeline)
-        reports[variant] = classifier.evaluate(train, test, config, pipeline)
+        classifier.evaluate(pipeline, head)
+        reports[variant], _ = classifier.evaluate(pipeline, test)
     ratio = reports["baseline-ncd"].timings["total_seconds"] / max(
         reports["lftc"].timings["total_seconds"], 1e-9
     )
@@ -232,20 +237,13 @@ def run_compare(args) -> int:
 
 def run_sweep(args) -> int:
     train, test = _load_split(args)
-    step_sizes = args.step_sizes or [args.step_size]
-    levels = args.levels or [args.level]
-    caps = args.caps or ([None] if args.no_cap else [args.max_compressors])
-    base = _config(args)
     reports = []
-    for step in step_sizes:
-        for level in levels:
-            for cap in caps:
-                config = dataclasses.replace(
-                    base,
-                    plan=SegmentPlan(step_size=step, max_compressors_per_class=cap),
-                    mcc_backend=ZstdBackend(level=level),
-                )
-                reports.append(classifier.evaluate(train, test, config))
+    for step, level, cap in itertools.product(args.step_size, args.level, args.max_compressors):
+        point = argparse.Namespace(
+            **vars(args) | {"step_size": step, "level": level, "max_compressors": cap}
+        )
+        report, _ = classifier.evaluate(classifier.Pipeline(train, _config(point)), test)
+        reports.append(report)
     out = args.out or Path("sweep.json")
     out.write_text(
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",

@@ -71,12 +71,8 @@ class DeflateBackend:
 
     def compressed_size(self, data: bytes) -> int:
         _require_nonempty(data)
-        return len(self.compress(data))
-
-    def compress(self, data: bytes) -> bytes:
-        _require_nonempty(data)
         try:
-            return zlib.compress(data, self.level)
+            return len(zlib.compress(data, self.level))
         except zlib.error as exc:  # pragma: no cover - zlib does not fail on bytes
             raise CompressionError(f"deflate: {exc}") from exc
 
@@ -126,6 +122,8 @@ class TrainedDictionary:
             raise ValueError("dictionary payload must be non-empty")
         if self.source_span.start < 0 or self.source_span.stop <= self.source_span.start:
             raise ValueError("source span must be a non-empty byte range")
+        if self.source_span.mode not in DICT_MODES:
+            raise ValueError(f"unknown dictionary mode: {self.source_span.mode!r}")
 
 
 # Live digests by (payload, level). A digest is a pure function of its key,
@@ -158,7 +156,6 @@ class DictCompressor:
     def __init__(self, backend: ZstdBackend, dictionary: TrainedDictionary):
         if not isinstance(backend, ZstdBackend):
             raise UnsupportedBackendError(f"{backend.kind} backend does not support dictionaries")
-        self.backend = backend
         self.dictionary = dictionary
         try:
             self.cdict = _digest(dictionary.payload, backend.level)

@@ -171,11 +171,11 @@ def save_csv(corpus: Corpus, path, delimiter: str = ",") -> None:
             writer.writerow([s.label, s.text.decode("utf-8", "surrogateescape")])
 
 
-def concat_class_text(corpus: Corpus, class_id: str, separator: bytes = DEFAULT_SEPARATOR) -> bytes:
-    """All texts of one class, corpus order, joined by ``separator``."""
+def concat_class_text(corpus: Corpus, class_id: str) -> bytes:
+    """All texts of one class, corpus order, joined by ``DEFAULT_SEPARATOR``."""
     if class_id not in corpus.classes:
         raise DatasetError(f"unknown class {class_id!r} in corpus {corpus.name!r}")
-    return separator.join(s.text for s in corpus.samples if s.label == class_id)
+    return DEFAULT_SEPARATOR.join(s.text for s in corpus.samples if s.label == class_id)
 
 
 def _draw_rank(seed: int, trial_index: int, class_id: str, sample_index: int) -> bytes:

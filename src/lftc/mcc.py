@@ -234,6 +234,8 @@ def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
         backend = ZstdBackend(level=meta["level"])
         lists: dict[str, ClassCompressorList] = {}
         for entry in doc["classes"]:
+            if entry["class"] in lists:
+                raise ValueError(f"class {entry['class']!r} appears twice")
             compressors = []
             for seg in entry["segments"]:
                 span = SourceSpan(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
-_TIMING_KEYS = ("list_build_seconds", "mcc_seconds", "cr_seconds", "total_seconds")
+TIMING_KEYS = ("list_build_seconds", "mcc_seconds", "cr_seconds", "total_seconds")
 
 
 @dataclass
@@ -29,7 +29,7 @@ class EvalReport:
     def __post_init__(self):
         if not (0.0 <= self.accuracy <= 1.0):
             raise ValueError(f"accuracy out of range: {self.accuracy}")
-        for key in _TIMING_KEYS:
+        for key in TIMING_KEYS:
             if self.timings.get(key, 0.0) < 0:
                 raise ValueError(f"negative timing {key}")
         has_ci = self.ci95 is not None
@@ -105,7 +105,7 @@ def summary_row(report: EvalReport) -> dict:
         "mcc_level": report.config.get("mcc_backend", {}).get("level", ""),
         "k": report.config.get("k", ""),
         "threads": report.config.get("threads", ""),
-        **{k: f"{report.timings.get(k, 0.0):.3f}" for k in _TIMING_KEYS},
+        **{k: f"{report.timings.get(k, 0.0):.3f}" for k in TIMING_KEYS},
         "errors": report.errors,
     }
 

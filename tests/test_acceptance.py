@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from lftc.classifier import Pipeline, PipelineConfig, evaluate, evaluate_fewshot, evaluate_with_predictions
+from lftc.classifier import Pipeline, PipelineConfig, evaluate, evaluate_fewshot
 from lftc.compression import ncd
 from lftc.corpus import load_csv
 from lftc.cr import NcdNeighbor, vote_detail
@@ -154,10 +154,10 @@ def test_criterion_3_synthetic_separation(status):
         test = gen.corpus(f"sep{seed}-test", 67, "test")
         test = type(test)(name=test.name, samples=test.samples[:200])
         assert len(test) == 200
-        accs = {
-            variant: evaluate(train, test, PipelineConfig(variant=variant, threads=8)).accuracy
-            for variant in ("lftc", "lftc-mcc", "lftc-cr")
-        }
+        accs = {}
+        for variant in ("lftc", "lftc-mcc", "lftc-cr"):
+            pipeline = Pipeline(train, PipelineConfig(variant=variant, threads=8))
+            accs[variant] = evaluate(pipeline, test)[0].accuracy
         per_seed.append(accs)
         assert accs["lftc"] >= 0.95, f"seed {seed}: lftc accuracy {accs['lftc']:.3f}"
         assert accs["lftc-mcc"] >= accs["lftc"] - 0.03, f"seed {seed}: {accs}"
@@ -201,7 +201,7 @@ def test_criterion_4_full_split_accuracy(status):
         assert abs(len(train) - n_train) <= 0.01 * n_train, f"{name}: train size {len(train)}"
         assert abs(len(test) - n_test) <= 0.01 * n_test, f"{name}: test size {len(test)}"
         assert len(train.classes) == n_classes
-        report = evaluate(train, test, PipelineConfig(variant="lftc", **R8_CONFIG))
+        report, _ = evaluate(Pipeline(train, PipelineConfig(variant="lftc", **R8_CONFIG)), test)
         results[name] = report.accuracy
         assert report.accuracy >= floor, f"{name}: accuracy {report.accuracy:.3f} < {floor}"
     status(f"[ACCEPTANCE] 4 full-split accuracy: PASS {results}")
@@ -234,18 +234,18 @@ def test_criterion_5_fewshot_reproduction(status):
 
 def test_criterion_6_speed_synthetic(status, bundled_train, bundled_test):
     t0 = time.perf_counter()
-    config_lftc = PipelineConfig(variant="lftc", threads=1, dict_mode="raw")
-    config_base = PipelineConfig(variant="baseline-ncd", threads=1)
+    lftc = Pipeline(bundled_train, PipelineConfig(variant="lftc", threads=1, dict_mode="raw"))
+    base = Pipeline(bundled_train, PipelineConfig(variant="baseline-ncd", threads=1))
 
     # untimed warmup: the first compression-heavy run per process is slower
     from lftc.corpus import Corpus
 
     head = Corpus(name="warmup", samples=bundled_test.samples[:10])
-    evaluate(bundled_train, head, config_lftc)
-    evaluate(bundled_train, head, config_base)
+    evaluate(lftc, head)
+    evaluate(base, head)
 
-    rep_lftc, preds_lftc, _ = evaluate_with_predictions(bundled_train, bundled_test, config_lftc)
-    rep_base, preds_base, _ = evaluate_with_predictions(bundled_train, bundled_test, config_base)
+    rep_lftc, preds_lftc = evaluate(lftc, bundled_test)
+    rep_base, preds_base = evaluate(base, bundled_test)
 
     # instrumented NCD-evaluation counts are exact
     by_class = bundled_train.by_class()
@@ -265,8 +265,9 @@ def test_criterion_6_speed_r8(status):
     if split is None:
         skip_missing(status, "6 relative speed (r8 ratio >= 3.0)", "r8")
     train, test = split
-    rep_lftc = evaluate(train, test, PipelineConfig(variant="lftc", **R8_CONFIG))
-    rep_base = evaluate(train, test, PipelineConfig(variant="baseline-ncd", threads=8))
+    rep_lftc, _ = evaluate(Pipeline(train, PipelineConfig(variant="lftc", **R8_CONFIG)), test)
+    base = Pipeline(train, PipelineConfig(variant="baseline-ncd", threads=8))
+    rep_base, _ = evaluate(base, test)
     ratio = rep_base.timings["total_seconds"] / rep_lftc.timings["total_seconds"]
     assert ratio >= 3.0, f"r8 baseline/lftc ratio {ratio:.2f}"
     status(f"[ACCEPTANCE] 6 relative speed (r8): PASS ratio={ratio:.2f}")
@@ -279,9 +280,8 @@ def test_criterion_7_determinism(status, bundled_train, bundled_test):
     observed = []
     for threads in (1, 4, 8):
         for _repeat in range(2):
-            report, preds, _ = evaluate_with_predictions(
-                bundled_train, bundled_test, PipelineConfig(variant="lftc", threads=threads)
-            )
+            pipeline = Pipeline(bundled_train, PipelineConfig(variant="lftc", threads=threads))
+            report, preds = evaluate(pipeline, bundled_test)
             observed.append(
                 (
                     report.accuracy,

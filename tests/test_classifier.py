@@ -10,7 +10,6 @@ from lftc.classifier import (
     PipelineConfig,
     evaluate,
     evaluate_fewshot,
-    evaluate_with_predictions,
 )
 from lftc import mcc
 from lftc import zstd_bindings as zb
@@ -119,7 +118,7 @@ def test_lftc_synthetic_separation_200_queries():
 
 def test_evaluate_report_and_recount(motif_split):
     train, test = motif_split
-    report, preds, _ = evaluate_with_predictions(train, test, PipelineConfig(threads=2))
+    report, preds = evaluate(Pipeline(train, PipelineConfig(threads=2)), test)
     recount = sum(1 for p in preds if p.error is None and p.predicted == p.truth) / len(preds)
     assert report.accuracy == recount
     assert set(report.per_class) == test.classes
@@ -128,9 +127,22 @@ def test_evaluate_report_and_recount(motif_split):
     assert report.config["train_sha256"] == train.digest()
 
 
+def test_report_echoes_the_pipeline_that_ran(bundled_train, bundled_test):
+    # The echo is read from the fitted pipeline, so a report cannot describe
+    # a train split or config other than the one its predictions came from.
+    half = Corpus("half", bundled_train.samples[::2])
+    pipeline = Pipeline(half, PipelineConfig(variant="baseline-ncd", k=3))
+    report, preds = evaluate(pipeline, bundled_test)
+    assert report.variant == report.config["variant"] == "baseline-ncd"
+    assert report.config["k"] == 3
+    assert report.config["train_size"] == len(half) == len(bundled_train) // 2
+    assert report.config["train_sha256"] == half.digest() != bundled_train.digest()
+    assert all(p.candidate_pair is None for p in preds)
+
+
 def test_evaluate_accuracy_bounds(motif_split):
     train, test = motif_split
-    report = evaluate(train, test, PipelineConfig())
+    report, _ = evaluate(Pipeline(train, PipelineConfig()), test)
     assert 0.0 <= report.accuracy <= 1.0
 
 
@@ -138,8 +150,7 @@ def test_evaluate_worker_count_invariance(motif_split):
     train, test = motif_split
     results = {}
     for threads in (1, 4):
-        report, preds, _ = evaluate_with_predictions(
-            train, test, PipelineConfig(threads=threads))
+        report, preds = evaluate(Pipeline(train, PipelineConfig(threads=threads)), test)
         results[threads] = (
             report.accuracy,
             [(p.sample_index, p.predicted, p.candidate_pair) for p in preds],
@@ -153,8 +164,9 @@ def test_evaluate_test_order_invariance(motif_split):
     shuffled_samples = list(test.samples)
     rng.shuffle(shuffled_samples)
     shuffled = Corpus(name=test.name, samples=tuple(shuffled_samples))
-    a = evaluate(train, test, PipelineConfig())
-    b = evaluate(train, shuffled, PipelineConfig())
+    pipeline = Pipeline(train, PipelineConfig())
+    a, _ = evaluate(pipeline, test)
+    b, _ = evaluate(pipeline, shuffled)
     assert a.accuracy == b.accuracy
 
 
@@ -162,7 +174,7 @@ def test_evaluate_rejects_disjoint_labels(motif_split):
     train, _ = motif_split
     other = corpus_from([("zzz", b"no overlap")])
     with pytest.raises(ValueError, match="overlap"):
-        evaluate(train, other, PipelineConfig())
+        evaluate(Pipeline(train, PipelineConfig()), other)
 
 
 def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
@@ -178,7 +190,7 @@ def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
         return original(lists, query)
 
     monkeypatch.setattr(mcc, "score_query", flaky)
-    report, preds, _ = evaluate_with_predictions(train, test, PipelineConfig(), pipeline)
+    report, preds = evaluate(pipeline, test)
     assert report.errors == 1
     assert preds[1].error == "CompressionError: injected failure"
     # the failed sample counts as incorrect, the run completes

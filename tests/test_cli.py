@@ -123,9 +123,22 @@ def _unknown_plan_key(doc):
     return json.dumps(doc)
 
 
+def _class_twice(doc):
+    # the last class's dictionaries, filed a second time under the first class
+    doc["classes"].append({**doc["classes"][-1], "class": doc["classes"][0]["class"]})
+    return json.dumps(doc)
+
+
+def _unknown_mode(doc):
+    doc["classes"][0]["segments"][0]["mode"] = "bogus"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_classes, _unknown_plan_key, lambda doc: json.dumps([doc]), lambda doc: "{not json",
-], ids=["missing-classes", "unknown-plan-key", "top-level-list", "not-json"])
+    _class_twice, _unknown_mode,
+], ids=["missing-classes", "unknown-plan-key", "top-level-list", "not-json",
+        "class-twice", "unknown-mode"])
 def test_eval_malformed_bundle_exit_code(tmp_path, capsys, corrupt):
     bundle = tmp_path / "lists.bundle"
     base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
@@ -154,6 +167,9 @@ def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
     ("compare", "--bundle=b.bundle"),
     ("sweep", "--bundle=b.bundle"),
     ("eval", "--backend=zstd"),
+    ("sweep", "--step-sizes=4096"),
+    ("sweep", "--levels=1,3"),
+    ("sweep", "--caps=2"),
 ])
 def test_unused_flags_rejected(subcommand, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -214,9 +230,8 @@ def test_compare_bundled(tmp_path, capsys):
 
 
 def test_fit_is_outside_total_seconds(tmp_path, monkeypatch):
-    # total_seconds times the predictions only, with or without a fitted
-    # pipeline passed in; compare fits each variant once, for both its
-    # warm-up and its timed run.
+    # total_seconds times the predictions only; compare fits each variant
+    # once, for both its warm-up and its timed run.
     delay = 0.5
     real_init = classifier.Pipeline.__init__
     built = []
@@ -227,12 +242,9 @@ def test_fit_is_outside_total_seconds(tmp_path, monkeypatch):
         built.append(config.variant)
 
     monkeypatch.setattr(classifier.Pipeline, "__init__", slow_init)
-    train, test = load_csv(TRAIN), load_csv(TEST)
+    test = load_csv(TEST)
     small_test = tmp_path / "test.csv"
     save_csv(Corpus("small", test.samples[::12]), small_test)
-    report = classifier.evaluate(train, load_csv(small_test), classifier.PipelineConfig())
-    assert report.timings["total_seconds"] < delay
-    built.clear()
     out = tmp_path / "cmp.json"
     assert run(["compare", "--train", TRAIN, "--test", str(small_test),
                 "--out", str(out)]) == EXIT_OK
@@ -244,7 +256,7 @@ def test_fit_is_outside_total_seconds(tmp_path, monkeypatch):
 def test_sweep_grid(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     code = run(["sweep", "--train", TRAIN, "--test", TEST,
-                "--step-sizes", "8192,65536", "--levels", "1,3", "--out", str(out)])
+                "--step-size", "8192,65536", "--level", "1,3", "--out", str(out)])
     assert code == EXIT_OK
     reports = json.loads(out.read_text())
     assert len(reports) == 4
@@ -256,8 +268,18 @@ def test_sweep_grid(tmp_path, capsys):
 
 def test_sweep_empty_grid_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["sweep", "--train", TRAIN, "--test", TEST, "--step-sizes", ","])
+        run(["sweep", "--train", TRAIN, "--test", TEST, "--step-size", ","])
     assert exc.value.code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("subcommand, cap", [
+    ("eval", "8"), ("eval", "16"), ("sweep", "2,4"), ("fewshot", "16"),
+])
+def test_no_cap_conflicts_with_max_compressors(subcommand, cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--train", TRAIN, "--test", TEST, "--max-compressors", cap, "--no-cap"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_threads_env_var_default(monkeypatch, capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lftc.corpus import (
+    DEFAULT_SEPARATOR,
     Corpus,
     DatasetError,
     FewShotSpec,
@@ -139,12 +140,12 @@ def test_csv_round_trip(tmp_path_factory, rows):
 
 def test_concat_single_element():
     corpus = corpus_from([("a", b"abc")])
-    assert concat_class_text(corpus, "a", b"|") == b"abc"
+    assert concat_class_text(corpus, "a") == b"abc"
 
 
 def test_concat_join_order():
     corpus = corpus_from([("a", b"ab"), ("b", b"zz"), ("a", b"cd")])
-    assert concat_class_text(corpus, "a", b"\n") == b"ab\ncd"
+    assert concat_class_text(corpus, "a") == b"ab\ncd"
 
 
 def test_concat_unknown_class():
@@ -154,11 +155,10 @@ def test_concat_unknown_class():
 
 
 def test_concat_length_identity(bundled_train):
-    sep = b"\n"
     for class_id in bundled_train.classes:
         member_lens = [len(s.text) for s in bundled_train.samples if s.label == class_id]
-        expect = sum(member_lens) + (len(member_lens) - 1) * len(sep)
-        assert len(concat_class_text(bundled_train, class_id, sep)) == expect
+        expect = sum(member_lens) + (len(member_lens) - 1) * len(DEFAULT_SEPARATOR)
+        assert len(concat_class_text(bundled_train, class_id)) == expect
 
 
 def test_fewshot_forced_selection():
