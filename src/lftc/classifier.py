@@ -120,6 +120,12 @@ class Pipeline:
                     raise ValueError(
                         f"prebuilt lists do not match the training classes: {sorted(differ)}"
                     )
+                lengths = {len(cl.compressors) for cl in prebuilt_lists.values()}
+                if len(lengths) > 1:
+                    raise ValueError(
+                        f"prebuilt lists have unequal lengths {sorted(lengths)}; "
+                        "class scores would not be comparable"
+                    )
                 self.lists = prebuilt_lists
             else:
                 self.lists = mcc.build_all_lists(

@@ -185,7 +185,10 @@ def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
         if diffs:
             raise ValueError(f"{args.bundle}: built with another {', '.join(diffs)}; "
                              "delete it to rebuild")
-        return classifier.Pipeline(train, config, prebuilt_lists=lists)
+        try:
+            return classifier.Pipeline(train, config, prebuilt_lists=lists)
+        except ValueError as exc:
+            raise ValueError(f"{args.bundle}: {exc}; delete it to rebuild") from exc
     pipeline = classifier.Pipeline(train, config)
     if args.bundle and uses_lists:
         mcc.save_bundle(args.bundle, pipeline.lists, source)

@@ -6,12 +6,9 @@ per segment) and scores queries by summing their dictionary-compressed
 sizes per list. The two lowest-scoring classes form the candidate pair
 handed to the reasoning stage.
 
-Per-class scores are plain sums over the list, so lists are only directly
-comparable when every class has the same number of compressors; pick
-step_size and the cap so all classes reach the cap (or produce a single
-segment). Balanced corpora need this too, as document lengths vary: a
-16-class generated split with equal document counts has 11 to 13 segments
-per class at step 8192.
+Per-class scores are plain sums over the list, so every list of a fit has
+the same length: the fewest segments any class has, capped by the plan,
+taken evenly spaced over each class's text.
 
 Dictionaries are trained without a zstd level, which applies only to their
 digests, so lists built at any level hold the same dictionaries.
@@ -43,7 +40,7 @@ from .corpus import Corpus, concat_class_text
 from .zstd_bindings import keep_heap
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 
 class DegenerateCorpusError(ValueError):
@@ -109,18 +106,17 @@ def _segment_indices(n_full: int, cap: int | None) -> list[int]:
     return [(i * n_full) // cap for i in range(cap)]
 
 
-def build_class_list(
-    corpus: Corpus,
+def _class_list(
     class_id: str,
+    text: bytes,
     plan: SegmentPlan,
+    count: int | None,
     backend: ZstdBackend,
-    dict_mode: str = "trained",
+    dict_mode: str,
 ) -> ClassCompressorList:
-    """Slice the class's concatenated text into step_size segments (the last
-    one may be shorter) and train one dictionary per kept segment."""
-    text = concat_class_text(corpus, class_id)
-    n_full = segment_count(len(text), plan.step_size)
-    indices = _segment_indices(n_full, plan.max_compressors_per_class)
+    """One dictionary for each of ``count`` evenly spaced step_size segments
+    of ``text`` (the last segment may be shorter), or for every segment."""
+    indices = _segment_indices(segment_count(len(text), plan.step_size), count)
     compressors = []
     for segment_index in indices:
         start = segment_index * plan.step_size
@@ -131,18 +127,35 @@ def build_class_list(
     return ClassCompressorList(class_id=class_id, compressors=tuple(compressors))
 
 
+def build_class_list(
+    corpus: Corpus,
+    class_id: str,
+    plan: SegmentPlan,
+    backend: ZstdBackend,
+    dict_mode: str = "trained",
+) -> ClassCompressorList:
+    """One class's list on its own: its concatenated text sliced into
+    step_size segments, up to the plan's cap."""
+    text = concat_class_text(corpus, class_id)
+    return _class_list(class_id, text, plan, plan.max_compressors_per_class, backend, dict_mode)
+
+
 def build_all_lists(
     corpus: Corpus,
     plan: SegmentPlan,
     backend: ZstdBackend,
     dict_mode: str = "trained",
 ) -> dict[str, ClassCompressorList]:
-    """One compressor list per class, trained serially (see the module
-    docstring)."""
+    """One compressor list per class, all of one length (see the module
+    docstring), trained serially."""
+    texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
+    count = min(segment_count(len(text), plan.step_size) for text in texts.values())
+    if plan.max_compressors_per_class is not None:
+        count = min(count, plan.max_compressors_per_class)
     with keep_heap():
         return {
-            class_id: build_class_list(corpus, class_id, plan, backend, dict_mode)
-            for class_id in sorted(corpus.classes)
+            class_id: _class_list(class_id, text, plan, count, backend, dict_mode)
+            for class_id, text in texts.items()
         }
 
 
@@ -214,7 +227,7 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], source: BundleSourc
 
 def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
     """Lists from a bundle and what they were built from; a ValueError that
-    names the bundle when it is not a well-formed version 2 bundle."""
+    names the bundle when it is not a well-formed version 3 bundle."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -223,7 +236,8 @@ def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
     if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"{path}: not a compressor bundle")
     if doc.get("version") != BUNDLE_VERSION:
-        # Version 1 recorded neither the train split nor the dictionary mode.
+        # Version 1 recorded neither the train split nor the dictionary mode;
+        # version 2 trained with libzstd's default table and ragged lists.
         raise ValueError(
             f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
         )

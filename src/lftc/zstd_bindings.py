@@ -7,24 +7,34 @@ output buffers are kept thread-local because ZSTD_CCtx/ZSTD_DCtx are not
 thread-safe; CDict handles are immutable and may be shared freely between
 threads.
 
-``keep_heap()`` wraps every fit (``lftc.classifier.Pipeline``). Each ZDICT
-call runs zstd's fastCover optimiser, which allocates about 10 MB of
-scratch tables per value of k it tries. Under glibc's default thresholds
-those tables are mmapped fresh and unmapped on every call, so the kernel
-zero-fills them page by page: a 16-class fit of 193 dictionaries took
-~575,000 minor page faults, with more system time than user time. Inside
-the block, glibc serves such tables from the heap and keeps them mapped
-(mmap threshold 32 MiB, trim threshold 64 MiB), which cuts that fit to
-~3,300 faults, one dictionary's worth; leaving the block returns the free
-heap to the system with ``malloc_trim(0)``. The thresholds are set on the
-first entry and stay set for the rest of the process, so the predictions
-after a fit run under them too. There they keep zlib's ~256 KB deflate
-state, taken afresh by every NCD compression, off fresh pages: under the
-defaults a process that reused a bundle took, depending on its heap
-layout, up to ~1,600 minor faults per query of the bundled corpus, and
-under the thresholds fewer than 10. Where libc lacks ``mallopt`` or
-``malloc_trim`` the block does nothing. The allocator changes no
-compressor's output.
+Frames are scored without a dictionary ID in their header
+(``noDictIDFlag``), so a trained dictionary, which has an ID, and a raw
+one, which has none, are charged the same header bytes.
+
+``train_dictionary`` runs zstd's fastCover optimiser as
+``ZDICT_trainFromBuffer`` does, except that the caller sizes its frequency
+table (2^f entries of 4 bytes, plus a 2-byte table per value of k tried):
+libzstd's default f=20 allocates ~10 MB per dictionary however small the
+samples are, and clearing those tables was most of an 8 KiB segment's
+training time.
+
+``keep_heap()`` wraps every fit (``lftc.classifier.Pipeline``). From 4
+KiB segments up the scratch tables reach glibc's default mmap threshold
+(128 KiB), so they are mmapped fresh and unmapped on every call, and the
+kernel zero-fills them page by page: a 16-class fit of 193 dictionaries
+at f=20 took ~575,000 minor page faults, with more system time than user
+time. Inside the block, glibc serves such tables from the heap and keeps
+them mapped (mmap threshold 32 MiB, trim threshold 64 MiB), which cuts
+that fit to ~3,300 faults, one dictionary's worth; leaving the block
+returns the free heap to the system with ``malloc_trim(0)``. The
+thresholds are set on the first entry and stay set for the rest of the
+process, so the predictions after a fit run under them too. There they
+keep zlib's ~256 KB deflate state, taken afresh by every NCD
+compression, off fresh pages: under the defaults a process that reused a
+bundle took, depending on its heap layout, up to ~1,600 minor faults per
+query of the bundled corpus, and under the thresholds fewer than 10.
+Where libc lacks ``mallopt`` or ``malloc_trim`` the block does nothing.
+The allocator changes no compressor's output.
 """
 
 from __future__ import annotations
@@ -50,6 +60,29 @@ _HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
 
 class ZstdError(RuntimeError):
     """A libzstd call returned an error code."""
+
+
+class _FrameParams(ctypes.Structure):
+    """ZSTD_frameParameters."""
+
+    _fields_ = [("contentSizeFlag", ctypes.c_int), ("checksumFlag", ctypes.c_int),
+                ("noDictIDFlag", ctypes.c_int)]
+
+
+# Scored frames: content size in the header, no checksum, no dictionary ID.
+_SCORE_FRAME = _FrameParams(contentSizeFlag=1, checksumFlag=0, noDictIDFlag=1)
+
+
+class _FastCoverParams(ctypes.Structure):
+    """ZDICT_fastCover_params_t: its first four fields, then zeros for the
+    rest (nbThreads, splitPoint, accel, shrinkDict, shrinkDictMaxRegression
+    and the ZDICT_params_t, 56 bytes in all in libzstd 1.5), where zero
+    means libzstd's default. The tail is longer than any libzstd's struct."""
+
+    _fields_ = [
+        ("k", ctypes.c_uint), ("d", ctypes.c_uint), ("f", ctypes.c_uint),
+        ("steps", ctypes.c_uint), ("_defaults", ctypes.c_char * 128),
+    ]
 
 
 _lib = None
@@ -88,9 +121,10 @@ def _load():
         lib.ZSTD_createCDict.argtypes = [c.c_void_p, c.c_size_t, c.c_int]
         lib.ZSTD_freeCDict.restype = c.c_size_t
         lib.ZSTD_freeCDict.argtypes = [c.c_void_p]
-        lib.ZSTD_compress_usingCDict.restype = c.c_size_t
-        lib.ZSTD_compress_usingCDict.argtypes = [
+        lib.ZSTD_compress_usingCDict_advanced.restype = c.c_size_t
+        lib.ZSTD_compress_usingCDict_advanced.argtypes = [
             c.c_void_p, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t, c.c_void_p,
+            _FrameParams,
         ]
 
         lib.ZSTD_createDCtx.restype = c.c_void_p
@@ -103,9 +137,10 @@ def _load():
         lib.ZSTD_getFrameContentSize.restype = c.c_ulonglong
         lib.ZSTD_getFrameContentSize.argtypes = [c.c_void_p, c.c_size_t]
 
-        lib.ZDICT_trainFromBuffer.restype = c.c_size_t
-        lib.ZDICT_trainFromBuffer.argtypes = [
+        lib.ZDICT_optimizeTrainFromBuffer_fastCover.restype = c.c_size_t
+        lib.ZDICT_optimizeTrainFromBuffer_fastCover.argtypes = [
             c.c_void_p, c.c_size_t, c.c_void_p, c.POINTER(c.c_size_t), c.c_uint,
+            c.POINTER(_FastCoverParams),
         ]
         lib.ZDICT_isError.restype = c.c_uint
         lib.ZDICT_isError.argtypes = [c.c_size_t]
@@ -193,11 +228,14 @@ class CDict:
 
 
 def compress_with_cdict(data: bytes, cdict: CDict) -> bytes:
+    """The frame ``compressed_size_with_cdict`` measures."""
     lib = _load()
     cctx, dst, bound = _cctx_dst(lib, len(data))
     n = _check(
         lib,
-        lib.ZSTD_compress_usingCDict(cctx, dst, bound, data, len(data), cdict._ptr),
+        lib.ZSTD_compress_usingCDict_advanced(
+            cctx, dst, bound, data, len(data), cdict._ptr, _SCORE_FRAME
+        ),
         bound,
     )
     return ctypes.string_at(dst, n)
@@ -208,21 +246,28 @@ def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
     cctx, dst, bound = _cctx_dst(lib, len(data))
     return _check(
         lib,
-        lib.ZSTD_compress_usingCDict(cctx, dst, bound, data, len(data), cdict._ptr),
+        lib.ZSTD_compress_usingCDict_advanced(
+            cctx, dst, bound, data, len(data), cdict._ptr, _SCORE_FRAME
+        ),
         bound,
     )
 
 
-def train_dictionary(samples: list[bytes], capacity: int) -> bytes:
-    """Run ZDICT over the sample set; raises ZstdError when it refuses
-    (too little data, too few samples, ...)."""
+def train_dictionary(samples: list[bytes], capacity: int, f: int) -> bytes:
+    """Run ZDICT's fastCover optimiser over the sample set with a 2^f-entry
+    frequency table, trying d=8 and five values of k as
+    ``ZDICT_trainFromBuffer`` does (which is this call at f=20); raises
+    ZstdError when it refuses (too little data, too few samples, ...)."""
     lib = _load()
     if not samples:
         raise ZstdError("no samples")
     blob = b"".join(samples)
     sizes = (ctypes.c_size_t * len(samples))(*[len(s) for s in samples])
     dst = ctypes.create_string_buffer(capacity)
-    n = lib.ZDICT_trainFromBuffer(dst, capacity, blob, sizes, len(samples))
+    params = _FastCoverParams(d=8, f=f, steps=4)
+    n = lib.ZDICT_optimizeTrainFromBuffer_fastCover(
+        dst, capacity, blob, sizes, len(samples), ctypes.byref(params)
+    )
     if lib.ZDICT_isError(n):
         raise ZstdError(lib.ZDICT_getErrorName(n).decode("ascii", "replace"))
     return dst.raw[:n]

@@ -177,10 +177,7 @@ def test_criterion_3_synthetic_separation(status):
 
 # --- criteria 4-5: paper-scale reproduction (dataset-gated) ---------------------
 
-# Segment size, cap, and level have no published reference values; pinned so
-# every class of the unbalanced full splits yields the same list length
-# (smallest R8 class ~30 KB -> 8 segments of 2 KiB), keeping summed scores
-# comparable across classes.
+# Segment size, cap, and level have no published reference values.
 R8_CONFIG = dict(
     plan=SegmentPlan(step_size=2048, max_compressors_per_class=8),
     dict_mode="raw",

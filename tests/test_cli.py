@@ -103,14 +103,27 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bundle) in err
         assert err.count("\n") == 1
-    # A version 1 bundle does not record its split: it must be rebuilt.
+    # Lists of unequal length give class scores that cannot be compared.
     doc = json.loads(bundle.read_text())
-    doc["version"] = 1
-    del doc["train_sha256"], doc["dict_mode"]
-    bundle.write_text(json.dumps(doc))
+    assert [len(c["segments"]) for c in doc["classes"]] == [2, 2, 2]
+    ragged = json.loads(json.dumps(doc))
+    del ragged["classes"][0]["segments"][1]
+    bundle.write_text(json.dumps(ragged))
     assert run(base) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "rebuild" in err
+    assert err.startswith(f"error: {bundle}: ") and "unequal lengths" in err
+    assert err.count("\n") == 1
+    # A version 2 bundle trained its dictionaries with libzstd's default
+    # table, and a version 1 bundle does not record its split: both must
+    # be rebuilt.
+    for version in (2, 1):
+        doc["version"] = version
+        if version == 1:
+            del doc["train_sha256"], doc["dict_mode"]
+        bundle.write_text(json.dumps(doc))
+        assert run(base) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"version {version}; delete it to rebuild" in err
 
 
 def _drop_classes(doc):

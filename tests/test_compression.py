@@ -1,3 +1,4 @@
+import ctypes
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from lftc import zstd_bindings as zb
 from lftc.compression import (
+    DICT_MODES,
     DeflateBackend,
     DictCompressor,
     SourceSpan,
@@ -141,14 +143,83 @@ def test_zstd_dict_frame_round_trip():
     assert len(frame) == comp.score(data)
 
 
+def _frame_with_dict_id(data: bytes, cdict: zb.CDict) -> bytes:
+    """A frame that names its dictionary, as ZSTD_compress_usingCDict writes
+    it; scored frames leave the ID out, so a decoder cannot tell which
+    dictionary they need."""
+    lib = zb._load()
+    compress = lib.ZSTD_compress_usingCDict
+    compress.restype = ctypes.c_size_t
+    compress.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+                         ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    cctx, dst, bound = zb._cctx_dst(lib, len(data))
+    return ctypes.string_at(dst, zb._check(lib, compress(cctx, dst, bound, data, len(data),
+                                                         cdict._ptr), bound))
+
+
 def test_mismatched_dictionary_raises_zstd_error():
     seg = motif_bytes(5, tokens=2000)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    frame = zb.compress_with_cdict(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
+    frame = _frame_with_dict_id(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
+    assert zb.decompress(frame, dictionary.payload) == motif_bytes(5, tokens=150)
     seg = motif_bytes(6, tokens=2000)
     other = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     with pytest.raises(zb.ZstdError, match="(?i)dictionary"):
         zb.decompress(frame, other.payload)
+
+
+def test_scored_frames_carry_no_dictionary_id():
+    # The low 2 bits of the frame header descriptor, the byte after the
+    # magic number, give the size of the dictionary ID field: 0 means none.
+    # A trained dictionary has an ID and a raw one has none, so both are
+    # charged the same header.
+    seg = motif_bytes(5, tokens=2000)
+    data = motif_bytes(5, tokens=150)
+    for mode in DICT_MODES:
+        dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode=mode)
+        assert dictionary.source_span.mode == mode
+        comp = DictCompressor(ZstdBackend(), dictionary)
+        frame = zb.compress_with_cdict(data, comp.cdict)
+        assert frame[:4] == b"\x28\xb5\x2f\xfd"
+        assert frame[4] & 3 == 0
+        assert zb.decompress(frame, dictionary.payload) == data
+        assert len(frame) == comp.score(data)
+        if mode == "trained":
+            # the same frame with the trained dictionary's ID written out
+            named = _frame_with_dict_id(data, comp.cdict)
+            assert named[4] & 3 != 0
+            assert len(named) > len(frame)
+
+
+def test_train_dictionary_at_f20_is_zdict_train_from_buffer():
+    # libzstd's ZDICT_trainFromBuffer is the fastCover optimiser at d=8,
+    # steps=4 and its default table of 2^20 entries.
+    lib = zb._load()
+    legacy = lib.ZDICT_trainFromBuffer
+    legacy.restype = ctypes.c_size_t
+    legacy.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
+                       ctypes.POINTER(ctypes.c_size_t), ctypes.c_uint]
+    for seed, tokens in ((1, 1500), (2, 3000), (3, 12000)):
+        seg = motif_bytes(seed, tokens=tokens)
+        samples = [seg[off : off + 256] for off in range(0, len(seg), 256)]
+        capacity = max(1024, len(seg) // 4)
+        sizes = (ctypes.c_size_t * len(samples))(*map(len, samples))
+        dst = ctypes.create_string_buffer(capacity)
+        n = legacy(dst, capacity, b"".join(samples), sizes, len(samples))
+        assert not lib.ZDICT_isError(n)
+        assert zb.train_dictionary(samples, capacity, 20) == dst.raw[:n]
+
+
+def test_frequency_table_grows_with_the_segment(monkeypatch):
+    tables = []
+    train = zb.train_dictionary
+    monkeypatch.setattr(zb, "train_dictionary",
+                        lambda samples, capacity, f: tables.append(f) or train(samples, capacity, f))
+    for size in (4096, 8192, 65536, 131072, 131073):
+        seg = motif_bytes(size, tokens=size // 4)[:size]
+        assert len(seg) == size
+        train_dictionary(seg, SourceSpan("c", 0, 0, size))
+    assert tables == [15, 16, 19, 20, 20]
 
 
 def test_output_bound_is_libzstds():

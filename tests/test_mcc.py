@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lftc import mcc
 from lftc.compression import ZstdBackend
-from lftc.corpus import concat_class_text
+from lftc.corpus import Corpus, concat_class_text
 from lftc.mcc import (
     BundleSource,
     ClassScore,
@@ -22,7 +22,7 @@ from lftc.mcc import (
     segment_count,
     select_candidates,
 )
-from lftc.synthetic import MotifGenerator
+from lftc.synthetic import MotifGenerator, make_motif_split
 
 from conftest import corpus_from
 from reference_lz import ref_compress_size
@@ -90,17 +90,43 @@ def test_build_all_lists_keys(motif_split):
     assert set(lists) == train.classes
 
 
-def test_build_all_lists_spans_tile_concatenation(motif_split):
+def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
+    # Every class keeps m step-size slices of its concatenated text, with m
+    # the fewest segments any class has; the first slice starts at 0.
     train, _ = motif_split
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=None)
     lists = build_all_lists(train, plan, ZstdBackend())
+    lengths = {c: len(concat_class_text(train, c)) for c in lists}
+    counts = {c: segment_count(n, plan.step_size) for c, n in lengths.items()}
+    m = min(counts.values())
+    assert len(set(counts.values())) > 1  # the split is ragged
     for class_id, cl in lists.items():
-        text_len = len(concat_class_text(train, class_id))
-        ranges = spans(cl)
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == text_len
-        for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-            assert stop == start
+        indices = mcc._segment_indices(counts[class_id], m)
+        assert [c.dictionary.source_span.segment_index for c in cl.compressors] == indices
+        assert spans(cl) == [
+            (i * 1024, min(lengths[class_id], (i + 1) * 1024)) for i in indices
+        ]
+        assert spans(cl)[0][0] == 0
+
+
+def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
+    # One class with far fewer documents sets the length of every list,
+    # capped or not; build_class_list alone still keeps the class's own count.
+    gen = MotifGenerator(1, classes=5, tokens_per_doc=(200, 400), noise_ratio=0.3)
+    full = gen.corpus("t", 24, "train")
+    small = [s for s in full.samples if s.label == "alpha"][:4]
+    train = Corpus("ragged", tuple(small) + tuple(s for s in full.samples if s.label != "alpha"))
+    for cap in (None, 16, 2):
+        plan = SegmentPlan(step_size=4096, max_compressors_per_class=cap)
+        counts = {c: segment_count(len(concat_class_text(train, c)), 4096)
+                  for c in train.classes}
+        assert counts["alpha"] < min(n for c, n in counts.items() if c != "alpha")
+        lists = build_all_lists(train, plan, ZstdBackend())
+        m = counts["alpha"] if cap is None else min(counts["alpha"], cap)
+        assert {c: len(cl.compressors) for c, cl in lists.items()} == dict.fromkeys(lists, m)
+    own = build_class_list(train, "beta", SegmentPlan(step_size=4096, max_compressors_per_class=None),
+                           ZstdBackend())
+    assert len(own.compressors) == counts["beta"] > m
 
 
 def test_build_all_lists_passes_errors_through(motif_split, monkeypatch):
@@ -136,23 +162,25 @@ def test_dictionaries_do_not_depend_on_the_level(motif_split):
     not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt (not glibc)"
 )
 def test_build_all_lists_faults_in_one_dictionarys_tables():
-    # ZDICT's scratch tables stay mapped across a fit: 59 dictionaries cost
-    # about as many minor page faults as 4 do, where mapping the tables
-    # afresh per dictionary costs over ten times as many.
-    train = MotifGenerator(1, classes=4, noise_ratio=0.3).corpus("t", 41, "train")
+    # ZDICT's scratch tables stay mapped across a fit. At step 8192 each
+    # dictionary's tables take 256 KiB, above glibc's default mmap
+    # threshold: kept mapped, each dictionary past the first few costs ~16
+    # minor page faults; mapped afresh per dictionary, ~500.
+    gen = MotifGenerator(1, classes=4, tokens_per_doc=(200, 400), noise_ratio=0.3)
+    train = gen.corpus("t", 40, "train")
 
     def faults(cap):
-        plan = SegmentPlan(step_size=2048, max_compressors_per_class=cap)
+        plan = SegmentPlan(step_size=8192, max_compressors_per_class=cap)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         lists = build_all_lists(train, plan, ZstdBackend())
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, lists
+        dictionaries = sum(len(cl.compressors) for cl in lists.values())
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, dictionaries
 
     faults(1)  # loads libzstd and settles the allocator
     few, small = faults(1)
-    many, large = faults(16)
-    assert sum(len(cl.compressors) for cl in small.values()) == 4
-    assert sum(len(cl.compressors) for cl in large.values()) == 59
-    assert many < 2 * few, (many, few)
+    many, large = faults(None)
+    assert (small, large) == (4, 48)
+    assert (many - few) / (large - small) < 50, (many, few)
 
 
 def test_score_query_prefers_own_class():
@@ -186,6 +214,23 @@ def test_score_query_equals_recomputed_sum(motif_split):
     for cs in score_query(lists, q):
         manual = sum(c.score(q) for c in lists[cs.class_id].compressors)
         assert cs.score == manual
+
+
+def test_pair_recall_with_equal_lists_on_32_classes():
+    # With each class's own segment count (11 to 13 here), classes with
+    # fewer segments sum lower, and only 0.7375 of these queries have their
+    # class in the pair; with equal lists every one does.
+    train, test = make_motif_split(1, classes=32, tokens_per_doc=(200, 400), noise_ratio=0.3)
+    lists = build_all_lists(train, SegmentPlan(step_size=8192, max_compressors_per_class=None),
+                            ZstdBackend())
+    queries = test.samples[::3]
+    assert len(queries) == 320
+    missed = []
+    for i, sample in enumerate(queries):
+        pair = select_candidates(score_query(lists, sample.text))
+        if sample.label not in (pair.first, pair.second):
+            missed.append(i)
+    assert missed == []
 
 
 def test_select_candidates_ordering():
