@@ -10,9 +10,8 @@ Variants:
                       whole training set as gold data (gzip-KNN).
 
 Every variant goes through the one ``Pipeline.predict`` body: MCC when the
-pipeline has lists, CR when it has fitted sizes. There is no CR fallback;
-``Prediction.fallback`` flags only a single-class corpus, where MCC has no
-pair to choose.
+pipeline has lists, CR when it has fitted sizes. A train split needs two or
+more classes, for MCC's pair and for every variant alike.
 
 A pipeline is fitted once per (train corpus, config) and reused for every
 query. The fit builds the compressor lists, with each dictionary digested,
@@ -82,7 +81,7 @@ class Prediction:
     ncd_calls: int = 0
     mcc_seconds: float = 0.0
     cr_seconds: float = 0.0
-    fallback: bool = False
+    fallback: bool = False  # never set; perfbench/bench.py's signature() reads it
     tie: bool = False
     neighbors: tuple[cr.NcdNeighbor, ...] = ()
     error: str | None = None
@@ -98,7 +97,8 @@ def list_plan(config: PipelineConfig) -> SegmentPlan:
 
 
 class Pipeline:
-    """Fitted classifier; ``predict`` is a pure function of the query."""
+    """Fitted classifier; ``predict`` is a pure function of the query. A
+    train split of fewer than two classes raises ``DegenerateCorpusError``."""
 
     def __init__(
         self,
@@ -106,6 +106,11 @@ class Pipeline:
         config: PipelineConfig,
         prebuilt_lists: dict[str, mcc.ClassCompressorList] | None = None,
     ):
+        if len(train.classes) < 2:
+            raise mcc.DegenerateCorpusError(
+                f"train split {train.name!r} has {len(train.classes)} class; "
+                "classification needs at least 2"
+            )
         self.train = train
         self.config = config
         self.classes = sorted(train.classes)
@@ -136,24 +141,20 @@ class Pipeline:
         self.list_build_seconds = time.perf_counter() - t0
 
     def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
-        """MCC shortlists a pair when the pipeline has lists and two or more
-        classes; CR then votes over the pair's training texts, or over every
-        class for baseline-ncd. lftc-cr, which fits no sizes, answers the
-        pair's first class; a single-class corpus with lists answers its only
-        class, flagged as a fallback."""
+        """MCC shortlists a pair when the pipeline has lists; CR then votes
+        over the pair's training texts, or over every class for
+        baseline-ncd. lftc-cr, which fits no sizes, answers the pair's first
+        class."""
         t_start = mcc_end = cr_end = time.perf_counter()
         pair = None
         labels = self.classes
-        fallback = self.lists is not None and len(self.classes) < 2
         try:
             if self.lists is not None:
-                scores = mcc.score_query(self.lists, text)
-                if not fallback:
-                    pair = mcc.select_candidates(scores)
-                    labels = [pair.first, pair.second]
+                pair = mcc.select_candidates(mcc.score_query(self.lists, text))
+                labels = [pair.first, pair.second]
                 mcc_end = cr_end = time.perf_counter()
             outcome = cr.ReasoningOutcome(label=labels[0], neighbors=(), ncd_calls=0)
-            if self.sizes and not fallback:
+            if self.sizes:
                 outcome = cr.reason_detail(self.train, labels, text, self.sizes, self.config.k)
                 cr_end = time.perf_counter()
         except (ValueError, CompressionError) as exc:
@@ -174,7 +175,6 @@ class Pipeline:
             ncd_calls=outcome.ncd_calls,
             mcc_seconds=mcc_end - t_start,
             cr_seconds=cr_end - mcc_end,
-            fallback=fallback,
             tie=outcome.tie,
             neighbors=outcome.neighbors,
         )

@@ -157,7 +157,11 @@ def _write_audit(path: Path, predictions) -> None:
                 "truth": p.truth,
                 "predicted": p.predicted,
                 "candidate_pair": (
-                    {"first": p.candidate_pair.first, "second": p.candidate_pair.second}
+                    {
+                        "first": p.candidate_pair.first,
+                        "second": p.candidate_pair.second,
+                        "scores": {s.class_id: s.score for s in p.candidate_pair.scores},
+                    }
                     if p.candidate_pair else None
                 ),
                 "neighbors": [
@@ -165,7 +169,6 @@ def _write_audit(path: Path, predictions) -> None:
                     for n in p.neighbors
                 ],
                 "tie": p.tie,
-                "fallback": p.fallback,
                 "error": p.error,
             }) + "\n")
 

@@ -15,7 +15,6 @@ import weakref
 import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from typing import Protocol
 
 from . import zstd_bindings as zb
 
@@ -37,12 +36,6 @@ class CompressionError(RuntimeError):
 
 class UnsupportedBackendError(CompressionError):
     """The requested operation needs a capability the backend lacks."""
-
-
-class Backend(Protocol):
-    kind: str
-
-    def compressed_size(self, data: bytes) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -207,19 +200,8 @@ def _zdict_train_segment(segment: bytes) -> bytes | None:
     return payload or None
 
 
-def ncd(backend: Backend, x: bytes, y: bytes) -> float:
-    """Normalized compression distance with C(.) = backend compressed size;
-    the pair is concatenated with no separator."""
-    _require_nonempty(x)
-    _require_nonempty(y)
-    cx = backend.compressed_size(x)
-    cy = backend.compressed_size(y)
-    cxy = backend.compressed_size(x + y)
-    return ncd_value(cxy, cx, cy)
-
-
 def ncd_value(c_xy: int, c_x: int, c_y: int) -> float:
-    """The distance formula itself, usable with precomputed sizes."""
+    """Normalized compression distance from the sizes C(xy), C(x), C(y)."""
     return (c_xy - min(c_x, c_y)) / max(c_x, c_y)
 
 

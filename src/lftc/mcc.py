@@ -99,23 +99,22 @@ def segment_count(total_len: int, step_size: int) -> int:
     return -(-total_len // step_size)
 
 
-def _segment_indices(n_full: int, cap: int | None) -> list[int]:
-    if cap is None or n_full <= cap:
-        return list(range(n_full))
-    # Evenly spaced over the full span; strictly increasing since cap <= n_full.
-    return [(i * n_full) // cap for i in range(cap)]
+def _segment_indices(n_full: int, count: int) -> list[int]:
+    # Evenly spaced over the full span; strictly increasing since
+    # count <= n_full, and every index when count == n_full.
+    return [(i * n_full) // count for i in range(count)]
 
 
 def _class_list(
     class_id: str,
     text: bytes,
     plan: SegmentPlan,
-    count: int | None,
+    count: int,
     backend: ZstdBackend,
     dict_mode: str,
 ) -> ClassCompressorList:
     """One dictionary for each of ``count`` evenly spaced step_size segments
-    of ``text`` (the last segment may be shorter), or for every segment."""
+    of ``text`` (the last segment may be shorter)."""
     indices = _segment_indices(segment_count(len(text), plan.step_size), count)
     compressors = []
     for segment_index in indices:
@@ -125,19 +124,6 @@ def _class_list(
         dictionary = train_dictionary(text[start:stop], span, mode=dict_mode)
         compressors.append(DictCompressor(backend, dictionary))
     return ClassCompressorList(class_id=class_id, compressors=tuple(compressors))
-
-
-def build_class_list(
-    corpus: Corpus,
-    class_id: str,
-    plan: SegmentPlan,
-    backend: ZstdBackend,
-    dict_mode: str = "trained",
-) -> ClassCompressorList:
-    """One class's list on its own: its concatenated text sliced into
-    step_size segments, up to the plan's cap."""
-    text = concat_class_text(corpus, class_id)
-    return _class_list(class_id, text, plan, plan.max_compressors_per_class, backend, dict_mode)
 
 
 def build_all_lists(

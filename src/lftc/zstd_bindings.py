@@ -1,11 +1,10 @@
 """Minimal ctypes bindings for the system Zstandard library.
 
-Only the pieces this package needs: one-shot compression, dictionary
-training (ZDICT), digested-dictionary compression (CDict), and
-decompression for round-trip checks.  Compression contexts and their
-output buffers are kept thread-local because ZSTD_CCtx/ZSTD_DCtx are not
-thread-safe; CDict handles are immutable and may be shared freely between
-threads.
+Only the pieces this package needs: dictionary training (ZDICT) and the
+compressed size of a frame made with a digested dictionary (CDict).
+Compression contexts and their output buffers are kept thread-local
+because a ZSTD_CCtx is not thread-safe; CDict handles are immutable and
+may be shared freely between threads.
 
 Frames are scored without a dictionary ID in their header
 (``noDictIDFlag``), so a trained dictionary, which has an ID, and a raw
@@ -45,9 +44,6 @@ import ctypes.util
 import functools
 import threading
 import weakref
-
-_CONTENTSIZE_UNKNOWN = 2**64 - 1
-_CONTENTSIZE_ERROR = 2**64 - 2
 
 MIN_LEVEL = 1
 MAX_LEVEL = 19  # ultra levels need explicit window handling; not used here
@@ -112,10 +108,6 @@ def _load():
         lib.ZSTD_createCCtx.restype = c.c_void_p
         lib.ZSTD_freeCCtx.restype = c.c_size_t
         lib.ZSTD_freeCCtx.argtypes = [c.c_void_p]
-        lib.ZSTD_compressCCtx.restype = c.c_size_t
-        lib.ZSTD_compressCCtx.argtypes = [
-            c.c_void_p, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t, c.c_int,
-        ]
 
         lib.ZSTD_createCDict.restype = c.c_void_p
         lib.ZSTD_createCDict.argtypes = [c.c_void_p, c.c_size_t, c.c_int]
@@ -126,16 +118,6 @@ def _load():
             c.c_void_p, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t, c.c_void_p,
             _FrameParams,
         ]
-
-        lib.ZSTD_createDCtx.restype = c.c_void_p
-        lib.ZSTD_freeDCtx.restype = c.c_size_t
-        lib.ZSTD_freeDCtx.argtypes = [c.c_void_p]
-        lib.ZSTD_decompress_usingDict.restype = c.c_size_t
-        lib.ZSTD_decompress_usingDict.argtypes = [
-            c.c_void_p, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t,
-        ]
-        lib.ZSTD_getFrameContentSize.restype = c.c_ulonglong
-        lib.ZSTD_getFrameContentSize.argtypes = [c.c_void_p, c.c_size_t]
 
         lib.ZDICT_optimizeTrainFromBuffer_fastCover.restype = c.c_size_t
         lib.ZDICT_optimizeTrainFromBuffer_fastCover.argtypes = [
@@ -197,20 +179,6 @@ def version() -> tuple[int, int, int]:
     return (v // 10000, (v // 100) % 100, v % 100)
 
 
-def compress(data: bytes, level: int) -> bytes:
-    """One-shot compression into a standard Zstandard frame."""
-    lib = _load()
-    cctx, dst, bound = _cctx_dst(lib, len(data))
-    n = _check(lib, lib.ZSTD_compressCCtx(cctx, dst, bound, data, len(data), level), bound)
-    return ctypes.string_at(dst, n)
-
-
-def compressed_size(data: bytes, level: int) -> int:
-    lib = _load()
-    cctx, dst, bound = _cctx_dst(lib, len(data))
-    return _check(lib, lib.ZSTD_compressCCtx(cctx, dst, bound, data, len(data), level), bound)
-
-
 class CDict:
     """A digested dictionary, shareable across threads.
 
@@ -225,20 +193,6 @@ class CDict:
         if not self._ptr:
             raise ZstdError("ZSTD_createCDict failed")
         self._finalizer = weakref.finalize(self, lib.ZSTD_freeCDict, self._ptr)
-
-
-def compress_with_cdict(data: bytes, cdict: CDict) -> bytes:
-    """The frame ``compressed_size_with_cdict`` measures."""
-    lib = _load()
-    cctx, dst, bound = _cctx_dst(lib, len(data))
-    n = _check(
-        lib,
-        lib.ZSTD_compress_usingCDict_advanced(
-            cctx, dst, bound, data, len(data), cdict._ptr, _SCORE_FRAME
-        ),
-        bound,
-    )
-    return ctypes.string_at(dst, n)
 
 
 def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
@@ -302,26 +256,3 @@ def keep_heap():
     finally:
         if libc is not None:
             libc.malloc_trim(0)
-
-
-def decompress(frame: bytes, dict_payload: bytes = b"") -> bytes:
-    """Round-trip helper; relies on the frame header carrying the content size."""
-    lib = _load()
-    size = lib.ZSTD_getFrameContentSize(frame, len(frame))
-    if size in (_CONTENTSIZE_UNKNOWN, _CONTENTSIZE_ERROR):
-        raise ZstdError("frame content size unavailable")
-    dctx = lib.ZSTD_createDCtx()
-    if not dctx:
-        raise ZstdError("ZSTD_createDCtx failed")
-    try:
-        dst = ctypes.create_string_buffer(max(1, size))
-        n = _check(
-            lib,
-            lib.ZSTD_decompress_usingDict(
-                dctx, dst, size, frame, len(frame), dict_payload, len(dict_payload)
-            ),
-            size,
-        )
-        return dst.raw[:n]
-    finally:
-        lib.ZSTD_freeDCtx(dctx)

@@ -15,12 +15,12 @@ from collections import Counter
 import pytest
 
 from lftc.classifier import Pipeline, PipelineConfig, evaluate, evaluate_fewshot
-from lftc.compression import ncd
 from lftc.corpus import load_csv
 from lftc.cr import NcdNeighbor, vote_detail
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
+from codec_helpers import ncd
 from conftest import DATA_DIR, DATASET_DIR
 from reference_lz import ref_entropy_coded_size, ref_longest_match
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from lftc.classifier import (
+    VARIANTS,
     Pipeline,
     PipelineConfig,
     evaluate,
@@ -38,8 +39,8 @@ def test_identical_query_identical_fields(motif_split):
     q = test.samples[0].text
     a = pipeline.predict(q, sample_index=3, truth="alpha")
     b = pipeline.predict(q, sample_index=3, truth="alpha")
-    assert (a.predicted, a.candidate_pair, a.ncd_calls, a.fallback) == (
-        b.predicted, b.candidate_pair, b.ncd_calls, b.fallback)
+    assert (a.predicted, a.candidate_pair, a.ncd_calls) == (
+        b.predicted, b.candidate_pair, b.ncd_calls)
 
 
 def test_lftc_prediction_within_pair(motif_split):
@@ -97,11 +98,13 @@ def test_baseline_exact_copy_query(motif_split):
     assert pred.predicted == train.samples[5].label
 
 
-def test_single_class_degenerate_flagged():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_single_class_train_split_refused(variant):
+    # Two lowest-scoring classes need two classes, and a one-class split
+    # leaves nothing to classify for any variant.
     train = corpus_from([("only", b"text one two three"), ("only", b"four five six")])
-    pred = Pipeline(train, PipelineConfig()).predict(b"whatever query")
-    assert pred.predicted == "only"
-    assert pred.fallback
+    with pytest.raises(mcc.DegenerateCorpusError, match="'tiny' has 1 class"):
+        Pipeline(train, PipelineConfig(variant=variant))
 
 
 def test_lftc_synthetic_separation_200_queries():

@@ -63,16 +63,40 @@ def test_eval_bad_delimiter_exit_code(delimiter, capsys):
 
 
 def test_eval_audit_jsonl(tmp_path, capsys):
-    audit = tmp_path / "audit.jsonl"
-    code = run(["eval", "--train", TRAIN, "--test", TEST, "--audit", str(audit)])
-    assert code == EXIT_OK
-    lines = [json.loads(l) for l in audit.read_text().splitlines()]
-    assert len(lines) == 180
-    first = lines[0]
-    assert {"sample_index", "truth", "predicted", "candidate_pair",
-            "neighbors", "tie", "fallback"} <= set(first)
-    assert first["candidate_pair"] is not None
-    assert len(first["neighbors"]) == 1  # k=1
+    # An lftc line carries every train class's MCC score, in class-id order,
+    # and its pair is the two lowest scores with ties broken by class id.
+    classes = sorted(load_csv(TRAIN).classes)
+    for variant in ("lftc", "baseline-ncd"):
+        audit = tmp_path / f"{variant}.jsonl"
+        assert run(["eval", "--train", TRAIN, "--test", TEST, "--variant", variant,
+                    "--audit", str(audit)]) == EXIT_OK
+        lines = [json.loads(l) for l in audit.read_text().splitlines()]
+        assert len(lines) == 180
+        for line in lines:
+            assert {"sample_index", "truth", "predicted", "candidate_pair",
+                    "neighbors", "tie", "error"} == set(line)
+            assert len(line["neighbors"]) == 1  # k=1
+            pair = line["candidate_pair"]
+            if variant == "baseline-ncd":
+                assert pair is None
+                continue
+            assert list(pair["scores"]) == classes
+            ranked = sorted(pair["scores"], key=lambda c: (pair["scores"][c], c))
+            assert [pair["first"], pair["second"]] == ranked[:2]
+
+
+@pytest.mark.parametrize("args", [["eval", "--variant", v] for v in classifier.VARIANTS]
+                         + [["compare"], ["fewshot"], ["sweep"]],
+                         ids=lambda args: "-".join(args))
+def test_single_class_train_exit_code(tmp_path, args, capsys):
+    train = load_csv(TRAIN)
+    only = tmp_path / "one_class.csv"
+    save_csv(Corpus("one", tuple(s for s in train.samples if s.label == "alpha")), only)
+    code = run(args + ["--train", str(only), "--test", TEST])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: train split") and "needs at least 2" in err
+    assert err.count("\n") == 1
 
 
 def test_eval_bundle_reuse(tmp_path, capsys):

@@ -18,11 +18,12 @@ from lftc.compression import (
     TrainedDictionary,
     UnsupportedBackendError,
     ZstdBackend,
-    ncd,
     ncd_value,
     train_dictionary,
 )
 
+import codec_helpers as frames
+from codec_helpers import ncd
 from reference_lz import (
     ref_compress_size,
     ref_entropy_coded_size,
@@ -34,7 +35,7 @@ from reference_lz import (
 def zstd_size(data: bytes) -> int:
     """Plain zstd frame size at the default level, the no-dictionary
     reference the dictionary scores are compared against."""
-    return zb.compressed_size(data, ZstdBackend().level)
+    return frames.compressed_size(data, ZstdBackend().level)
 
 
 class ZstdSizes:
@@ -123,8 +124,8 @@ def test_large_query_scores_at_the_backend_level():
 
 def test_zstd_frame_round_trip():
     data = motif_bytes(3)
-    frame = zb.compress(data, ZstdBackend().level)
-    assert zb.decompress(frame) == data
+    frame = frames.compress(data, ZstdBackend().level)
+    assert frames.decompress(frame) == data
     assert len(frame) == zstd_size(data)
 
 
@@ -138,34 +139,20 @@ def test_zstd_dict_frame_round_trip():
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     comp = DictCompressor(ZstdBackend(), dictionary)
     data = motif_bytes(5, tokens=150)
-    frame = zb.compress_with_cdict(data, comp.cdict)
-    assert zb.decompress(frame, dictionary.payload) == data
+    frame = frames.compress_with_cdict(data, comp.cdict)
+    assert frames.decompress(frame, dictionary.payload) == data
     assert len(frame) == comp.score(data)
-
-
-def _frame_with_dict_id(data: bytes, cdict: zb.CDict) -> bytes:
-    """A frame that names its dictionary, as ZSTD_compress_usingCDict writes
-    it; scored frames leave the ID out, so a decoder cannot tell which
-    dictionary they need."""
-    lib = zb._load()
-    compress = lib.ZSTD_compress_usingCDict
-    compress.restype = ctypes.c_size_t
-    compress.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
-                         ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
-    cctx, dst, bound = zb._cctx_dst(lib, len(data))
-    return ctypes.string_at(dst, zb._check(lib, compress(cctx, dst, bound, data, len(data),
-                                                         cdict._ptr), bound))
 
 
 def test_mismatched_dictionary_raises_zstd_error():
     seg = motif_bytes(5, tokens=2000)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    frame = _frame_with_dict_id(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
-    assert zb.decompress(frame, dictionary.payload) == motif_bytes(5, tokens=150)
+    frame = frames.frame_with_dict_id(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
+    assert frames.decompress(frame, dictionary.payload) == motif_bytes(5, tokens=150)
     seg = motif_bytes(6, tokens=2000)
     other = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     with pytest.raises(zb.ZstdError, match="(?i)dictionary"):
-        zb.decompress(frame, other.payload)
+        frames.decompress(frame, other.payload)
 
 
 def test_scored_frames_carry_no_dictionary_id():
@@ -179,14 +166,14 @@ def test_scored_frames_carry_no_dictionary_id():
         dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode=mode)
         assert dictionary.source_span.mode == mode
         comp = DictCompressor(ZstdBackend(), dictionary)
-        frame = zb.compress_with_cdict(data, comp.cdict)
+        frame = frames.compress_with_cdict(data, comp.cdict)
         assert frame[:4] == b"\x28\xb5\x2f\xfd"
         assert frame[4] & 3 == 0
-        assert zb.decompress(frame, dictionary.payload) == data
+        assert frames.decompress(frame, dictionary.payload) == data
         assert len(frame) == comp.score(data)
         if mode == "trained":
             # the same frame with the trained dictionary's ID written out
-            named = _frame_with_dict_id(data, comp.cdict)
+            named = frames.frame_with_dict_id(data, comp.cdict)
             assert named[4] & 3 != 0
             assert len(named) > len(frame)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftc.compression import CompressionError, DeflateBackend, ncd
+from lftc.compression import CompressionError, DeflateBackend
 from lftc.cr import (
     NcdNeighbor,
     extract_gold,
@@ -14,6 +14,7 @@ from lftc.cr import (
     sample_sizes,
     vote_detail,
 )
+from codec_helpers import ncd
 from conftest import corpus_from
 
 PAIR = ("p", "q")

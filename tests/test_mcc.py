@@ -15,7 +15,6 @@ from lftc.mcc import (
     DegenerateCorpusError,
     SegmentPlan,
     build_all_lists,
-    build_class_list,
     load_bundle,
     save_bundle,
     score_query,
@@ -48,9 +47,11 @@ def test_segment_count_rejects_nonpositive():
         segment_count(4, 0)
 
 
-def one_class_corpus(total_len: int):
-    # single sample avoids separator arithmetic in span checks
-    return corpus_from([("a", bytes(i % 251 for i in range(total_len))), ("b", b"zz")])
+def one_text_per_class(total_len: int):
+    # single samples avoid separator arithmetic in span checks; "b" is as
+    # long as "a", so the shared list length is a's own segment count
+    return corpus_from([("a", bytes(i % 251 for i in range(total_len))),
+                        ("b", bytes(i % 13 for i in range(total_len)))])
 
 
 def spans(class_list):
@@ -59,17 +60,17 @@ def spans(class_list):
 
 
 def test_build_class_list_spans_tile():
-    corpus = one_class_corpus(1000)
-    cl = build_class_list(corpus, "a", SegmentPlan(step_size=400, max_compressors_per_class=None),
-                          ZstdBackend())
+    corpus = one_text_per_class(1000)
+    cl = build_all_lists(corpus, SegmentPlan(step_size=400, max_compressors_per_class=None),
+                         ZstdBackend())["a"]
     assert len(cl.compressors) == 3
     assert spans(cl) == [(0, 400), (400, 800), (800, 1000)]
 
 
 def test_build_class_list_cap_evenly_spaced():
-    corpus = one_class_corpus(10_000)
-    cl = build_class_list(corpus, "a", SegmentPlan(step_size=100, max_compressors_per_class=10),
-                          ZstdBackend())
+    corpus = one_text_per_class(10_000)
+    cl = build_all_lists(corpus, SegmentPlan(step_size=100, max_compressors_per_class=10),
+                         ZstdBackend())["a"]
     assert len(cl.compressors) == 10
     got = [c.dictionary.source_span.segment_index for c in cl.compressors]
     assert got == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
@@ -79,7 +80,7 @@ def test_build_class_list_cap_evenly_spaced():
 
 def test_build_class_list_single_short_text():
     corpus = corpus_from([("a", b"tiny text of fifty bytes or so, quite short."), ("b", b"zz")])
-    cl = build_class_list(corpus, "a", SegmentPlan(step_size=400), ZstdBackend())
+    cl = build_all_lists(corpus, SegmentPlan(step_size=400), ZstdBackend())["a"]
     assert len(cl.compressors) == 1
     assert cl.compressors[0].dictionary.source_span.mode == "raw"  # too small to train
 
@@ -111,7 +112,7 @@ def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
 
 def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
     # One class with far fewer documents sets the length of every list,
-    # capped or not; build_class_list alone still keeps the class's own count.
+    # capped or not.
     gen = MotifGenerator(1, classes=5, tokens_per_doc=(200, 400), noise_ratio=0.3)
     full = gen.corpus("t", 24, "train")
     small = [s for s in full.samples if s.label == "alpha"][:4]
@@ -124,9 +125,7 @@ def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
         lists = build_all_lists(train, plan, ZstdBackend())
         m = counts["alpha"] if cap is None else min(counts["alpha"], cap)
         assert {c: len(cl.compressors) for c, cl in lists.items()} == dict.fromkeys(lists, m)
-    own = build_class_list(train, "beta", SegmentPlan(step_size=4096, max_compressors_per_class=None),
-                           ZstdBackend())
-    assert len(own.compressors) == counts["beta"] > m
+    assert counts["beta"] > m
 
 
 def test_build_all_lists_passes_errors_through(motif_split, monkeypatch):
