@@ -121,19 +121,21 @@ class TrainedDictionary:
             raise ValueError(f"unknown dictionary mode: {self.source_span.mode!r}")
 
 
-# Live digests by (payload, level). A digest is a pure function of its key,
-# so every DictCompressor with the same dictionary and level shares one, and
-# pipelines fitted on the same corpus hold one set of digests (11.6 MB for
-# the 176 level-3 dictionaries of a 16-class generated split at step 8192).
+# Live digests by (payload, level, table_log). A digest is a pure function
+# of its key, so every DictCompressor with the same dictionary, level and
+# table log shares one, and pipelines fitted on the same corpus hold one
+# set of digests (4.9 MiB for the 176 level-3 dictionaries of a 16-class
+# generated split at step 8192, at table log 11).
 _digests: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _digests_lock = threading.Lock()
 
 
-def _digest(payload: bytes, level: int) -> zb.CDict:
+def _digest(payload: bytes, level: int, table_log: int) -> zb.CDict:
+    key = (payload, level, table_log)
     with _digests_lock:
-        cdict = _digests.get((payload, level))
+        cdict = _digests.get(key)
         if cdict is None:
-            cdict = _digests[(payload, level)] = zb.CDict(payload, level)
+            cdict = _digests[key] = zb.CDict(payload, level, table_log)
     return cdict
 
 
@@ -141,19 +143,20 @@ class DictCompressor:
     """Scores byte strings by their zstd-compressed size against one
     dictionary.
 
-    The dictionary is digested at construction, at the backend's level, or
-    the live digest of an identical dictionary is reused; a digest is never
+    The dictionary is digested at construction, at the backend's level with
+    match tables capped by ``table_log`` (``zstd_bindings.CDict``), or the
+    live digest of an identical dictionary is reused; a digest is never
     written again and is shared across threads, so scoring is a single C
     call. Only a ``ZstdBackend`` can digest a dictionary; any other backend
     raises ``UnsupportedBackendError``.
     """
 
-    def __init__(self, backend: ZstdBackend, dictionary: TrainedDictionary):
+    def __init__(self, backend: ZstdBackend, dictionary: TrainedDictionary, table_log: int):
         if not isinstance(backend, ZstdBackend):
             raise UnsupportedBackendError(f"{backend.kind} backend does not support dictionaries")
         self.dictionary = dictionary
         try:
-            self.cdict = _digest(dictionary.payload, backend.level)
+            self.cdict = _digest(dictionary.payload, backend.level, table_log)
         except zb.ZstdError as exc:
             raise CompressionError(f"zstd: {exc}") from exc
 

@@ -11,7 +11,9 @@ the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
 Dictionaries are trained without a zstd level, which applies only to their
-digests, so lists built at any level hold the same dictionaries.
+digests, so lists built at any level hold the same dictionaries. Every
+digest of a set of lists, fitted or loaded from a bundle, has match tables
+of one size, set by the set's largest dictionary (``compressor_lists``).
 
 The fit trains every dictionary serially on the calling thread, inside
 ``zstd_bindings.keep_heap()``, so ZDICT's scratch tables stay mapped from
@@ -30,6 +32,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .compression import (
+    CompressionError,
     DictCompressor,
     SourceSpan,
     TrainedDictionary,
@@ -37,7 +40,7 @@ from .compression import (
     train_dictionary,
 )
 from .corpus import Corpus, concat_class_text
-from .zstd_bindings import keep_heap
+from .zstd_bindings import MIN_TABLE_LOG, keep_heap
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
 BUNDLE_VERSION = 3
@@ -105,25 +108,36 @@ def _segment_indices(n_full: int, count: int) -> list[int]:
     return [(i * n_full) // count for i in range(count)]
 
 
-def _class_list(
-    class_id: str,
-    text: bytes,
-    plan: SegmentPlan,
-    count: int,
-    backend: ZstdBackend,
-    dict_mode: str,
-) -> ClassCompressorList:
+def _class_dictionaries(
+    class_id: str, text: bytes, plan: SegmentPlan, count: int, dict_mode: str
+) -> list[TrainedDictionary]:
     """One dictionary for each of ``count`` evenly spaced step_size segments
     of ``text`` (the last segment may be shorter)."""
     indices = _segment_indices(segment_count(len(text), plan.step_size), count)
-    compressors = []
+    dictionaries = []
     for segment_index in indices:
         start = segment_index * plan.step_size
         stop = min(len(text), start + plan.step_size)
         span = SourceSpan(class_id, segment_index, start, stop)
-        dictionary = train_dictionary(text[start:stop], span, mode=dict_mode)
-        compressors.append(DictCompressor(backend, dictionary))
-    return ClassCompressorList(class_id=class_id, compressors=tuple(compressors))
+        dictionaries.append(train_dictionary(text[start:stop], span, mode=dict_mode))
+    return dictionaries
+
+
+def compressor_lists(
+    dictionaries: dict[str, list[TrainedDictionary]], backend: ZstdBackend
+) -> dict[str, ClassCompressorList]:
+    """One compressor list per class over its dictionaries. Every digest
+    gets the table log of the largest dictionary of the set (see
+    ``zstd_bindings``), so all classes score a query with tables of one
+    size, and a reused bundle scores as the fit that saved it."""
+    largest = max((len(d.payload) for ds in dictionaries.values() for d in ds), default=1)
+    table_log = max(MIN_TABLE_LOG, (largest - 1).bit_length())
+    return {
+        class_id: ClassCompressorList(
+            class_id, tuple(DictCompressor(backend, d, table_log) for d in ds)
+        )
+        for class_id, ds in dictionaries.items()
+    }
 
 
 def build_all_lists(
@@ -139,10 +153,11 @@ def build_all_lists(
     if plan.max_compressors_per_class is not None:
         count = min(count, plan.max_compressors_per_class)
     with keep_heap():
-        return {
-            class_id: _class_list(class_id, text, plan, count, backend, dict_mode)
+        dictionaries = {
+            class_id: _class_dictionaries(class_id, text, plan, count, dict_mode)
             for class_id, text in texts.items()
         }
+        return compressor_lists(dictionaries, backend)
 
 
 def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:
@@ -232,19 +247,21 @@ def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
         if meta["kind"] != "zstd":
             raise ValueError(f"unsupported backend {meta['kind']!r}")
         backend = ZstdBackend(level=meta["level"])
-        lists: dict[str, ClassCompressorList] = {}
+        dictionaries: dict[str, list[TrainedDictionary]] = {}
         for entry in doc["classes"]:
-            if entry["class"] in lists:
+            if entry["class"] in dictionaries:
                 raise ValueError(f"class {entry['class']!r} appears twice")
-            compressors = []
-            for seg in entry["segments"]:
-                span = SourceSpan(
-                    entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"]
+            dictionaries[entry["class"]] = [
+                TrainedDictionary(
+                    base64.b64decode(seg["payload"]),
+                    SourceSpan(
+                        entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"]
+                    ),
                 )
-                dictionary = TrainedDictionary(base64.b64decode(seg["payload"]), span)
-                compressors.append(DictCompressor(backend, dictionary))
-            lists[entry["class"]] = ClassCompressorList(entry["class"], tuple(compressors))
+                for seg in entry["segments"]
+            ]
+        lists = compressor_lists(dictionaries, backend)
         plan = SegmentPlan(**doc["plan"])
         return lists, BundleSource(backend, plan, doc["train_sha256"], doc["dict_mode"])
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, CompressionError) as exc:
         raise ValueError(f"{path}: malformed bundle ({type(exc).__name__}: {exc})") from exc

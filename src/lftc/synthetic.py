@@ -80,15 +80,3 @@ class MotifGenerator:
         ]
         return Corpus(name=name, samples=tuple(samples))
 
-
-def make_motif_split(
-    seed: int,
-    train_docs: int = 40,
-    test_docs: int = 30,
-    **kwargs,
-) -> tuple[Corpus, Corpus]:
-    """Seeded train/test pair from one motif layout."""
-    gen = MotifGenerator(seed, **kwargs)
-    train = gen.corpus(f"motif{seed}-train", train_docs, "train")
-    test = gen.corpus(f"motif{seed}-test", test_docs, "test")
-    return train, test

@@ -2,6 +2,9 @@
 
 Only the pieces this package needs: dictionary training (ZDICT) and the
 compressed size of a frame made with a digested dictionary (CDict).
+Besides the stable API they use libzstd's experimental calls, which the
+shared library exports: ``ZSTD_getCParams``, ``ZSTD_createCDict_advanced``,
+``ZSTD_compress_usingCDict_advanced`` and the fastCover optimiser.
 Compression contexts and their output buffers are kept thread-local
 because a ZSTD_CCtx is not thread-safe; CDict handles are immutable and
 may be shared freely between threads.
@@ -9,6 +12,21 @@ may be shared freely between threads.
 Frames are scored without a dictionary ID in their header
 (``noDictIDFlag``), so a trained dictionary, which has an ID, and a raw
 one, which has none, are charged the same header bytes.
+
+A digest's match tables are sized by its ``table_log``, not by the
+level's parameter row alone: ``CDict`` caps the row's hash log at
+``table_log`` and its chain log at ``table_log - 1`` (floors of 6). The
+caller gives every dictionary of one set of compressor lists the same
+``table_log``, sized to the largest dictionary of the set, because in
+attach mode libzstd also sizes the query's own match tables from the
+digest, and a query scored with smaller tables compresses worse. The
+16-class generated split at step 8192 (176 level-3 dictionaries of
+1.5-2 KiB) digests in 4.9 MiB with table log 11, against 11.1 MiB sized by
+the level alone. What it costs: a query much longer than the set's
+largest dictionary finds fewer matches within itself, and every class
+pays the same. A 3 KiB generated query scored against a 1-byte raw
+dictionary at level 3 takes 976 bytes at table log 6, and 753 bytes with
+the level's own tables.
 
 ``train_dictionary`` runs zstd's fastCover optimiser as
 ``ZDICT_trainFromBuffer`` does, except that the caller sizes its frequency
@@ -68,6 +86,30 @@ class _FrameParams(ctypes.Structure):
 # Scored frames: content size in the header, no checksum, no dictionary ID.
 _SCORE_FRAME = _FrameParams(contentSizeFlag=1, checksumFlag=0, noDictIDFlag=1)
 
+# ZSTD_HASHLOG_MIN and ZSTD_CHAINLOG_MIN: the smallest match tables.
+MIN_TABLE_LOG = 6
+# ZSTD_dictLoadMethod_e and ZSTD_dictContentType_e: copy the dictionary,
+# and tell a trained one from raw content by its magic number.
+_DLM_BY_COPY = 0
+_DCT_AUTO = 0
+
+
+class _CParams(ctypes.Structure):
+    """ZSTD_compressionParameters."""
+
+    _fields_ = [
+        ("windowLog", ctypes.c_uint), ("chainLog", ctypes.c_uint), ("hashLog", ctypes.c_uint),
+        ("searchLog", ctypes.c_uint), ("minMatch", ctypes.c_uint),
+        ("targetLength", ctypes.c_uint), ("strategy", ctypes.c_int),
+    ]
+
+
+class _CustomMem(ctypes.Structure):
+    """ZSTD_customMem; all NULL is libzstd's default allocator."""
+
+    _fields_ = [("customAlloc", ctypes.c_void_p), ("customFree", ctypes.c_void_p),
+                ("opaque", ctypes.c_void_p)]
+
 
 class _FastCoverParams(ctypes.Structure):
     """ZDICT_fastCover_params_t: its first four fields, then zeros for the
@@ -109,8 +151,12 @@ def _load():
         lib.ZSTD_freeCCtx.restype = c.c_size_t
         lib.ZSTD_freeCCtx.argtypes = [c.c_void_p]
 
-        lib.ZSTD_createCDict.restype = c.c_void_p
-        lib.ZSTD_createCDict.argtypes = [c.c_void_p, c.c_size_t, c.c_int]
+        lib.ZSTD_getCParams.restype = _CParams
+        lib.ZSTD_getCParams.argtypes = [c.c_int, c.c_ulonglong, c.c_size_t]
+        lib.ZSTD_createCDict_advanced.restype = c.c_void_p
+        lib.ZSTD_createCDict_advanced.argtypes = [
+            c.c_void_p, c.c_size_t, c.c_int, c.c_int, _CParams, _CustomMem,
+        ]
         lib.ZSTD_freeCDict.restype = c.c_size_t
         lib.ZSTD_freeCDict.argtypes = [c.c_void_p]
         lib.ZSTD_compress_usingCDict_advanced.restype = c.c_size_t
@@ -183,15 +229,24 @@ class CDict:
     """A digested dictionary, shareable across threads.
 
     `payload` may be a ZDICT-trained dictionary or arbitrary raw content;
-    libzstd distinguishes the two by the dictionary magic number.
+    libzstd distinguishes the two by the dictionary magic number. It is
+    digested with the level's parameters for a dictionary of its size,
+    with the match tables capped by ``table_log`` (see the module
+    docstring).
     """
 
-    def __init__(self, payload: bytes, level: int):
+    def __init__(self, payload: bytes, level: int, table_log: int):
         lib = _load()
         self.level = level
-        self._ptr = lib.ZSTD_createCDict(payload, len(payload), level)
+        self.table_log = table_log
+        params = lib.ZSTD_getCParams(level, 0, len(payload))
+        params.hashLog = min(params.hashLog, table_log)
+        params.chainLog = min(params.chainLog, max(MIN_TABLE_LOG, table_log - 1))
+        self._ptr = lib.ZSTD_createCDict_advanced(
+            payload, len(payload), _DLM_BY_COPY, _DCT_AUTO, params, _CustomMem()
+        )
         if not self._ptr:
-            raise ZstdError("ZSTD_createCDict failed")
+            raise ZstdError("ZSTD_createCDict_advanced failed")
         self._finalizer = weakref.finalize(self, lib.ZSTD_freeCDict, self._ptr)
 
 

@@ -1,6 +1,6 @@
 """Codec calls that only the tests make: plain zstd frames, the frames that
-dictionary scores measure, decompression for round trips, and NCD from
-three one-shot compressions.
+dictionary scores measure, decompression for round trips, the memory a
+digest holds, and NCD from three one-shot compressions.
 
 The program never builds a frame it keeps; it scores dictionary frames by
 size (``lftc.zstd_bindings.compressed_size_with_cdict``) and computes NCD
@@ -44,7 +44,15 @@ def _lib():
     ]
     lib.ZSTD_getFrameContentSize.restype = c.c_ulonglong
     lib.ZSTD_getFrameContentSize.argtypes = [c.c_void_p, c.c_size_t]
+    lib.ZSTD_sizeof_CDict.restype = c.c_size_t
+    lib.ZSTD_sizeof_CDict.argtypes = [c.c_void_p]
     return lib
+
+
+def sizeof_cdict(cdict: zb.CDict) -> int:
+    """Bytes the digest holds: its copy of the dictionary, its match tables
+    and its entropy tables."""
+    return _lib().ZSTD_sizeof_CDict(cdict._ptr)
 
 
 def compress(data: bytes, level: int) -> bytes:

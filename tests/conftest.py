@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from lftc.corpus import Corpus, LabeledText, load_csv
+from lftc.synthetic import MotifGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -15,6 +16,19 @@ DATASET_DIR = Path(os.environ.get("LFTC_DATA_DIR", DATA_DIR))
 
 def corpus_from(pairs, name="tiny") -> Corpus:
     return Corpus(name=name, samples=tuple(LabeledText(l, t) for l, t in pairs))
+
+
+def make_motif_split(
+    seed: int,
+    train_docs: int = 40,
+    test_docs: int = 30,
+    **kwargs,
+) -> tuple[Corpus, Corpus]:
+    """Seeded train/test pair from one motif layout."""
+    gen = MotifGenerator(seed, **kwargs)
+    train = gen.corpus(f"motif{seed}-train", train_docs, "train")
+    test = gen.corpus(f"motif{seed}-test", test_docs, "test")
+    return train, test
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +44,5 @@ def bundled_test() -> Corpus:
 @pytest.fixture(scope="session")
 def motif_split():
     """Small, quickly separable split shared by pipeline-level tests."""
-    from lftc.synthetic import make_motif_split
-
     return make_motif_split(7, train_docs=12, test_docs=8, tokens_per_doc=(20, 40),
                             noise_ratio=0.3)

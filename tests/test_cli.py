@@ -1,3 +1,4 @@
+import base64
 import json
 import time
 
@@ -171,11 +172,21 @@ def _unknown_mode(doc):
     return json.dumps(doc)
 
 
+def _undigestible_dictionary(doc):
+    # a trained dictionary's magic number and ID, then no entropy tables
+    # libzstd can read: the digest fails
+    seg = doc["classes"][0]["segments"][0]
+    assert seg["mode"] == "trained"
+    head = base64.b64decode(seg["payload"])[:8]
+    seg["payload"] = base64.b64encode(head + b"\xff" * 64).decode("ascii")
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_classes, _unknown_plan_key, lambda doc: json.dumps([doc]), lambda doc: "{not json",
-    _class_twice, _unknown_mode,
+    _class_twice, _unknown_mode, _undigestible_dictionary,
 ], ids=["missing-classes", "unknown-plan-key", "top-level-list", "not-json",
-        "class-twice", "unknown-mode"])
+        "class-twice", "unknown-mode", "undigestible-dictionary"])
 def test_eval_malformed_bundle_exit_code(tmp_path, capsys, corrupt):
     bundle = tmp_path / "lists.bundle"
     base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.compression import (
     DICT_MODES,
@@ -45,9 +46,15 @@ class ZstdSizes:
     compressed_size = staticmethod(zstd_size)
 
 
+def digested(dictionary: TrainedDictionary, level: int = 3) -> DictCompressor:
+    """The compressor of a list set that holds only ``dictionary``: its
+    digest has the table log of that one dictionary."""
+    return mcc.compressor_lists({"c": [dictionary]}, ZstdBackend(level))["c"].compressors[0]
+
+
 def dict_scorer(data: bytes) -> int:
     """DictCompressor.score against a fixed raw dictionary."""
-    return DictCompressor(ZstdBackend(), train_dictionary(
+    return digested(train_dictionary(
         b"dictionary", SourceSpan("c", 0, 0, 10), mode="raw")).score(data)
 
 
@@ -113,10 +120,12 @@ def test_large_query_scores_at_the_backend_level():
     # One level for every query size: 64 KiB and more too.
     seg = motif_bytes(2, tokens=2000)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    comp = DictCompressor(ZstdBackend(level=3), dictionary)
+    comp = digested(dictionary)
     for query in (motif_bytes(12, tokens=12000)[: 64 * 1024], motif_bytes(13, tokens=30000)):
         assert len(query) >= 64 * 1024
-        want = zb.compressed_size_with_cdict(query, zb.CDict(dictionary.payload, 3))
+        want = zb.compressed_size_with_cdict(
+            query, zb.CDict(dictionary.payload, 3, comp.cdict.table_log)
+        )
         assert comp.score(query) == want
 
 
@@ -137,7 +146,7 @@ def test_deflate_container_round_trip():
 def test_zstd_dict_frame_round_trip():
     seg = motif_bytes(5, tokens=2000)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    comp = DictCompressor(ZstdBackend(), dictionary)
+    comp = digested(dictionary)
     data = motif_bytes(5, tokens=150)
     frame = frames.compress_with_cdict(data, comp.cdict)
     assert frames.decompress(frame, dictionary.payload) == data
@@ -147,7 +156,7 @@ def test_zstd_dict_frame_round_trip():
 def test_mismatched_dictionary_raises_zstd_error():
     seg = motif_bytes(5, tokens=2000)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    frame = frames.frame_with_dict_id(motif_bytes(5, tokens=150), zb.CDict(dictionary.payload, 3))
+    frame = frames.frame_with_dict_id(motif_bytes(5, tokens=150), digested(dictionary).cdict)
     assert frames.decompress(frame, dictionary.payload) == motif_bytes(5, tokens=150)
     seg = motif_bytes(6, tokens=2000)
     other = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
@@ -165,7 +174,7 @@ def test_scored_frames_carry_no_dictionary_id():
     for mode in DICT_MODES:
         dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode=mode)
         assert dictionary.source_span.mode == mode
-        comp = DictCompressor(ZstdBackend(), dictionary)
+        comp = digested(dictionary)
         frame = frames.compress_with_cdict(data, comp.cdict)
         assert frame[:4] == b"\x28\xb5\x2f\xfd"
         assert frame[4] & 3 == 0
@@ -264,7 +273,7 @@ def test_train_dictionary_benefit():
     seg = b"abcabcabc" * 100
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     assert dictionary.payload
-    comp = DictCompressor(ZstdBackend(), dictionary)
+    comp = digested(dictionary)
     query = b"abcabc" * 40
     assert comp.score(query) < zstd_size(query)
 
@@ -277,7 +286,7 @@ def test_train_dictionary_empty_segment():
 def test_train_dictionary_deflate_unsupported():
     dictionary = train_dictionary(b"abc" * 100, SourceSpan("c", 0, 0, 300))
     with pytest.raises(UnsupportedBackendError):
-        DictCompressor(DeflateBackend(), dictionary)
+        DictCompressor(DeflateBackend(), dictionary, 11)
 
 
 def test_train_dictionary_small_segment_falls_back_to_raw():
@@ -307,7 +316,7 @@ def test_train_dictionary_raw_mode_requested():
 def test_dict_size_smaller_on_source_segment(mode):
     seg = motif_bytes(8, tokens=2000)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode=mode)
-    comp = DictCompressor(ZstdBackend(), dictionary)
+    comp = digested(dictionary)
     assert comp.score(seg) < zstd_size(seg)
 
 
@@ -324,7 +333,7 @@ def test_dict_size_disjoint_alphabet_near_plain_raw_mode():
     seg, query = _disjoint_alphabet_pair()
     plain = zstd_size(query)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode="raw")
-    size = DictCompressor(ZstdBackend(), dictionary).score(query)
+    size = digested(dictionary).score(query)
     assert abs(size - plain) <= 0.05 * plain
 
 
@@ -337,7 +346,7 @@ def test_dict_size_disjoint_alphabet_inflates_trained_mode():
     plain = zstd_size(query)
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode="trained")
     assert dictionary.source_span.mode == "trained"
-    size = DictCompressor(ZstdBackend(), dictionary).score(query)
+    size = digested(dictionary).score(query)
     assert plain <= size <= 1.4 * plain
 
 
@@ -346,9 +355,22 @@ def test_identical_dictionaries_share_one_digest():
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     copy = TrainedDictionary(bytes(bytearray(dictionary.payload)), dictionary.source_span)
     assert copy.payload is not dictionary.payload
-    comp = DictCompressor(ZstdBackend(), dictionary)
-    assert DictCompressor(ZstdBackend(), copy).cdict is comp.cdict
-    assert DictCompressor(ZstdBackend(level=5), dictionary).cdict is not comp.cdict
+    comp = DictCompressor(ZstdBackend(), dictionary, 11)
+    assert DictCompressor(ZstdBackend(), copy, 11).cdict is comp.cdict
+    assert DictCompressor(ZstdBackend(level=5), dictionary, 11).cdict is not comp.cdict
+    assert DictCompressor(ZstdBackend(), dictionary, 12).cdict is not comp.cdict
+
+
+def test_digest_of_a_2kib_dictionary_fits_32kib():
+    # Its match tables take table log 11 from the dictionary's size; sized
+    # for level 3's parameter row alone, the digest took ~64 KiB.
+    seg = motif_bytes(15, tokens=2000)[:8192]
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
+    assert dictionary.source_span.mode == "trained"
+    assert len(dictionary.payload) == 2048
+    comp = digested(dictionary)
+    assert comp.cdict.table_log == 11
+    assert frames.sizeof_cdict(comp.cdict) <= 32 * 1024
 
 
 def test_concurrent_construction_makes_one_digest_per_dictionary():
@@ -361,7 +383,9 @@ def test_concurrent_construction_makes_one_digest_per_dictionary():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            comps = list(pool.map(lambda d: DictCompressor(ZstdBackend(), d), work, timeout=60))
+            comps = list(
+                pool.map(lambda d: DictCompressor(ZstdBackend(), d, 11), work, timeout=60)
+            )
     finally:
         sys.setswitchinterval(interval)
     digests = {}
@@ -373,9 +397,7 @@ def test_concurrent_construction_makes_one_digest_per_dictionary():
 
 def test_dict_size_deterministic():
     seg = motif_bytes(10, tokens=1500)
-    comp = DictCompressor(
-        ZstdBackend(), train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    )
+    comp = digested(train_dictionary(seg, SourceSpan("c", 0, 0, len(seg))))
     q = motif_bytes(10, tokens=100)
     assert comp.score(q) == comp.score(q)
 
@@ -384,9 +406,7 @@ def test_dictionary_benefit_property():
     # same-generator inputs >= 256 bytes compress better with the dictionary
     for seed in range(8):
         seg = motif_bytes(100 + seed, tokens=3000)
-        comp = DictCompressor(
-            ZstdBackend(), train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-        )
+        comp = digested(train_dictionary(seg, SourceSpan("c", 0, 0, len(seg))))
         query = motif_bytes(100 + seed, tokens=60)
         assert len(query) >= 256
         assert comp.score(query) < zstd_size(query)

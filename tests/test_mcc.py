@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lftc import mcc
-from lftc.compression import ZstdBackend
+from lftc import zstd_bindings as zb
+from lftc.classifier import WHOLE_CLASS_DICT_LIMIT
+from lftc.compression import SourceSpan, TrainedDictionary, ZstdBackend, train_dictionary
 from lftc.corpus import Corpus, concat_class_text
 from lftc.mcc import (
     BundleSource,
@@ -15,15 +17,17 @@ from lftc.mcc import (
     DegenerateCorpusError,
     SegmentPlan,
     build_all_lists,
+    compressor_lists,
     load_bundle,
     save_bundle,
     score_query,
     segment_count,
     select_candidates,
 )
-from lftc.synthetic import MotifGenerator, make_motif_split
+from lftc.synthetic import MotifGenerator
 
-from conftest import corpus_from
+from codec_helpers import sizeof_cdict
+from conftest import corpus_from, make_motif_split
 from reference_lz import ref_compress_size
 
 
@@ -180,6 +184,46 @@ def test_build_all_lists_faults_in_one_dictionarys_tables():
     many, large = faults(None)
     assert (small, large) == (4, 48)
     assert (many - few) / (large - small) < 50, (many, few)
+
+
+def test_one_table_log_for_dictionaries_across_a_power_of_two(bundled_train):
+    # The default plan's dictionaries on the bundled split straddle 8 KiB:
+    # every digest gets the largest's table log, 14, and none the 13 that
+    # its own size would give.
+    lists = build_all_lists(bundled_train, SegmentPlan(), ZstdBackend())
+    compressors = [c for cl in lists.values() for c in cl.compressors]
+    sizes = [len(c.dictionary.payload) for c in compressors]
+    assert min(sizes) <= 8192 < max(sizes) <= 16384
+    assert {c.cdict.table_log for c in compressors} == {14}
+    smallest = min(compressors, key=lambda c: len(c.dictionary.payload))
+    own = sizeof_cdict(smallest.cdict)
+    assert own == sizeof_cdict(zb.CDict(smallest.dictionary.payload, 3, 14))
+    assert own > sizeof_cdict(zb.CDict(smallest.dictionary.payload, 3, 13))
+
+
+@pytest.fixture(scope="module")
+def whole_class_dictionary():
+    """A trained lftc-mcc dictionary at ZDICT's 110 KiB capacity."""
+    gen = MotifGenerator(7, classes=1, motifs_per_class=400, tokens_per_doc=(200, 400))
+    text = concat_class_text(gen.corpus("w", 220, "train"), "alpha")[:WHOLE_CLASS_DICT_LIMIT]
+    dictionary = train_dictionary(text, SourceSpan("alpha", 0, 0, len(text)))
+    assert dictionary.source_span.mode == "trained"
+    assert len(dictionary.payload) == 110 * 1024
+    return dictionary
+
+
+@pytest.mark.parametrize("level", [1, 3, 9, 19])
+def test_extreme_dictionaries_digest_and_score(level, whole_class_dictionary):
+    # Table logs at the floor of 6 (a 1-byte raw dictionary) and at 17,
+    # above what the fast levels' own rows allow, against each level's
+    # parameter row.
+    tiny = TrainedDictionary(b"x", SourceSpan("tiny", 0, 0, 1))
+    query = MotifGenerator(3).document("alpha", random.Random(1)) * 8
+    for dictionary, table_log in ((tiny, 6), (whole_class_dictionary, 17)):
+        lists = compressor_lists({"c": [dictionary]}, ZstdBackend(level))
+        (compressor,) = lists["c"].compressors
+        assert compressor.cdict.table_log == table_log
+        assert 0 < compressor.score(query) < len(query)
 
 
 def test_score_query_prefers_own_class():
