@@ -14,15 +14,15 @@ pipeline has lists, CR when it has fitted sizes. A train split needs two or
 more classes, for MCC's pair and for every variant alike.
 
 A pipeline is fitted once per (train corpus, config) and reused for every
-query. The fit builds the compressor lists, with each dictionary digested,
-and each training text's NCD size C(y) (``Pipeline.sizes``). It runs inside
-``zstd_bindings.keep_heap()``, whatever the variant and wherever the lists
-come from, so every process that predicts does so on the tuned heap, where
-each query's deflate state is served without fresh pages. Nothing is
-written after the fit, so evaluation parallelizes over test samples with
-bit-identical results at any worker count. ``PipelineConfig.threads`` sets
-only those prediction workers; the fit trains its dictionaries on one
-thread (see ``lftc.mcc``).
+query. The fit digests the dictionaries it trains, or those it is given,
+at ``PipelineConfig.level`` into compressor lists, and computes each
+training text's NCD size C(y) (``Pipeline.sizes``). It runs inside
+``zstd_bindings.keep_heap()`` for every variant, so every process that
+predicts does so on the tuned heap, where each query's deflate state is
+served without fresh pages. Nothing is written after the fit, so
+evaluation parallelizes over test samples with bit-identical results at
+any worker count. ``PipelineConfig.threads`` sets only those prediction
+workers; the fit trains its dictionaries on one thread (see ``lftc.mcc``).
 
 ``evaluate(pipeline, test)`` takes only a fitted pipeline, so its report
 echoes the train split and config that the predictions came from. Report
@@ -37,11 +37,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import cr, mcc
-from .compression import DICT_MODES, CompressionError, ZstdBackend
+from .compression import DICT_MODES, CompressionError, TrainedDictionary
 from .corpus import DEFAULT_SEPARATOR, Corpus, FewShotSpec, few_shot_sample
 from .report import TIMING_KEYS, EvalReport, confidence_interval
 from .mcc import CandidatePair, SegmentPlan
-from .zstd_bindings import keep_heap
+from .zstd_bindings import MAX_LEVEL, MIN_LEVEL, keep_heap
 
 VARIANTS = ("lftc", "lftc-mcc", "lftc-cr", "baseline-ncd")
 
@@ -55,7 +55,7 @@ class PipelineConfig:
     variant: str = "lftc"
     plan: SegmentPlan = field(default_factory=SegmentPlan)
     k: int = 1
-    mcc_backend: ZstdBackend = field(default_factory=ZstdBackend)
+    level: int = 3  # zstd level of the compressor lists' digests
     threads: int = 1
     dict_mode: str = "trained"
 
@@ -66,6 +66,8 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown dictionary mode {self.dict_mode!r}, expected one of {DICT_MODES}"
             )
+        if not (MIN_LEVEL <= self.level <= MAX_LEVEL):
+            raise ValueError(f"zstd level out of range: {self.level}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.threads < 1:
@@ -98,13 +100,15 @@ def list_plan(config: PipelineConfig) -> SegmentPlan:
 
 class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query. A
-    train split of fewer than two classes raises ``DegenerateCorpusError``."""
+    train split of fewer than two classes raises ``DegenerateCorpusError``.
+    Given ``dictionaries`` (a bundle's: a list for each training class), it
+    digests those and trains none."""
 
     def __init__(
         self,
         train: Corpus,
         config: PipelineConfig,
-        prebuilt_lists: dict[str, mcc.ClassCompressorList] | None = None,
+        dictionaries: dict[str, list[TrainedDictionary]] | None = None,
     ):
         if len(train.classes) < 2:
             raise mcc.DegenerateCorpusError(
@@ -119,22 +123,16 @@ class Pipeline:
         with keep_heap():
             if config.variant == "baseline-ncd":
                 pass
-            elif prebuilt_lists is not None:
-                differ = set(self.classes) ^ set(prebuilt_lists)
+            elif dictionaries is not None:
+                differ = set(self.classes) ^ set(dictionaries)
                 if differ:
                     raise ValueError(
-                        f"prebuilt lists do not match the training classes: {sorted(differ)}"
+                        f"dictionaries do not match the training classes: {sorted(differ)}"
                     )
-                lengths = {len(cl.compressors) for cl in prebuilt_lists.values()}
-                if len(lengths) > 1:
-                    raise ValueError(
-                        f"prebuilt lists have unequal lengths {sorted(lengths)}; "
-                        "class scores would not be comparable"
-                    )
-                self.lists = prebuilt_lists
+                self.lists = mcc.compressor_lists(dictionaries, config.level)
             else:
                 self.lists = mcc.build_all_lists(
-                    train, list_plan(config), config.mcc_backend, dict_mode=config.dict_mode
+                    train, list_plan(config), config.level, dict_mode=config.dict_mode
                 )
             # C(y) of every training text, aligned with train.samples.
             self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)
@@ -247,7 +245,7 @@ def config_echo(config: PipelineConfig, train: Corpus, test: Corpus | None = Non
         "variant": config.variant,
         "step_size": plan.step_size,
         "max_compressors": plan.max_compressors_per_class,
-        "mcc_backend": {"kind": config.mcc_backend.kind, "level": config.mcc_backend.level},
+        "mcc_backend": {"kind": "zstd", "level": config.level},
         "ncd_backend": {"kind": cr.NCD_BACKEND.kind, "level": cr.NCD_BACKEND.level},
         "k": config.k,
         "threads": config.threads,

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import classifier, mcc
-from .compression import DICT_MODES, CompressionError, ZstdBackend
+from .compression import DICT_MODES, CompressionError
 from .corpus import Corpus, DatasetError, load_csv
 from .classifier import PipelineConfig, VARIANTS
 from .mcc import SegmentPlan
@@ -136,7 +136,7 @@ def _config(args, variant=None) -> PipelineConfig:
         variant=variant or getattr(args, "variant", "lftc"),
         plan=SegmentPlan(step_size=args.step_size, max_compressors_per_class=cap),
         k=args.k,
-        mcc_backend=ZstdBackend(level=args.level),
+        level=args.level,
         threads=args.threads,
         dict_mode=args.dict_mode,
     )
@@ -174,28 +174,30 @@ def _write_audit(path: Path, predictions) -> None:
 
 
 def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
-    """Honour --bundle: reuse persisted compressor lists or persist fresh ones.
-    A bundle built with another zstd level, plan, train split or dictionary
-    mode is rejected."""
-    uses_lists = config.variant != "baseline-ncd"
+    """Honour --bundle: reuse persisted dictionaries or persist fresh ones.
+    A bundle of another zstd level, plan, train split or dictionary mode, or
+    whose dictionaries digest into no comparable lists, is rejected."""
+    if not args.bundle:
+        return classifier.Pipeline(train, config)
+    if config.variant == "baseline-ncd":
+        raise ValueError("--bundle: baseline-ncd builds no compressor lists")
     source = mcc.BundleSource(
-        config.mcc_backend, classifier.list_plan(config), train.digest(), config.dict_mode
+        config.level, classifier.list_plan(config), train.digest(), config.dict_mode
     )
-    if args.bundle and args.bundle.exists() and uses_lists:
-        lists, stored = mcc.load_bundle(args.bundle)
-        diffs = [f.name for f in dataclasses.fields(source)
-                 if getattr(stored, f.name) != getattr(source, f.name)]
-        if diffs:
-            raise ValueError(f"{args.bundle}: built with another {', '.join(diffs)}; "
-                             "delete it to rebuild")
-        try:
-            return classifier.Pipeline(train, config, prebuilt_lists=lists)
-        except ValueError as exc:
-            raise ValueError(f"{args.bundle}: {exc}; delete it to rebuild") from exc
-    pipeline = classifier.Pipeline(train, config)
-    if args.bundle and uses_lists:
+    if not args.bundle.exists():
+        pipeline = classifier.Pipeline(train, config)
         mcc.save_bundle(args.bundle, pipeline.lists, source)
-    return pipeline
+        return pipeline
+    dictionaries, stored = mcc.load_bundle(args.bundle)
+    diffs = [f.name for f in dataclasses.fields(source)
+             if getattr(stored, f.name) != getattr(source, f.name)]
+    if diffs:
+        raise ValueError(f"{args.bundle}: built with another {', '.join(diffs)}; "
+                         "delete it to rebuild")
+    try:
+        return classifier.Pipeline(train, config, dictionaries)
+    except (ValueError, CompressionError) as exc:
+        raise ValueError(f"{args.bundle}: {exc}; delete it to rebuild") from exc
 
 
 def run_eval(args) -> int:
@@ -242,6 +244,10 @@ def run_compare(args) -> int:
 
 
 def run_sweep(args) -> int:
+    out = args.out or Path("sweep.json")
+    csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        raise ValueError(f"--out {out}: the CSV summary would overwrite the JSON reports")
     train, test = _load_split(args)
     reports = []
     for step, level, cap in itertools.product(args.step_size, args.level, args.max_compressors):
@@ -250,12 +256,10 @@ def run_sweep(args) -> int:
         )
         report, _ = classifier.evaluate(classifier.Pipeline(train, _config(point)), test)
         reports.append(report)
-    out = args.out or Path("sweep.json")
     out.write_text(
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    csv_path = out.with_suffix(".csv")
     write_csv_summary(csv_path, reports)
     print(f"wrote {len(reports)} reports to {out} and {csv_path}")
     return EXIT_OK

@@ -1,8 +1,7 @@
 """Compressed-size oracles.
 
-* ``ZstdBackend`` -- the zstd level of the per-segment dictionaries,
-  which ``DictCompressor`` digests once and scores with, whatever the
-  query's size.
+* ``DictCompressor`` -- zstd with one dictionary, digested once and scored
+  with whatever the query's size; ``lftc.mcc.compressor_lists`` builds them.
 * ``DeflateBackend`` -- zlib/DEFLATE containers, C(.) of the NCD
   distances: ``compressed_size`` for one text, ``prefixed_sizes`` for one
   prefix followed by each of many suffixes, with the prefix compressed once.
@@ -32,23 +31,6 @@ _ZDICT_MAX_F = 20
 
 class CompressionError(RuntimeError):
     """A backend failed; message carries the backend kind."""
-
-
-class UnsupportedBackendError(CompressionError):
-    """The requested operation needs a capability the backend lacks."""
-
-
-@dataclass(frozen=True)
-class ZstdBackend:
-    """Zstandard via the system libzstd; the only backend that supports
-    per-segment dictionaries."""
-
-    level: int = 3
-    kind: str = field(default="zstd", init=False)
-
-    def __post_init__(self):
-        if not (zb.MIN_LEVEL <= self.level <= zb.MAX_LEVEL):
-            raise ValueError(f"zstd level out of range: {self.level}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +106,7 @@ class TrainedDictionary:
 # Live digests by (payload, level, table_log). A digest is a pure function
 # of its key, so every DictCompressor with the same dictionary, level and
 # table log shares one, and pipelines fitted on the same corpus hold one
-# set of digests (4.9 MiB for the 176 level-3 dictionaries of a 16-class
+# set of digests (4.6 MiB for the 176 level-3 dictionaries of a 16-class
 # generated split at step 8192, at table log 11).
 _digests: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _digests_lock = threading.Lock()
@@ -143,20 +125,17 @@ class DictCompressor:
     """Scores byte strings by their zstd-compressed size against one
     dictionary.
 
-    The dictionary is digested at construction, at the backend's level with
+    The dictionary is digested at construction, at zstd ``level`` with
     match tables capped by ``table_log`` (``zstd_bindings.CDict``), or the
     live digest of an identical dictionary is reused; a digest is never
     written again and is shared across threads, so scoring is a single C
-    call. Only a ``ZstdBackend`` can digest a dictionary; any other backend
-    raises ``UnsupportedBackendError``.
+    call.
     """
 
-    def __init__(self, backend: ZstdBackend, dictionary: TrainedDictionary, table_log: int):
-        if not isinstance(backend, ZstdBackend):
-            raise UnsupportedBackendError(f"{backend.kind} backend does not support dictionaries")
+    def __init__(self, dictionary: TrainedDictionary, level: int, table_log: int):
         self.dictionary = dictionary
         try:
-            self.cdict = _digest(dictionary.payload, backend.level, table_log)
+            self.cdict = _digest(dictionary.payload, level, table_log)
         except zb.ZstdError as exc:
             raise CompressionError(f"zstd: {exc}") from exc
 

@@ -11,9 +11,10 @@ the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
 Dictionaries are trained without a zstd level, which applies only to their
-digests, so lists built at any level hold the same dictionaries. Every
-digest of a set of lists, fitted or loaded from a bundle, has match tables
-of one size, set by the set's largest dictionary (``compressor_lists``).
+digests. ``compressor_lists`` is the one place that digests them, so every
+set of dictionaries, fitted or loaded from a bundle, becomes lists of one
+length, at one level, with match tables of one size (set by the set's
+largest dictionary): class scores are comparable.
 
 The fit trains every dictionary serially on the calling thread, inside
 ``zstd_bindings.keep_heap()``, so ZDICT's scratch tables stay mapped from
@@ -21,8 +22,8 @@ one training to the next and are released once at the end. It is serial
 because glibc cannot trim a worker thread's heap: a 16-class fit over two
 threads kept 14.6 MB more resident after it ended than the serial fit.
 
-A saved bundle of lists records what they were built from (``BundleSource``)
-and is reusable only by a run with the same source.
+A saved bundle holds a fit's dictionaries and what they were built from
+(``BundleSource``); only a run with the same source may reuse it.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ import json
 from dataclasses import asdict, dataclass
 
 from .compression import (
-    CompressionError,
     DictCompressor,
     SourceSpan,
     TrainedDictionary,
-    ZstdBackend,
     train_dictionary,
 )
 from .corpus import Corpus, concat_class_text
@@ -124,17 +123,21 @@ def _class_dictionaries(
 
 
 def compressor_lists(
-    dictionaries: dict[str, list[TrainedDictionary]], backend: ZstdBackend
+    dictionaries: dict[str, list[TrainedDictionary]], level: int
 ) -> dict[str, ClassCompressorList]:
-    """One compressor list per class over its dictionaries. Every digest
-    gets the table log of the largest dictionary of the set (see
-    ``zstd_bindings``), so all classes score a query with tables of one
-    size, and a reused bundle scores as the fit that saved it."""
+    """One compressor list per class, all of one length, digested at
+    ``level``. Every digest gets the table log of the set's largest
+    dictionary (see ``zstd_bindings``), so all classes score a query with
+    tables of one size, and a reused bundle scores as the fit that saved it."""
+    lengths = {len(ds) for ds in dictionaries.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"compressor lists have unequal lengths {sorted(lengths)}; "
+                         "class scores would not be comparable")
     largest = max((len(d.payload) for ds in dictionaries.values() for d in ds), default=1)
     table_log = max(MIN_TABLE_LOG, (largest - 1).bit_length())
     return {
         class_id: ClassCompressorList(
-            class_id, tuple(DictCompressor(backend, d, table_log) for d in ds)
+            class_id, tuple(DictCompressor(d, level, table_log) for d in ds)
         )
         for class_id, ds in dictionaries.items()
     }
@@ -143,11 +146,11 @@ def compressor_lists(
 def build_all_lists(
     corpus: Corpus,
     plan: SegmentPlan,
-    backend: ZstdBackend,
+    level: int,
     dict_mode: str = "trained",
 ) -> dict[str, ClassCompressorList]:
     """One compressor list per class, all of one length (see the module
-    docstring), trained serially."""
+    docstring), trained serially and digested at ``level``."""
     texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
     count = min(segment_count(len(text), plan.step_size) for text in texts.values())
     if plan.max_compressors_per_class is not None:
@@ -157,7 +160,7 @@ def build_all_lists(
             class_id: _class_dictionaries(class_id, text, plan, count, dict_mode)
             for class_id, text in texts.items()
         }
-        return compressor_lists(dictionaries, backend)
+        return compressor_lists(dictionaries, level)
 
 
 def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:
@@ -185,11 +188,11 @@ def select_candidates(scores: list[ClassScore]) -> CandidatePair:
 
 @dataclass(frozen=True)
 class BundleSource:
-    """What a bundle's lists were built from; only a run with the same
-    source may reuse them. ``dict_mode`` is the requested mode: a segment's
-    own ``mode`` reads "raw" under "trained" when ZDICT refused it."""
+    """What a bundle's dictionaries were built from, the digests' zstd
+    ``level`` included. ``dict_mode`` is the requested mode: a segment's own
+    ``mode`` reads "raw" under "trained" when ZDICT refused it."""
 
-    backend: ZstdBackend
+    level: int
     plan: SegmentPlan
     train_sha256: str
     dict_mode: str
@@ -201,7 +204,7 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], source: BundleSourc
     doc = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
-        "backend": {"kind": source.backend.kind, "level": source.backend.level},
+        "backend": {"kind": "zstd", "level": source.level},
         "plan": asdict(source.plan),
         "train_sha256": source.train_sha256,
         "dict_mode": source.dict_mode,
@@ -226,9 +229,9 @@ def save_bundle(path, lists: dict[str, ClassCompressorList], source: BundleSourc
         json.dump(doc, fh)
 
 
-def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
-    """Lists from a bundle and what they were built from; a ValueError that
-    names the bundle when it is not a well-formed version 3 bundle."""
+def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]:
+    """A bundle's dictionaries, undigested, and their source; a ValueError
+    that names the bundle when it is not a well-formed version 3 bundle."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -246,7 +249,6 @@ def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
         meta = doc["backend"]
         if meta["kind"] != "zstd":
             raise ValueError(f"unsupported backend {meta['kind']!r}")
-        backend = ZstdBackend(level=meta["level"])
         dictionaries: dict[str, list[TrainedDictionary]] = {}
         for entry in doc["classes"]:
             if entry["class"] in dictionaries:
@@ -260,8 +262,8 @@ def load_bundle(path) -> tuple[dict[str, ClassCompressorList], BundleSource]:
                 )
                 for seg in entry["segments"]
             ]
-        lists = compressor_lists(dictionaries, backend)
         plan = SegmentPlan(**doc["plan"])
-        return lists, BundleSource(backend, plan, doc["train_sha256"], doc["dict_mode"])
-    except (KeyError, TypeError, AttributeError, ValueError, CompressionError) as exc:
+        source = BundleSource(meta["level"], plan, doc["train_sha256"], doc["dict_mode"])
+        return dictionaries, source
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed bundle ({type(exc).__name__}: {exc})") from exc

@@ -21,7 +21,7 @@ caller gives every dictionary of one set of compressor lists the same
 attach mode libzstd also sizes the query's own match tables from the
 digest, and a query scored with smaller tables compresses worse. The
 16-class generated split at step 8192 (176 level-3 dictionaries of
-1.5-2 KiB) digests in 4.9 MiB with table log 11, against 11.1 MiB sized by
+1.5-2 KiB) digests in 4.6 MiB with table log 11, against 10.7 MiB sized by
 the level alone. What it costs: a query much longer than the set's
 largest dictionary finds fewer matches within itself, and every class
 pays the same. A 3 KiB generated query scored against a 1-byte raw
@@ -88,9 +88,9 @@ _SCORE_FRAME = _FrameParams(contentSizeFlag=1, checksumFlag=0, noDictIDFlag=1)
 
 # ZSTD_HASHLOG_MIN and ZSTD_CHAINLOG_MIN: the smallest match tables.
 MIN_TABLE_LOG = 6
-# ZSTD_dictLoadMethod_e and ZSTD_dictContentType_e: copy the dictionary,
-# and tell a trained one from raw content by its magic number.
-_DLM_BY_COPY = 0
+# ZSTD_dictLoadMethod_e and ZSTD_dictContentType_e: reference the
+# dictionary, and tell a trained one from raw content by its magic number.
+_DLM_BY_REF = 1
 _DCT_AUTO = 0
 
 
@@ -232,18 +232,19 @@ class CDict:
     libzstd distinguishes the two by the dictionary magic number. It is
     digested with the level's parameters for a dictionary of its size,
     with the match tables capped by ``table_log`` (see the module
-    docstring).
+    docstring). libzstd reads ``payload`` in place, so the digest holds it.
     """
 
     def __init__(self, payload: bytes, level: int, table_log: int):
         lib = _load()
         self.level = level
         self.table_log = table_log
+        self._payload = payload
         params = lib.ZSTD_getCParams(level, 0, len(payload))
         params.hashLog = min(params.hashLog, table_log)
         params.chainLog = min(params.chainLog, max(MIN_TABLE_LOG, table_log - 1))
         self._ptr = lib.ZSTD_createCDict_advanced(
-            payload, len(payload), _DLM_BY_COPY, _DCT_AUTO, params, _CustomMem()
+            payload, len(payload), _DLM_BY_REF, _DCT_AUTO, params, _CustomMem()
         )
         if not self._ptr:
             raise ZstdError("ZSTD_createCDict_advanced failed")

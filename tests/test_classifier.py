@@ -14,11 +14,12 @@ from lftc.classifier import (
 )
 from lftc import mcc
 from lftc import zstd_bindings as zb
-from lftc.compression import CompressionError
+from lftc.compression import CompressionError, TrainedDictionary
 from lftc.corpus import Corpus
+from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
-from conftest import DATA_DIR, REPO_ROOT, corpus_from
+from conftest import DATA_DIR, REPO_ROOT, corpus_from, dictionaries_of
 
 
 def test_two_class_corpus_forces_pair(motif_split):
@@ -220,13 +221,56 @@ def test_programming_error_propagates(motif_split, monkeypatch):
         pipeline.predict(test.samples[0].text)
 
 
-def test_prebuilt_lists_reuse(motif_split):
+def test_fitted_dictionaries_reuse(motif_split):
+    # Given a fit's dictionaries, a pipeline digests them as the fit did:
+    # it shares the fit's digests and predicts the same.
     train, test = motif_split
     config = PipelineConfig()
     fitted = Pipeline(train, config)
-    reused = Pipeline(train, config, prebuilt_lists=fitted.lists)
-    q = test.samples[0].text
-    assert reused.predict(q).predicted == fitted.predict(q).predicted
+    reused = Pipeline(train, config, dictionaries_of(fitted.lists))
+    for c, cl in reused.lists.items():
+        pairs = zip(cl.compressors, fitted.lists[c].compressors, strict=True)
+        assert all(x.cdict is y.cdict for x, y in pairs)
+    a, b = (p.predict(test.samples[0].text) for p in (reused, fitted))
+    assert (a.predicted, a.candidate_pair, a.neighbors) == (
+        b.predicted, b.candidate_pair, b.neighbors
+    )
+
+
+def test_given_dictionaries_digest_at_the_configs_level(motif_split):
+    # Dictionaries carry no level: a level-3 fit's dictionaries under a
+    # level-19 config score as a level-19 fit, and the report says 19.
+    train, test = motif_split
+    dictionaries = dictionaries_of(Pipeline(train, PipelineConfig()).lists)
+    reused = Pipeline(train, PipelineConfig(level=19), dictionaries)
+    assert {x.cdict.level for cl in reused.lists.values() for x in cl.compressors} == {19}
+    fresh = Pipeline(train, PipelineConfig(level=19))
+    for sample in test.samples:
+        assert mcc.score_query(reused.lists, sample.text) == mcc.score_query(
+            fresh.lists, sample.text
+        )
+    report, _ = evaluate(reused, test)
+    assert report.config["mcc_backend"] == {"kind": "zstd", "level": 19}
+
+
+def test_given_dictionaries_share_one_table_log_across_classes(bundled_train):
+    # Raw 4 KiB dictionaries with alpha's cut to 1,000 bytes: digested class
+    # by class they would take table logs 10, 12 and 12; the pipeline gives
+    # every class the largest dictionary's 12.
+    config = PipelineConfig(
+        plan=SegmentPlan(step_size=4096, max_compressors_per_class=2), dict_mode="raw"
+    )
+    dictionaries = dictionaries_of(Pipeline(bundled_train, config).lists)
+    dictionaries["alpha"] = [
+        TrainedDictionary(d.payload[:1000], d.source_span) for d in dictionaries["alpha"]
+    ]
+    assert {c: {len(d.payload) for d in ds} for c, ds in dictionaries.items()} == {
+        "alpha": {1000}, "beta": {4096}, "gamma": {4096}
+    }
+    alone = mcc.compressor_lists({"alpha": dictionaries["alpha"]}, 3)["alpha"]
+    assert {x.cdict.table_log for x in alone.compressors} == {10}
+    lists = Pipeline(bundled_train, config, dictionaries).lists
+    assert {x.cdict.table_log for cl in lists.values() for x in cl.compressors} == {12}
 
 
 # Predicts 20 bundled test queries with lists read from a bundle, and prints
@@ -237,8 +281,8 @@ from lftc import mcc
 from lftc.classifier import Pipeline, PipelineConfig
 from lftc.corpus import load_csv
 train, test, bundle = (load_csv(sys.argv[1]), load_csv(sys.argv[2]), sys.argv[3])
-lists, _ = mcc.load_bundle(bundle)
-pipeline = Pipeline(train, PipelineConfig(), prebuilt_lists=lists)
+dictionaries, _ = mcc.load_bundle(bundle)
+pipeline = Pipeline(train, PipelineConfig(), dictionaries)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for sample in test.samples[:20]:
     pipeline.predict(sample.text)
@@ -254,7 +298,7 @@ def test_bundle_reuse_predicts_without_fresh_pages(bundled_train, tmp_path):
     config = PipelineConfig()
     lists = Pipeline(bundled_train, config).lists
     bundle = tmp_path / "bundle.json"
-    source = mcc.BundleSource(config.mcc_backend, config.plan, bundled_train.digest(), "trained")
+    source = mcc.BundleSource(config.level, config.plan, bundled_train.digest(), "trained")
     mcc.save_bundle(bundle, lists, source)
     proc = subprocess.run(
         [sys.executable, "-c", _BUNDLE_REUSE_FAULTS, str(DATA_DIR / "synthetic_train.csv"),
@@ -265,15 +309,15 @@ def test_bundle_reuse_predicts_without_fresh_pages(bundled_train, tmp_path):
     assert float(proc.stdout) < 100, proc.stdout
 
 
-def test_prebuilt_lists_must_match_training_classes(motif_split):
+def test_given_dictionaries_must_match_training_classes(motif_split):
     train, _ = motif_split
-    lists = Pipeline(train, PipelineConfig()).lists
+    dictionaries = dictionaries_of(Pipeline(train, PipelineConfig()).lists)
     two = Corpus("two", tuple(s for s in train.samples if s.label in ("alpha", "beta")))
     with pytest.raises(ValueError, match="gamma"):
-        Pipeline(two, PipelineConfig(), prebuilt_lists=lists)  # an extra class
-    fewer = {c: cl for c, cl in lists.items() if c != "gamma"}
+        Pipeline(two, PipelineConfig(), dictionaries)  # an extra class
+    fewer = {c: ds for c, ds in dictionaries.items() if c != "gamma"}
     with pytest.raises(ValueError, match="gamma"):
-        Pipeline(train, PipelineConfig(), prebuilt_lists=fewer)  # a missing class
+        Pipeline(train, PipelineConfig(), fewer)  # a missing class
 
 
 def test_fewshot_evaluate_trials_and_ci(motif_split):
@@ -295,3 +339,6 @@ def test_variant_validation():
         PipelineConfig(threads=0)
     with pytest.raises(ValueError, match="dictionary mode"):
         PipelineConfig(dict_mode="bogus")
+    for level in (0, 20):
+        with pytest.raises(ValueError, match="zstd level out of range"):
+            PipelineConfig(level=level)

@@ -218,11 +218,23 @@ def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
     ("sweep", "--step-sizes=4096"),
     ("sweep", "--levels=1,3"),
     ("sweep", "--caps=2"),
+    pytest.param("eval", "--variant=baseline-ncd --bundle=b.bundle",
+                 id="eval-baseline-ncd-bundle"),
 ])
-def test_unused_flags_rejected(subcommand, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run([subcommand, "--train", TRAIN, "--test", TEST, flag])
-    assert exc.value.code == EXIT_VALIDATION
+def test_unused_flags_rejected(subcommand, flag, capsys, tmp_path, monkeypatch):
+    # argparse rejects an unknown flag; a flag that only a value of another
+    # makes useless is rejected with one error line.
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run([subcommand, "--train", TRAIN, "--test", TEST, *flag.split()])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "error: " in err.splitlines()[-1]
+    if not err.startswith("usage: "):
+        assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_fewshot_reproducible(tmp_path, capsys):
@@ -284,9 +296,9 @@ def test_fit_is_outside_total_seconds(tmp_path, monkeypatch):
     real_init = classifier.Pipeline.__init__
     built = []
 
-    def slow_init(self, train, config, prebuilt_lists=None):
+    def slow_init(self, train, config, dictionaries=None):
         time.sleep(delay)
-        real_init(self, train, config, prebuilt_lists)
+        real_init(self, train, config, dictionaries)
         built.append(config.variant)
 
     monkeypatch.setattr(classifier.Pipeline, "__init__", slow_init)
@@ -312,6 +324,15 @@ def test_sweep_grid(tmp_path, capsys):
     assert configs == {(8192, 1), (8192, 3), (65536, 1), (65536, 3)}
     csv_text = (tmp_path / "sweep.csv").read_text()
     assert csv_text.count("\n") == 5  # header + 4 rows
+
+
+def test_sweep_out_that_the_csv_summary_would_overwrite(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run(["sweep", "--train", TRAIN, "--test", TEST, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_empty_grid_rejected(capsys):

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import math
 import random
 import sys
@@ -17,8 +18,6 @@ from lftc.compression import (
     DictCompressor,
     SourceSpan,
     TrainedDictionary,
-    UnsupportedBackendError,
-    ZstdBackend,
     ncd_value,
     train_dictionary,
 )
@@ -36,7 +35,7 @@ from reference_lz import (
 def zstd_size(data: bytes) -> int:
     """Plain zstd frame size at the default level, the no-dictionary
     reference the dictionary scores are compared against."""
-    return frames.compressed_size(data, ZstdBackend().level)
+    return frames.compressed_size(data, 3)
 
 
 class ZstdSizes:
@@ -49,7 +48,7 @@ class ZstdSizes:
 def digested(dictionary: TrainedDictionary, level: int = 3) -> DictCompressor:
     """The compressor of a list set that holds only ``dictionary``: its
     digest has the table log of that one dictionary."""
-    return mcc.compressor_lists({"c": [dictionary]}, ZstdBackend(level))["c"].compressors[0]
+    return mcc.compressor_lists({"c": [dictionary]}, level)["c"].compressors[0]
 
 
 def dict_scorer(data: bytes) -> int:
@@ -133,7 +132,7 @@ def test_large_query_scores_at_the_backend_level():
 
 def test_zstd_frame_round_trip():
     data = motif_bytes(3)
-    frame = frames.compress(data, ZstdBackend().level)
+    frame = frames.compress(data, 3)
     assert frames.decompress(frame) == data
     assert len(frame) == zstd_size(data)
 
@@ -283,12 +282,6 @@ def test_train_dictionary_empty_segment():
         train_dictionary(b"", SourceSpan("c", 0, 0, 1))
 
 
-def test_train_dictionary_deflate_unsupported():
-    dictionary = train_dictionary(b"abc" * 100, SourceSpan("c", 0, 0, 300))
-    with pytest.raises(UnsupportedBackendError):
-        DictCompressor(DeflateBackend(), dictionary, 11)
-
-
 def test_train_dictionary_small_segment_falls_back_to_raw():
     seg = b"xyz" * 20
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
@@ -355,10 +348,10 @@ def test_identical_dictionaries_share_one_digest():
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
     copy = TrainedDictionary(bytes(bytearray(dictionary.payload)), dictionary.source_span)
     assert copy.payload is not dictionary.payload
-    comp = DictCompressor(ZstdBackend(), dictionary, 11)
-    assert DictCompressor(ZstdBackend(), copy, 11).cdict is comp.cdict
-    assert DictCompressor(ZstdBackend(level=5), dictionary, 11).cdict is not comp.cdict
-    assert DictCompressor(ZstdBackend(), dictionary, 12).cdict is not comp.cdict
+    comp = DictCompressor(dictionary, 3, 11)
+    assert DictCompressor(copy, 3, 11).cdict is comp.cdict
+    assert DictCompressor(dictionary, 5, 11).cdict is not comp.cdict
+    assert DictCompressor(dictionary, 3, 12).cdict is not comp.cdict
 
 
 def test_digest_of_a_2kib_dictionary_fits_32kib():
@@ -373,6 +366,28 @@ def test_digest_of_a_2kib_dictionary_fits_32kib():
     assert frames.sizeof_cdict(comp.cdict) <= 32 * 1024
 
 
+def test_digest_does_not_copy_its_dictionary():
+    # libzstd reads the dictionary where it lies (ZSTD_dlm_byRef): a 1 MiB
+    # raw dictionary at table log 6 digests in ~15 KiB, not in ~1 MiB.
+    payload = motif_bytes(16, tokens=180_000)[: 1 << 20]
+    assert len(payload) == 1 << 20
+    assert frames.sizeof_cdict(zb.CDict(payload, 3, 6)) < 64 * 1024
+
+
+def test_digest_keeps_its_dictionary_alive():
+    # The digest holds the bytes it reads: a digest of a temporary scores
+    # the same after the memory of dropped objects has been handed out again.
+    payload = motif_bytes(17, tokens=2000)[:8192]
+    query = payload[1000:3000]
+    want = zb.compressed_size_with_cdict(query, zb.CDict(payload, 3, 13))
+    assert want < zstd_size(query) // 4
+    cdict = zb.CDict(bytes(bytearray(payload)), 3, 13)  # its only reference
+    gc.collect()
+    scratch = [bytes([i]) * len(payload) for i in range(64)]
+    assert zb.compressed_size_with_cdict(query, cdict) == want
+    del scratch
+
+
 def test_concurrent_construction_makes_one_digest_per_dictionary():
     payloads = [motif_bytes(seed, tokens=300) for seed in range(20)]
     dictionaries = [
@@ -384,7 +399,7 @@ def test_concurrent_construction_makes_one_digest_per_dictionary():
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             comps = list(
-                pool.map(lambda d: DictCompressor(ZstdBackend(), d, 11), work, timeout=60)
+                pool.map(lambda d: DictCompressor(d, 3, 11), work, timeout=60)
             )
     finally:
         sys.setswitchinterval(interval)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.classifier import WHOLE_CLASS_DICT_LIMIT
-from lftc.compression import SourceSpan, TrainedDictionary, ZstdBackend, train_dictionary
+from lftc.compression import SourceSpan, TrainedDictionary, train_dictionary
 from lftc.corpus import Corpus, concat_class_text
 from lftc.mcc import (
     BundleSource,
@@ -27,7 +27,7 @@ from lftc.mcc import (
 from lftc.synthetic import MotifGenerator
 
 from codec_helpers import sizeof_cdict
-from conftest import corpus_from, make_motif_split
+from conftest import corpus_from, dictionaries_of, make_motif_split
 from reference_lz import ref_compress_size
 
 
@@ -66,7 +66,7 @@ def spans(class_list):
 def test_build_class_list_spans_tile():
     corpus = one_text_per_class(1000)
     cl = build_all_lists(corpus, SegmentPlan(step_size=400, max_compressors_per_class=None),
-                         ZstdBackend())["a"]
+                         3)["a"]
     assert len(cl.compressors) == 3
     assert spans(cl) == [(0, 400), (400, 800), (800, 1000)]
 
@@ -74,7 +74,7 @@ def test_build_class_list_spans_tile():
 def test_build_class_list_cap_evenly_spaced():
     corpus = one_text_per_class(10_000)
     cl = build_all_lists(corpus, SegmentPlan(step_size=100, max_compressors_per_class=10),
-                         ZstdBackend())["a"]
+                         3)["a"]
     assert len(cl.compressors) == 10
     got = [c.dictionary.source_span.segment_index for c in cl.compressors]
     assert got == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
@@ -84,14 +84,14 @@ def test_build_class_list_cap_evenly_spaced():
 
 def test_build_class_list_single_short_text():
     corpus = corpus_from([("a", b"tiny text of fifty bytes or so, quite short."), ("b", b"zz")])
-    cl = build_all_lists(corpus, SegmentPlan(step_size=400), ZstdBackend())["a"]
+    cl = build_all_lists(corpus, SegmentPlan(step_size=400), 3)["a"]
     assert len(cl.compressors) == 1
     assert cl.compressors[0].dictionary.source_span.mode == "raw"  # too small to train
 
 
 def test_build_all_lists_keys(motif_split):
     train, _ = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=1024), ZstdBackend())
+    lists = build_all_lists(train, SegmentPlan(step_size=1024), 3)
     assert set(lists) == train.classes
 
 
@@ -100,7 +100,7 @@ def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
     # the fewest segments any class has; the first slice starts at 0.
     train, _ = motif_split
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=None)
-    lists = build_all_lists(train, plan, ZstdBackend())
+    lists = build_all_lists(train, plan, 3)
     lengths = {c: len(concat_class_text(train, c)) for c in lists}
     counts = {c: segment_count(n, plan.step_size) for c, n in lengths.items()}
     m = min(counts.values())
@@ -126,7 +126,7 @@ def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
         counts = {c: segment_count(len(concat_class_text(train, c)), 4096)
                   for c in train.classes}
         assert counts["alpha"] < min(n for c, n in counts.items() if c != "alpha")
-        lists = build_all_lists(train, plan, ZstdBackend())
+        lists = build_all_lists(train, plan, 3)
         m = counts["alpha"] if cap is None else min(counts["alpha"], cap)
         assert {c: len(cl.compressors) for c, cl in lists.items()} == dict.fromkeys(lists, m)
     assert counts["beta"] > m
@@ -142,7 +142,7 @@ def test_build_all_lists_passes_errors_through(motif_split, monkeypatch):
 
     monkeypatch.setattr(mcc, "train_dictionary", failing)
     with pytest.raises(UnicodeDecodeError):
-        build_all_lists(train, SegmentPlan(), ZstdBackend())
+        build_all_lists(train, SegmentPlan(), 3)
 
 
 def test_dictionaries_do_not_depend_on_the_level(motif_split):
@@ -151,8 +151,7 @@ def test_dictionaries_do_not_depend_on_the_level(motif_split):
     plan = SegmentPlan(step_size=2048, max_compressors_per_class=None)
 
     def dictionaries(level):
-        lists = build_all_lists(train, plan, ZstdBackend(level))
-        return {c: [x.dictionary for x in l.compressors] for c, l in lists.items()}
+        return dictionaries_of(build_all_lists(train, plan, level))
 
     fast = dictionaries(1)
     modes = {d.source_span.mode for ds in fast.values() for d in ds}
@@ -175,7 +174,7 @@ def test_build_all_lists_faults_in_one_dictionarys_tables():
     def faults(cap):
         plan = SegmentPlan(step_size=8192, max_compressors_per_class=cap)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        lists = build_all_lists(train, plan, ZstdBackend())
+        lists = build_all_lists(train, plan, 3)
         dictionaries = sum(len(cl.compressors) for cl in lists.values())
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, dictionaries
 
@@ -190,7 +189,7 @@ def test_one_table_log_for_dictionaries_across_a_power_of_two(bundled_train):
     # The default plan's dictionaries on the bundled split straddle 8 KiB:
     # every digest gets the largest's table log, 14, and none the 13 that
     # its own size would give.
-    lists = build_all_lists(bundled_train, SegmentPlan(), ZstdBackend())
+    lists = build_all_lists(bundled_train, SegmentPlan(), 3)
     compressors = [c for cl in lists.values() for c in cl.compressors]
     sizes = [len(c.dictionary.payload) for c in compressors]
     assert min(sizes) <= 8192 < max(sizes) <= 16384
@@ -199,6 +198,16 @@ def test_one_table_log_for_dictionaries_across_a_power_of_two(bundled_train):
     own = sizeof_cdict(smallest.cdict)
     assert own == sizeof_cdict(zb.CDict(smallest.dictionary.payload, 3, 14))
     assert own > sizeof_cdict(zb.CDict(smallest.dictionary.payload, 3, 13))
+
+
+def test_compressor_lists_reject_unequal_lengths(motif_split):
+    train, _ = motif_split
+    lists = build_all_lists(train, SegmentPlan(step_size=1024), 3)
+    dictionaries = dictionaries_of(lists)
+    assert len({len(ds) for ds in dictionaries.values()}) == 1
+    dictionaries["alpha"] = dictionaries["alpha"][1:]
+    with pytest.raises(ValueError, match="unequal lengths"):
+        compressor_lists(dictionaries, 3)
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +229,7 @@ def test_extreme_dictionaries_digest_and_score(level, whole_class_dictionary):
     tiny = TrainedDictionary(b"x", SourceSpan("tiny", 0, 0, 1))
     query = MotifGenerator(3).document("alpha", random.Random(1)) * 8
     for dictionary, table_log in ((tiny, 6), (whole_class_dictionary, 17)):
-        lists = compressor_lists({"c": [dictionary]}, ZstdBackend(level))
+        lists = compressor_lists({"c": [dictionary]}, level)
         (compressor,) = lists["c"].compressors
         assert compressor.cdict.table_log == table_log
         assert 0 < compressor.score(query) < len(query)
@@ -229,7 +238,7 @@ def test_extreme_dictionaries_digest_and_score(level, whole_class_dictionary):
 def test_score_query_prefers_own_class():
     gen = MotifGenerator(3, classes=2, noise_ratio=0.1)
     train = gen.corpus("t", 20, "train")
-    lists = build_all_lists(train, SegmentPlan(), ZstdBackend())
+    lists = build_all_lists(train, SegmentPlan(), 3)
     rng = random.Random(5)
     query = gen.document("alpha", rng)
     scores = {s.class_id: s.score for s in score_query(lists, query)}
@@ -238,21 +247,21 @@ def test_score_query_prefers_own_class():
 
 def test_score_query_single_class():
     corpus = corpus_from([("only", b"some text here")])
-    lists = build_all_lists(corpus, SegmentPlan(), ZstdBackend())
+    lists = build_all_lists(corpus, SegmentPlan(), 3)
     scores = score_query(lists, b"a query")
     assert len(scores) == 1 and scores[0].class_id == "only"
 
 
 def test_score_query_deterministic(motif_split):
     train, test = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=2048), ZstdBackend())
+    lists = build_all_lists(train, SegmentPlan(step_size=2048), 3)
     q = test.samples[0].text
     assert score_query(lists, q) == score_query(lists, q)
 
 
 def test_score_query_equals_recomputed_sum(motif_split):
     train, test = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=2048), ZstdBackend())
+    lists = build_all_lists(train, SegmentPlan(step_size=2048), 3)
     q = test.samples[1].text
     for cs in score_query(lists, q):
         manual = sum(c.score(q) for c in lists[cs.class_id].compressors)
@@ -265,7 +274,7 @@ def test_pair_recall_with_equal_lists_on_32_classes():
     # class in the pair; with equal lists every one does.
     train, test = make_motif_split(1, classes=32, tokens_per_doc=(200, 400), noise_ratio=0.3)
     lists = build_all_lists(train, SegmentPlan(step_size=8192, max_compressors_per_class=None),
-                            ZstdBackend())
+                            3)
     queries = test.samples[::3]
     assert len(queries) == 320
     missed = []
@@ -301,7 +310,7 @@ def test_class_regularity_separation():
     for seed in range(4):
         gen = MotifGenerator(seed, classes=3, tokens_per_doc=(20, 40), noise_ratio=0.45)
         train = gen.corpus("t", 40, "train")
-        lists = build_all_lists(train, SegmentPlan(), ZstdBackend())
+        lists = build_all_lists(train, SegmentPlan(), 3)
         rng = random.Random(f"queries:{seed}")
         for i in range(50):
             class_id = gen.class_names[i % 3]
@@ -323,7 +332,7 @@ def test_reference_and_zstd_rankings_agree():
     for seed in range(5):
         gen = MotifGenerator(seed, classes=3, tokens_per_doc=(25, 45), noise_ratio=0.2)
         train = gen.corpus("t", 10, "train")
-        zstd_lists = build_all_lists(train, SegmentPlan(step_size=4096), ZstdBackend())
+        zstd_lists = build_all_lists(train, SegmentPlan(step_size=4096), 3)
         segments = {}
         for class_id, cl in zstd_lists.items():
             text = concat_class_text(train, class_id)
@@ -347,15 +356,15 @@ def test_reference_and_zstd_rankings_agree():
 def test_bundle_round_trip(tmp_path, motif_split):
     train, test = motif_split
     plan = SegmentPlan(step_size=2048)
-    backend = ZstdBackend()
-    lists = build_all_lists(train, plan, backend)
+    lists = build_all_lists(train, plan, 3)
     path = tmp_path / "lists.bundle"
-    source = BundleSource(backend, plan, train.digest(), "trained")
+    source = BundleSource(3, plan, train.digest(), "trained")
     save_bundle(path, lists, source)
     loaded, loaded_source = load_bundle(path)
     assert loaded_source == source
+    assert loaded == dictionaries_of(lists)
     q = test.samples[0].text
-    assert score_query(loaded, q) == score_query(lists, q)
+    assert score_query(compressor_lists(loaded, 3), q) == score_query(lists, q)
 
 
 def test_bundle_rejects_other_files(tmp_path):

@@ -92,18 +92,19 @@ def test_baseline_is_knn_over_the_whole_train_set(baselines, query, k):
 
 @pytest.fixture(scope="module")
 def reloaded(pipelines, tmp_path_factory):
-    """lftc and lftc-mcc pipelines on lists saved to a bundle and loaded back."""
+    """lftc and lftc-mcc pipelines on dictionaries saved to a bundle and
+    loaded back."""
     out = {}
     for variant in ("lftc", "lftc-mcc"):
         pipe = pipelines[variant]
         path = tmp_path_factory.mktemp("bundle") / f"{variant}.bundle"
         source = mcc.BundleSource(
-            pipe.config.mcc_backend, list_plan(pipe.config), pipe.train.digest(),
+            pipe.config.level, list_plan(pipe.config), pipe.train.digest(),
             pipe.config.dict_mode,
         )
         mcc.save_bundle(path, pipe.lists, source)
-        lists, _ = mcc.load_bundle(path)
-        out[variant] = Pipeline(pipe.train, pipe.config, prebuilt_lists=lists)
+        dictionaries, _ = mcc.load_bundle(path)
+        out[variant] = Pipeline(pipe.train, pipe.config, dictionaries)
     return out
 
 
