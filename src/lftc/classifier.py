@@ -14,15 +14,18 @@ pipeline has lists, CR when it has fitted sizes. A train split needs two or
 more classes, for MCC's pair and for every variant alike.
 
 A pipeline is fitted once per (train corpus, config) and reused for every
-query. The fit digests the dictionaries it trains, or those it is given,
-at ``PipelineConfig.level`` into compressor lists, and computes each
-training text's NCD size C(y) (``Pipeline.sizes``). It runs inside
-``zstd_bindings.keep_heap()`` for every variant, so every process that
-predicts does so on the tuned heap, where each query's deflate state is
-served without fresh pages. Nothing is written after the fit, so
-evaluation parallelizes over test samples with bit-identical results at
-any worker count. ``PipelineConfig.threads`` sets only those prediction
-workers; the fit trains its dictionaries on one thread (see ``lftc.mcc``).
+query. The fit trains the level-free dictionaries of the compressor lists
+(``Pipeline.dictionaries``), or takes those it is given, digests them at
+``PipelineConfig.level``, and computes each training text's NCD size C(y)
+(``Pipeline.sizes``). It runs inside ``zstd_bindings.keep_heap()`` for
+every variant: ZDICT's scratch tables stay mapped from one training to the
+next, and every process that predicts does so on the tuned heap, where
+each query's deflate state is served without fresh pages. Dictionaries are
+trained on one thread, as glibc cannot trim a worker thread's heap (a
+16-class fit over two threads kept 14.6 MB more resident after it ended).
+Nothing is written after the fit, so evaluation parallelizes over test
+samples with bit-identical results at any worker count;
+``PipelineConfig.threads`` sets only those prediction workers.
 
 ``evaluate(pipeline, test)`` takes only a fitted pipeline, so its report
 echoes the train split and config that the predictions came from. Report
@@ -101,8 +104,8 @@ def list_plan(config: PipelineConfig) -> SegmentPlan:
 class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query. A
     train split of fewer than two classes raises ``DegenerateCorpusError``.
-    Given ``dictionaries`` (a bundle's: a list for each training class), it
-    digests those and trains none."""
+    Given ``dictionaries`` (a list for each training class, from a fit at
+    any level or a bundle), it digests those and trains none."""
 
     def __init__(
         self,
@@ -115,28 +118,27 @@ class Pipeline:
                 f"train split {train.name!r} has {len(train.classes)} class; "
                 "classification needs at least 2"
             )
+        if config.variant == "baseline-ncd" and dictionaries is not None:
+            raise ValueError("baseline-ncd builds no compressor lists")
         self.train = train
         self.config = config
         self.classes = sorted(train.classes)
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
         with keep_heap():
-            if config.variant == "baseline-ncd":
-                pass
-            elif dictionaries is not None:
+            if config.variant != "baseline-ncd":
+                if dictionaries is None:
+                    dictionaries = mcc.build_all_lists(train, list_plan(config), config.dict_mode)
                 differ = set(self.classes) ^ set(dictionaries)
                 if differ:
                     raise ValueError(
                         f"dictionaries do not match the training classes: {sorted(differ)}"
                     )
                 self.lists = mcc.compressor_lists(dictionaries, config.level)
-            else:
-                self.lists = mcc.build_all_lists(
-                    train, list_plan(config), config.level, dict_mode=config.dict_mode
-                )
             # C(y) of every training text, aligned with train.samples.
             self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)
         self.list_build_seconds = time.perf_counter() - t0
+        self.dictionaries: dict[str, list[TrainedDictionary]] | None = dictionaries
 
     def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
         """MCC shortlists a pair when the pipeline has lists; CR then votes

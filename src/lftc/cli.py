@@ -174,19 +174,17 @@ def _write_audit(path: Path, predictions) -> None:
 
 
 def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
-    """Honour --bundle: reuse persisted dictionaries or persist fresh ones.
-    A bundle of another zstd level, plan, train split or dictionary mode, or
-    whose dictionaries digest into no comparable lists, is rejected."""
+    """Honour --bundle: reuse persisted dictionaries, at any zstd level, or
+    persist fresh ones. A bundle of another plan, train split or dictionary
+    mode, or whose dictionaries digest into no comparable lists, is rejected."""
     if not args.bundle:
         return classifier.Pipeline(train, config)
     if config.variant == "baseline-ncd":
         raise ValueError("--bundle: baseline-ncd builds no compressor lists")
-    source = mcc.BundleSource(
-        config.level, classifier.list_plan(config), train.digest(), config.dict_mode
-    )
+    source = mcc.BundleSource(classifier.list_plan(config), train.digest(), config.dict_mode)
     if not args.bundle.exists():
         pipeline = classifier.Pipeline(train, config)
-        mcc.save_bundle(args.bundle, pipeline.lists, source)
+        mcc.save_bundle(args.bundle, pipeline.dictionaries, source)
         return pipeline
     dictionaries, stored = mcc.load_bundle(args.bundle)
     diffs = [f.name for f in dataclasses.fields(source)
@@ -250,11 +248,16 @@ def run_sweep(args) -> int:
         raise ValueError(f"--out {out}: the CSV summary would overwrite the JSON reports")
     train, test = _load_split(args)
     reports = []
+    dictionaries = {}  # by list plan: grid points that differ in level share them
     for step, level, cap in itertools.product(args.step_size, args.level, args.max_compressors):
         point = argparse.Namespace(
             **vars(args) | {"step_size": step, "level": level, "max_compressors": cap}
         )
-        report, _ = classifier.evaluate(classifier.Pipeline(train, _config(point)), test)
+        config = _config(point)
+        plan = classifier.list_plan(config)
+        pipeline = classifier.Pipeline(train, config, dictionaries.get(plan))
+        dictionaries[plan] = pipeline.dictionaries
+        report, _ = classifier.evaluate(pipeline, test)
         reports.append(report)
     out.write_text(
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",

@@ -133,7 +133,6 @@ class DictCompressor:
     """
 
     def __init__(self, dictionary: TrainedDictionary, level: int, table_log: int):
-        self.dictionary = dictionary
         try:
             self.cdict = _digest(dictionary.payload, level, table_log)
         except zb.ZstdError as exc:

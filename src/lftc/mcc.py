@@ -10,20 +10,15 @@ Per-class scores are plain sums over the list, so every list of a fit has
 the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
-Dictionaries are trained without a zstd level, which applies only to their
+``build_all_lists`` trains a fit's dictionaries, serially on the calling
+thread, and gives them no zstd level: the level applies only to their
 digests. ``compressor_lists`` is the one place that digests them, so every
 set of dictionaries, fitted or loaded from a bundle, becomes lists of one
 length, at one level, with match tables of one size (set by the set's
 largest dictionary): class scores are comparable.
 
-The fit trains every dictionary serially on the calling thread, inside
-``zstd_bindings.keep_heap()``, so ZDICT's scratch tables stay mapped from
-one training to the next and are released once at the end. It is serial
-because glibc cannot trim a worker thread's heap: a 16-class fit over two
-threads kept 14.6 MB more resident after it ended than the serial fit.
-
 A saved bundle holds a fit's dictionaries and what they were built from
-(``BundleSource``); only a run with the same source may reuse it.
+(``BundleSource``); a run with the same source reuses it at any zstd level.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from .compression import (
     train_dictionary,
 )
 from .corpus import Corpus, concat_class_text
-from .zstd_bindings import MIN_TABLE_LOG, keep_heap
+from .zstd_bindings import MIN_TABLE_LOG
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
 BUNDLE_VERSION = 3
@@ -144,23 +139,18 @@ def compressor_lists(
 
 
 def build_all_lists(
-    corpus: Corpus,
-    plan: SegmentPlan,
-    level: int,
-    dict_mode: str = "trained",
-) -> dict[str, ClassCompressorList]:
-    """One compressor list per class, all of one length (see the module
-    docstring), trained serially and digested at ``level``."""
+    corpus: Corpus, plan: SegmentPlan, dict_mode: str = "trained"
+) -> dict[str, list[TrainedDictionary]]:
+    """The dictionaries of every class's compressor list, all lists of one
+    length (see the module docstring), trained serially."""
     texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
     count = min(segment_count(len(text), plan.step_size) for text in texts.values())
     if plan.max_compressors_per_class is not None:
         count = min(count, plan.max_compressors_per_class)
-    with keep_heap():
-        dictionaries = {
-            class_id: _class_dictionaries(class_id, text, plan, count, dict_mode)
-            for class_id, text in texts.items()
-        }
-        return compressor_lists(dictionaries, level)
+    return {
+        class_id: _class_dictionaries(class_id, text, plan, count, dict_mode)
+        for class_id, text in texts.items()
+    }
 
 
 def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:
@@ -188,41 +178,41 @@ def select_candidates(scores: list[ClassScore]) -> CandidatePair:
 
 @dataclass(frozen=True)
 class BundleSource:
-    """What a bundle's dictionaries were built from, the digests' zstd
-    ``level`` included. ``dict_mode`` is the requested mode: a segment's own
-    ``mode`` reads "raw" under "trained" when ZDICT refused it."""
+    """What a bundle's dictionaries were built from. ``dict_mode`` is the
+    requested mode: a segment's own ``mode`` reads "raw" under "trained"
+    when ZDICT refused it. No zstd level: dictionaries carry none."""
 
-    level: int
     plan: SegmentPlan
     train_sha256: str
     dict_mode: str
 
 
-def save_bundle(path, lists: dict[str, ClassCompressorList], source: BundleSource) -> None:
-    """Persist dictionary payloads so repeated runs skip reconstruction.
+def save_bundle(
+    path, dictionaries: dict[str, list[TrainedDictionary]], source: BundleSource
+) -> None:
+    """Persist dictionary payloads so repeated runs skip training.
     Versioned JSON container; not a cross-version stability promise."""
     doc = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
-        "backend": {"kind": "zstd", "level": source.level},
         "plan": asdict(source.plan),
         "train_sha256": source.train_sha256,
         "dict_mode": source.dict_mode,
         "classes": [
             {
-                "class": cl.class_id,
+                "class": class_id,
                 "segments": [
                     {
-                        "index": c.dictionary.source_span.segment_index,
-                        "start": c.dictionary.source_span.start,
-                        "stop": c.dictionary.source_span.stop,
-                        "mode": c.dictionary.source_span.mode,
-                        "payload": base64.b64encode(c.dictionary.payload).decode("ascii"),
+                        "index": d.source_span.segment_index,
+                        "start": d.source_span.start,
+                        "stop": d.source_span.stop,
+                        "mode": d.source_span.mode,
+                        "payload": base64.b64encode(d.payload).decode("ascii"),
                     }
-                    for c in cl.compressors
+                    for d in ds
                 ],
             }
-            for _, cl in sorted(lists.items())
+            for class_id, ds in sorted(dictionaries.items())
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -246,9 +236,6 @@ def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]
             f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
         )
     try:
-        meta = doc["backend"]
-        if meta["kind"] != "zstd":
-            raise ValueError(f"unsupported backend {meta['kind']!r}")
         dictionaries: dict[str, list[TrainedDictionary]] = {}
         for entry in doc["classes"]:
             if entry["class"] in dictionaries:
@@ -263,7 +250,7 @@ def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]
                 for seg in entry["segments"]
             ]
         plan = SegmentPlan(**doc["plan"])
-        source = BundleSource(meta["level"], plan, doc["train_sha256"], doc["dict_mode"])
+        source = BundleSource(plan, doc["train_sha256"], doc["dict_mode"])
         return dictionaries, source
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed bundle ({type(exc).__name__}: {exc})") from exc

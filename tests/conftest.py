@@ -18,11 +18,6 @@ def corpus_from(pairs, name="tiny") -> Corpus:
     return Corpus(name=name, samples=tuple(LabeledText(l, t) for l, t in pairs))
 
 
-def dictionaries_of(lists) -> dict:
-    """The dictionaries behind a set of compressor lists, by class."""
-    return {c: [x.dictionary for x in cl.compressors] for c, cl in lists.items()}
-
-
 def make_motif_split(
     seed: int,
     train_docs: int = 40,

@@ -19,7 +19,7 @@ from lftc.corpus import Corpus
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
-from conftest import DATA_DIR, REPO_ROOT, corpus_from, dictionaries_of
+from conftest import DATA_DIR, REPO_ROOT, corpus_from
 
 
 def test_two_class_corpus_forces_pair(motif_split):
@@ -70,8 +70,8 @@ def test_ablation_mcc_single_dictionary_per_class(motif_split):
 def test_ablation_mcc_tiny_class_uses_raw_fallback():
     train = corpus_from([("a", b"short a text"), ("b", b"short b text")])
     pipeline = Pipeline(train, PipelineConfig(variant="lftc-mcc"))
-    for cl in pipeline.lists.values():
-        assert cl.compressors[0].dictionary.source_span.mode == "raw"
+    for ds in pipeline.dictionaries.values():
+        assert ds[0].source_span.mode == "raw"
 
 
 def test_baseline_counts_whole_train(motif_split):
@@ -227,7 +227,7 @@ def test_fitted_dictionaries_reuse(motif_split):
     train, test = motif_split
     config = PipelineConfig()
     fitted = Pipeline(train, config)
-    reused = Pipeline(train, config, dictionaries_of(fitted.lists))
+    reused = Pipeline(train, config, fitted.dictionaries)
     for c, cl in reused.lists.items():
         pairs = zip(cl.compressors, fitted.lists[c].compressors, strict=True)
         assert all(x.cdict is y.cdict for x, y in pairs)
@@ -241,7 +241,7 @@ def test_given_dictionaries_digest_at_the_configs_level(motif_split):
     # Dictionaries carry no level: a level-3 fit's dictionaries under a
     # level-19 config score as a level-19 fit, and the report says 19.
     train, test = motif_split
-    dictionaries = dictionaries_of(Pipeline(train, PipelineConfig()).lists)
+    dictionaries = Pipeline(train, PipelineConfig()).dictionaries
     reused = Pipeline(train, PipelineConfig(level=19), dictionaries)
     assert {x.cdict.level for cl in reused.lists.values() for x in cl.compressors} == {19}
     fresh = Pipeline(train, PipelineConfig(level=19))
@@ -260,7 +260,7 @@ def test_given_dictionaries_share_one_table_log_across_classes(bundled_train):
     config = PipelineConfig(
         plan=SegmentPlan(step_size=4096, max_compressors_per_class=2), dict_mode="raw"
     )
-    dictionaries = dictionaries_of(Pipeline(bundled_train, config).lists)
+    dictionaries = dict(Pipeline(bundled_train, config).dictionaries)
     dictionaries["alpha"] = [
         TrainedDictionary(d.payload[:1000], d.source_span) for d in dictionaries["alpha"]
     ]
@@ -296,10 +296,10 @@ def test_bundle_reuse_predicts_without_fresh_pages(bundled_train, tmp_path):
     # each deflate state comes from the kept heap. Under glibc's default
     # thresholds the same loop took about 1,600 faults per query.
     config = PipelineConfig()
-    lists = Pipeline(bundled_train, config).lists
+    dictionaries = Pipeline(bundled_train, config).dictionaries
     bundle = tmp_path / "bundle.json"
-    source = mcc.BundleSource(config.level, config.plan, bundled_train.digest(), "trained")
-    mcc.save_bundle(bundle, lists, source)
+    source = mcc.BundleSource(config.plan, bundled_train.digest(), "trained")
+    mcc.save_bundle(bundle, dictionaries, source)
     proc = subprocess.run(
         [sys.executable, "-c", _BUNDLE_REUSE_FAULTS, str(DATA_DIR / "synthetic_train.csv"),
          str(DATA_DIR / "synthetic_test.csv"), str(bundle)],
@@ -311,13 +311,15 @@ def test_bundle_reuse_predicts_without_fresh_pages(bundled_train, tmp_path):
 
 def test_given_dictionaries_must_match_training_classes(motif_split):
     train, _ = motif_split
-    dictionaries = dictionaries_of(Pipeline(train, PipelineConfig()).lists)
+    dictionaries = Pipeline(train, PipelineConfig()).dictionaries
     two = Corpus("two", tuple(s for s in train.samples if s.label in ("alpha", "beta")))
     with pytest.raises(ValueError, match="gamma"):
         Pipeline(two, PipelineConfig(), dictionaries)  # an extra class
     fewer = {c: ds for c, ds in dictionaries.items() if c != "gamma"}
     with pytest.raises(ValueError, match="gamma"):
         Pipeline(train, PipelineConfig(), fewer)  # a missing class
+    with pytest.raises(ValueError, match="baseline-ncd builds no compressor lists"):
+        Pipeline(train, PipelineConfig(variant="baseline-ncd"), dictionaries)
 
 
 def test_fewshot_evaluate_trials_and_ci(motif_split):

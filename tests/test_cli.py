@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from lftc import classifier
+from lftc import classifier, mcc
 from lftc.cli import EXIT_OK, EXIT_VALIDATION, main
 from lftc.corpus import Corpus, load_csv, save_csv
+from lftc.mcc import SegmentPlan
 from lftc.report import EvalReport, confidence_interval, write_csv_summary
 
 from conftest import DATA_DIR
@@ -122,12 +123,22 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
     train = load_csv(TRAIN)
     other_train = tmp_path / "other_train.csv"
     save_csv(Corpus("other", train.samples[1:]), other_train)
-    for other in (["--step-size", "4096"], ["--level", "5"], ["--variant", "lftc-mcc"],
+    for other in (["--step-size", "4096"], ["--variant", "lftc-mcc"],
                   ["--train", str(other_train)], ["--dict-mode", "raw"]):
         assert run(base + other) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bundle) in err
         assert err.count("\n") == 1
+    # Dictionaries carry no level: another level reuses the bundle, as a
+    # fresh fit at that level predicts, and leaves it as it was.
+    saved = bundle.read_bytes()
+    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+    assert run(base + ["--level", "5", "--audit", str(reused)]) == EXIT_OK
+    assert run(["eval", "--train", TRAIN, "--test", TEST, "--level", "5",
+                "--audit", str(fresh)]) == EXIT_OK
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert bundle.read_bytes() == saved
+    capsys.readouterr()
     # Lists of unequal length give class scores that cannot be compared.
     doc = json.loads(bundle.read_text())
     assert [len(c["segments"]) for c in doc["classes"]] == [2, 2, 2]
@@ -149,6 +160,28 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
         assert run(base) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"version {version}; delete it to rebuild" in err
+
+
+def test_eval_reuses_a_bundle_that_records_a_level(tmp_path, capsys):
+    # Bundles used to record the level of the run that saved them, as
+    # "backend": {"kind": "zstd", "level": L}; such a bundle still loads,
+    # and reuses at any level as a fresh fit at that level.
+    bundle = tmp_path / "lists.bundle"
+    base = ["eval", "--train", TRAIN, "--test", TEST]
+    assert run(base + ["--bundle", str(bundle), "--level", "5"]) == EXIT_OK
+    doc = json.loads(bundle.read_text())
+    assert "backend" not in doc
+    written = mcc.load_bundle(bundle)
+    old = {k: doc[k] for k in ("format", "version")}
+    old["backend"] = {"kind": "zstd", "level": 5}
+    old.update((k, v) for k, v in doc.items() if k not in old)
+    bundle.write_text(json.dumps(old))
+    assert mcc.load_bundle(bundle) == written
+    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+    assert run(base + ["--bundle", str(bundle), "--audit", str(reused)]) == EXIT_OK
+    assert run(base + ["--audit", str(fresh)]) == EXIT_OK
+    assert reused.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
 
 
 def _drop_classes(doc):
@@ -324,6 +357,43 @@ def test_sweep_grid(tmp_path, capsys):
     assert configs == {(8192, 1), (8192, 3), (65536, 1), (65536, 3)}
     csv_text = (tmp_path / "sweep.csv").read_text()
     assert csv_text.count("\n") == 5  # header + 4 rows
+
+
+@pytest.mark.parametrize("variant", ["lftc", "lftc-mcc"])
+def test_sweep_trains_once_per_list_plan(variant, tmp_path, monkeypatch, capsys):
+    # Grid points that differ only in level share one set of dictionaries;
+    # lftc-mcc's whole-class plan ignores the step size, so its two steps
+    # share one too.
+    train = load_csv(TRAIN)
+    plans = {
+        classifier.list_plan(classifier.PipelineConfig(variant=variant, plan=SegmentPlan(step)))
+        for step in (8192, 65536)
+    }
+    assert len(plans) == (1 if variant == "lftc-mcc" else 2)
+    expected = sum(len(ds) for plan in plans for ds in mcc.build_all_lists(train, plan).values())
+    trained = []
+    train_dictionary = mcc.train_dictionary
+
+    def counting(segment, span, **kwargs):
+        trained.append(span)
+        return train_dictionary(segment, span, **kwargs)
+
+    monkeypatch.setattr(mcc, "train_dictionary", counting)
+
+    def sweep(levels):
+        trained.clear()
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--train", TRAIN, "--test", TEST, "--variant", variant,
+                    "--step-size", "8192,65536", "--level", levels, "--out", str(out)]) == EXIT_OK
+        reports = json.loads(out.read_text())
+        return len(trained), [(r["config"]["step_size"], r["config"]["mcc_backend"]["level"])
+                              for r in reports]
+
+    alone, _ = sweep("3")
+    both, order = sweep("1,3")
+    assert alone == both == expected
+    steps = (8192, 65536) if variant == "lftc" else (classifier.WHOLE_CLASS_DICT_LIMIT,) * 2
+    assert order == [(step, level) for step in steps for level in (1, 3)]
 
 
 def test_sweep_out_that_the_csv_summary_would_overwrite(tmp_path, capsys):

@@ -404,8 +404,8 @@ def test_concurrent_construction_makes_one_digest_per_dictionary():
     finally:
         sys.setswitchinterval(interval)
     digests = {}
-    for c in comps:
-        digests.setdefault(c.dictionary.payload, set()).add(id(c.cdict))
+    for d, c in zip(work, comps, strict=True):
+        digests.setdefault(d.payload, set()).add(id(c.cdict))
     assert len(digests) == len(payloads)
     assert all(len(ids) == 1 for ids in digests.values())
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lftc import mcc
 from lftc import zstd_bindings as zb
-from lftc.classifier import WHOLE_CLASS_DICT_LIMIT
+from lftc.classifier import WHOLE_CLASS_DICT_LIMIT, Pipeline, PipelineConfig
 from lftc.compression import SourceSpan, TrainedDictionary, train_dictionary
 from lftc.corpus import Corpus, concat_class_text
 from lftc.mcc import (
@@ -27,7 +27,7 @@ from lftc.mcc import (
 from lftc.synthetic import MotifGenerator
 
 from codec_helpers import sizeof_cdict
-from conftest import corpus_from, dictionaries_of, make_motif_split
+from conftest import corpus_from, make_motif_split
 from reference_lz import ref_compress_size
 
 
@@ -58,41 +58,43 @@ def one_text_per_class(total_len: int):
                         ("b", bytes(i % 13 for i in range(total_len)))])
 
 
-def spans(class_list):
-    return [(c.dictionary.source_span.start, c.dictionary.source_span.stop)
-            for c in class_list.compressors]
+def spans(dictionaries):
+    return [(d.source_span.start, d.source_span.stop) for d in dictionaries]
+
+
+def fitted_lists(corpus, plan):
+    """Compressor lists as a fit builds them: trained, then digested at 3."""
+    return compressor_lists(build_all_lists(corpus, plan), 3)
 
 
 def test_build_class_list_spans_tile():
     corpus = one_text_per_class(1000)
-    cl = build_all_lists(corpus, SegmentPlan(step_size=400, max_compressors_per_class=None),
-                         3)["a"]
-    assert len(cl.compressors) == 3
-    assert spans(cl) == [(0, 400), (400, 800), (800, 1000)]
+    ds = build_all_lists(corpus, SegmentPlan(step_size=400, max_compressors_per_class=None))["a"]
+    assert len(ds) == 3
+    assert spans(ds) == [(0, 400), (400, 800), (800, 1000)]
 
 
 def test_build_class_list_cap_evenly_spaced():
     corpus = one_text_per_class(10_000)
-    cl = build_all_lists(corpus, SegmentPlan(step_size=100, max_compressors_per_class=10),
-                         3)["a"]
-    assert len(cl.compressors) == 10
-    got = [c.dictionary.source_span.segment_index for c in cl.compressors]
+    ds = build_all_lists(corpus, SegmentPlan(step_size=100, max_compressors_per_class=10))["a"]
+    assert len(ds) == 10
+    got = [d.source_span.segment_index for d in ds]
     assert got == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
-    starts = [s for s, _ in spans(cl)]
+    starts = [s for s, _ in spans(ds)]
     assert starts[0] == 0 and starts[-1] == 9000
 
 
 def test_build_class_list_single_short_text():
     corpus = corpus_from([("a", b"tiny text of fifty bytes or so, quite short."), ("b", b"zz")])
-    cl = build_all_lists(corpus, SegmentPlan(step_size=400), 3)["a"]
-    assert len(cl.compressors) == 1
-    assert cl.compressors[0].dictionary.source_span.mode == "raw"  # too small to train
+    ds = build_all_lists(corpus, SegmentPlan(step_size=400))["a"]
+    assert len(ds) == 1
+    assert ds[0].source_span.mode == "raw"  # too small to train
 
 
 def test_build_all_lists_keys(motif_split):
     train, _ = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=1024), 3)
-    assert set(lists) == train.classes
+    dictionaries = build_all_lists(train, SegmentPlan(step_size=1024))
+    assert set(dictionaries) == train.classes
 
 
 def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
@@ -100,18 +102,18 @@ def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
     # the fewest segments any class has; the first slice starts at 0.
     train, _ = motif_split
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=None)
-    lists = build_all_lists(train, plan, 3)
-    lengths = {c: len(concat_class_text(train, c)) for c in lists}
+    dictionaries = build_all_lists(train, plan)
+    lengths = {c: len(concat_class_text(train, c)) for c in dictionaries}
     counts = {c: segment_count(n, plan.step_size) for c, n in lengths.items()}
     m = min(counts.values())
     assert len(set(counts.values())) > 1  # the split is ragged
-    for class_id, cl in lists.items():
+    for class_id, ds in dictionaries.items():
         indices = mcc._segment_indices(counts[class_id], m)
-        assert [c.dictionary.source_span.segment_index for c in cl.compressors] == indices
-        assert spans(cl) == [
+        assert [d.source_span.segment_index for d in ds] == indices
+        assert spans(ds) == [
             (i * 1024, min(lengths[class_id], (i + 1) * 1024)) for i in indices
         ]
-        assert spans(cl)[0][0] == 0
+        assert spans(ds)[0][0] == 0
 
 
 def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
@@ -126,9 +128,9 @@ def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
         counts = {c: segment_count(len(concat_class_text(train, c)), 4096)
                   for c in train.classes}
         assert counts["alpha"] < min(n for c, n in counts.items() if c != "alpha")
-        lists = build_all_lists(train, plan, 3)
+        dictionaries = build_all_lists(train, plan)
         m = counts["alpha"] if cap is None else min(counts["alpha"], cap)
-        assert {c: len(cl.compressors) for c, cl in lists.items()} == dict.fromkeys(lists, m)
+        assert {c: len(ds) for c, ds in dictionaries.items()} == dict.fromkeys(dictionaries, m)
     assert counts["beta"] > m
 
 
@@ -142,39 +144,40 @@ def test_build_all_lists_passes_errors_through(motif_split, monkeypatch):
 
     monkeypatch.setattr(mcc, "train_dictionary", failing)
     with pytest.raises(UnicodeDecodeError):
-        build_all_lists(train, SegmentPlan(), 3)
+        build_all_lists(train, SegmentPlan())
 
 
 def test_dictionaries_do_not_depend_on_the_level(motif_split):
-    # ZDICT is given no level: the level enters only the digest.
+    # ZDICT is given no level: fits at levels 1, 3 and 19 train the same
+    # dictionaries, and the level enters only the digests.
     train, _ = motif_split
     plan = SegmentPlan(step_size=2048, max_compressors_per_class=None)
-
-    def dictionaries(level):
-        return dictionaries_of(build_all_lists(train, plan, level))
-
-    fast = dictionaries(1)
+    fits = {level: Pipeline(train, PipelineConfig(plan=plan, level=level)) for level in (1, 3, 19)}
+    fast = fits[1].dictionaries
     modes = {d.source_span.mode for ds in fast.values() for d in ds}
     assert modes == {"trained", "raw"}
-    assert dictionaries(3) == fast
-    assert dictionaries(19) == fast
+    for level, fit in fits.items():
+        assert fit.dictionaries == fast
+        assert {x.cdict.level for cl in fit.lists.values() for x in cl.compressors} == {level}
 
 
 @pytest.mark.skipif(
     not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt (not glibc)"
 )
 def test_build_all_lists_faults_in_one_dictionarys_tables():
-    # ZDICT's scratch tables stay mapped across a fit. At step 8192 each
-    # dictionary's tables take 256 KiB, above glibc's default mmap
-    # threshold: kept mapped, each dictionary past the first few costs ~16
-    # minor page faults; mapped afresh per dictionary, ~500.
+    # Under keep_heap(), as in every Pipeline fit, ZDICT's scratch tables
+    # stay mapped across a fit. At step 8192 each dictionary's tables take
+    # 256 KiB, above glibc's default mmap threshold: kept mapped, each
+    # dictionary past the first few costs ~16 minor page faults; mapped
+    # afresh per dictionary, ~500.
     gen = MotifGenerator(1, classes=4, tokens_per_doc=(200, 400), noise_ratio=0.3)
     train = gen.corpus("t", 40, "train")
 
     def faults(cap):
         plan = SegmentPlan(step_size=8192, max_compressors_per_class=cap)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        lists = build_all_lists(train, plan, 3)
+        with zb.keep_heap():
+            lists = compressor_lists(build_all_lists(train, plan), 3)
         dictionaries = sum(len(cl.compressors) for cl in lists.values())
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, dictionaries
 
@@ -189,21 +192,24 @@ def test_one_table_log_for_dictionaries_across_a_power_of_two(bundled_train):
     # The default plan's dictionaries on the bundled split straddle 8 KiB:
     # every digest gets the largest's table log, 14, and none the 13 that
     # its own size would give.
-    lists = build_all_lists(bundled_train, SegmentPlan(), 3)
-    compressors = [c for cl in lists.values() for c in cl.compressors]
-    sizes = [len(c.dictionary.payload) for c in compressors]
+    dictionaries = build_all_lists(bundled_train, SegmentPlan())
+    lists = compressor_lists(dictionaries, 3)
+    pairs = [
+        (d, c) for class_id, ds in dictionaries.items()
+        for d, c in zip(ds, lists[class_id].compressors, strict=True)
+    ]
+    sizes = [len(d.payload) for d, _ in pairs]
     assert min(sizes) <= 8192 < max(sizes) <= 16384
-    assert {c.cdict.table_log for c in compressors} == {14}
-    smallest = min(compressors, key=lambda c: len(c.dictionary.payload))
-    own = sizeof_cdict(smallest.cdict)
-    assert own == sizeof_cdict(zb.CDict(smallest.dictionary.payload, 3, 14))
-    assert own > sizeof_cdict(zb.CDict(smallest.dictionary.payload, 3, 13))
+    assert {c.cdict.table_log for _, c in pairs} == {14}
+    smallest, compressor = min(pairs, key=lambda pair: len(pair[0].payload))
+    own = sizeof_cdict(compressor.cdict)
+    assert own == sizeof_cdict(zb.CDict(smallest.payload, 3, 14))
+    assert own > sizeof_cdict(zb.CDict(smallest.payload, 3, 13))
 
 
 def test_compressor_lists_reject_unequal_lengths(motif_split):
     train, _ = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=1024), 3)
-    dictionaries = dictionaries_of(lists)
+    dictionaries = build_all_lists(train, SegmentPlan(step_size=1024))
     assert len({len(ds) for ds in dictionaries.values()}) == 1
     dictionaries["alpha"] = dictionaries["alpha"][1:]
     with pytest.raises(ValueError, match="unequal lengths"):
@@ -238,7 +244,7 @@ def test_extreme_dictionaries_digest_and_score(level, whole_class_dictionary):
 def test_score_query_prefers_own_class():
     gen = MotifGenerator(3, classes=2, noise_ratio=0.1)
     train = gen.corpus("t", 20, "train")
-    lists = build_all_lists(train, SegmentPlan(), 3)
+    lists = fitted_lists(train, SegmentPlan())
     rng = random.Random(5)
     query = gen.document("alpha", rng)
     scores = {s.class_id: s.score for s in score_query(lists, query)}
@@ -247,21 +253,21 @@ def test_score_query_prefers_own_class():
 
 def test_score_query_single_class():
     corpus = corpus_from([("only", b"some text here")])
-    lists = build_all_lists(corpus, SegmentPlan(), 3)
+    lists = fitted_lists(corpus, SegmentPlan())
     scores = score_query(lists, b"a query")
     assert len(scores) == 1 and scores[0].class_id == "only"
 
 
 def test_score_query_deterministic(motif_split):
     train, test = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=2048), 3)
+    lists = fitted_lists(train, SegmentPlan(step_size=2048))
     q = test.samples[0].text
     assert score_query(lists, q) == score_query(lists, q)
 
 
 def test_score_query_equals_recomputed_sum(motif_split):
     train, test = motif_split
-    lists = build_all_lists(train, SegmentPlan(step_size=2048), 3)
+    lists = fitted_lists(train, SegmentPlan(step_size=2048))
     q = test.samples[1].text
     for cs in score_query(lists, q):
         manual = sum(c.score(q) for c in lists[cs.class_id].compressors)
@@ -273,8 +279,7 @@ def test_pair_recall_with_equal_lists_on_32_classes():
     # fewer segments sum lower, and only 0.7375 of these queries have their
     # class in the pair; with equal lists every one does.
     train, test = make_motif_split(1, classes=32, tokens_per_doc=(200, 400), noise_ratio=0.3)
-    lists = build_all_lists(train, SegmentPlan(step_size=8192, max_compressors_per_class=None),
-                            3)
+    lists = fitted_lists(train, SegmentPlan(step_size=8192, max_compressors_per_class=None))
     queries = test.samples[::3]
     assert len(queries) == 320
     missed = []
@@ -310,7 +315,7 @@ def test_class_regularity_separation():
     for seed in range(4):
         gen = MotifGenerator(seed, classes=3, tokens_per_doc=(20, 40), noise_ratio=0.45)
         train = gen.corpus("t", 40, "train")
-        lists = build_all_lists(train, SegmentPlan(), 3)
+        lists = fitted_lists(train, SegmentPlan())
         rng = random.Random(f"queries:{seed}")
         for i in range(50):
             class_id = gen.class_names[i % 3]
@@ -332,11 +337,12 @@ def test_reference_and_zstd_rankings_agree():
     for seed in range(5):
         gen = MotifGenerator(seed, classes=3, tokens_per_doc=(25, 45), noise_ratio=0.2)
         train = gen.corpus("t", 10, "train")
-        zstd_lists = build_all_lists(train, SegmentPlan(step_size=4096), 3)
+        dictionaries = build_all_lists(train, SegmentPlan(step_size=4096))
+        zstd_lists = compressor_lists(dictionaries, 3)
         segments = {}
-        for class_id, cl in zstd_lists.items():
+        for class_id, ds in dictionaries.items():
             text = concat_class_text(train, class_id)
-            spans = [c.dictionary.source_span for c in cl.compressors]
+            spans = [d.source_span for d in ds]
             segments[class_id] = [text[s.start : s.stop] for s in spans]
         rng = random.Random(f"agree:{seed}")
         for i in range(10):
@@ -356,15 +362,17 @@ def test_reference_and_zstd_rankings_agree():
 def test_bundle_round_trip(tmp_path, motif_split):
     train, test = motif_split
     plan = SegmentPlan(step_size=2048)
-    lists = build_all_lists(train, plan, 3)
+    dictionaries = build_all_lists(train, plan)
     path = tmp_path / "lists.bundle"
-    source = BundleSource(3, plan, train.digest(), "trained")
-    save_bundle(path, lists, source)
+    source = BundleSource(plan, train.digest(), "trained")
+    save_bundle(path, dictionaries, source)
     loaded, loaded_source = load_bundle(path)
     assert loaded_source == source
-    assert loaded == dictionaries_of(lists)
+    assert loaded == dictionaries
     q = test.samples[0].text
-    assert score_query(compressor_lists(loaded, 3), q) == score_query(lists, q)
+    assert score_query(compressor_lists(loaded, 3), q) == score_query(
+        compressor_lists(dictionaries, 3), q
+    )
 
 
 def test_bundle_rejects_other_files(tmp_path):

@@ -99,10 +99,9 @@ def reloaded(pipelines, tmp_path_factory):
         pipe = pipelines[variant]
         path = tmp_path_factory.mktemp("bundle") / f"{variant}.bundle"
         source = mcc.BundleSource(
-            pipe.config.level, list_plan(pipe.config), pipe.train.digest(),
-            pipe.config.dict_mode,
+            list_plan(pipe.config), pipe.train.digest(), pipe.config.dict_mode
         )
-        mcc.save_bundle(path, pipe.lists, source)
+        mcc.save_bundle(path, pipe.dictionaries, source)
         dictionaries, _ = mcc.load_bundle(path)
         out[variant] = Pipeline(pipe.train, pipe.config, dictionaries)
     return out
