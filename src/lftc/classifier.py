@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from . import cr, mcc
 from .compression import DICT_MODES, CompressionError, TrainedDictionary
-from .corpus import DEFAULT_SEPARATOR, Corpus, FewShotSpec, few_shot_sample
+from .corpus import DEFAULT_SEPARATOR, Corpus, DatasetError, few_shot_sample
 from .report import TIMING_KEYS, EvalReport, confidence_interval
 from .mcc import CandidatePair, SegmentPlan
 from .zstd_bindings import MAX_LEVEL, MIN_LEVEL, keep_heap
@@ -274,9 +274,10 @@ def evaluate_fewshot(
     """Repeated seeded few-shot draws, one pipeline fitted per trial; mean
     accuracy with a normal-approx 95% interval when there are at least two
     trials. The echo is the full train split plus shots, seed and trials."""
-    spec = FewShotSpec(shots=shots, seed=seed, trials=trials)
+    if trials < 1:
+        raise DatasetError("trials must be >= 1")
     reports = [
-        evaluate(Pipeline(few_shot_sample(train, spec, trial), config), test)[0]
+        evaluate(Pipeline(few_shot_sample(train, shots, seed, trial), config), test)[0]
         for trial in range(trials)
     ]
     accs = [r.accuracy for r in reports]

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +30,6 @@ from .report import EvalReport, write_csv_summary
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-THREADS_ENV = "LFTC_THREADS"
 
 
 def _column(value: str) -> str | int:
@@ -58,14 +55,6 @@ def _positive(value: str) -> int:
     return n
 
 
-def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV) or "1"
-    try:
-        return _positive(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lftc",
@@ -75,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, variants=True, grid=False):
         # sweep reads each grid axis as a comma list. The defaults are
-        # strings, which argparse passes through the type; a parsed value
-        # is then never the default object, so the cap group sees
-        # "--max-compressors 16 --no-cap" as a conflict too.
+        # strings, which argparse passes through the type.
         positive, level = (_list_of(_positive), _list_of(int)) if grid else (_positive, int)
         axis = " (a comma list)" if grid else ""
         p.add_argument("--train", required=True, help="training CSV")
@@ -86,17 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--variant", choices=VARIANTS, default="lftc")
         p.add_argument("--step-size", type=positive, default="65536",
                        help=f"bytes per dictionary segment{axis} (default 65536)")
-        cap = p.add_mutually_exclusive_group()
-        cap.add_argument("--max-compressors", type=positive, default="16",
-                         help=f"cap on compressors per class{axis} (default 16)")
-        cap.add_argument("--no-cap", action="store_true",
-                         help="unlimited compressors per class")
+        p.add_argument("--max-compressors", type=positive, default="16",
+                       help=f"cap on compressors per class{axis} (default 16); "
+                            "one at or above every class's segment count keeps them all")
         p.add_argument("--level", type=level, default="3",
                        help=f"zstd level of the compressor lists{axis} (default 3)")
         p.add_argument("--k", type=_positive, default=1, help="KNN neighbour count")
-        p.add_argument("--threads", type=_positive, default=_default_threads(),
-                       help=f"prediction worker count; the fit runs on one thread "
-                            f"(default 1 or ${THREADS_ENV})")
+        p.add_argument("--threads", type=_positive, default=1,
+                       help="prediction worker count (default 1); the fit runs on one thread")
         p.add_argument("--dict-mode", choices=DICT_MODES, default="trained")
         p.add_argument("--label-column", type=_column, default="label")
         p.add_argument("--text-column", type=_column, default="text")
@@ -131,10 +115,9 @@ def _load_split(args):
 
 
 def _config(args, variant=None) -> PipelineConfig:
-    cap = None if args.no_cap else args.max_compressors
     return PipelineConfig(
         variant=variant or getattr(args, "variant", "lftc"),
-        plan=SegmentPlan(step_size=args.step_size, max_compressors_per_class=cap),
+        plan=SegmentPlan(step_size=args.step_size, max_compressors_per_class=args.max_compressors),
         k=args.k,
         level=args.level,
         threads=args.threads,

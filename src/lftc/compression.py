@@ -13,7 +13,7 @@ import threading
 import weakref
 import zlib
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import zstd_bindings as zb
 
@@ -33,18 +33,12 @@ class CompressionError(RuntimeError):
     """A backend failed; message carries the backend kind."""
 
 
-@dataclass(frozen=True)
 class DeflateBackend:
-    """zlib container (RFC 1950); no dictionary support in this toolkit.
-    Level 0 is refused: its stored blocks are cut where the input was
-    split, so ``prefixed_sizes`` would not match ``compressed_size``."""
+    """zlib container (RFC 1950) at level 6, the NCD stage's one compressor;
+    no dictionary support in this toolkit."""
 
-    level: int = 6
-    kind: str = field(default="deflate", init=False)
-
-    def __post_init__(self):
-        if not (1 <= self.level <= 9):
-            raise ValueError(f"deflate level out of range: {self.level}")
+    kind = "deflate"
+    level = 6
 
     def compressed_size(self, data: bytes) -> int:
         _require_nonempty(data)

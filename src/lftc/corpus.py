@@ -67,19 +67,6 @@ class Corpus:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class FewShotSpec:
-    shots: int
-    seed: int
-    trials: int = 1
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise DatasetError("shots must be >= 1")
-        if self.trials < 1:
-            raise DatasetError("trials must be >= 1")
-
-
 def load_csv(
     path,
     label_column: str | int = "label",
@@ -162,10 +149,10 @@ def _resolve_column(header: list[str], column: str | int, path) -> int:
         raise DatasetError(f"{path}: no column named {column!r} in header {header}") from None
 
 
-def save_csv(corpus: Corpus, path, delimiter: str = ",") -> None:
+def save_csv(corpus: Corpus, path) -> None:
     """Write with a `label,text` header; inverse of load_csv."""
     with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["label", "text"])
         for s in corpus.samples:
             writer.writerow([s.label, s.text.decode("utf-8", "surrogateescape")])
@@ -188,26 +175,25 @@ def _draw_rank(seed: int, trial_index: int, class_id: str, sample_index: int) ->
     return h.digest()
 
 
-def few_shot_sample(corpus: Corpus, spec: FewShotSpec, trial_index: int = 0) -> Corpus:
-    """Draw exactly ``spec.shots`` samples per class, without replacement.
+def few_shot_sample(corpus: Corpus, shots: int, seed: int, trial_index: int = 0) -> Corpus:
+    """Draw exactly ``shots`` (>= 1) samples per class, without replacement.
 
     The draw is a pure function of (seed, trial_index, class): each sample is
     ranked by a keyed hash and the lowest ranks win, so equal inputs always
     select identical samples and distinct trials are independent.
     """
-    if not (0 <= trial_index < spec.trials):
-        raise DatasetError(f"trial_index {trial_index} outside [0, {spec.trials})")
+    if shots < 1:
+        raise DatasetError("shots must be >= 1")
     selected: list[int] = []
     for class_id, indices in sorted(corpus.by_class().items()):
-        if len(indices) < spec.shots:
+        if len(indices) < shots:
             raise DatasetError(
-                f"class {class_id!r} has {len(indices)} samples, "
-                f"fewer than shots={spec.shots}"
+                f"class {class_id!r} has {len(indices)} samples, fewer than shots={shots}"
             )
-        ranked = sorted(indices, key=lambda i: (_draw_rank(spec.seed, trial_index, class_id, i), i))
-        selected.extend(ranked[: spec.shots])
+        ranked = sorted(indices, key=lambda i: (_draw_rank(seed, trial_index, class_id, i), i))
+        selected.extend(ranked[:shots])
     selected.sort()
     return Corpus(
-        name=f"{corpus.name}@{spec.shots}shot.t{trial_index}",
+        name=f"{corpus.name}@{shots}shot.t{trial_index}",
         samples=tuple(corpus.samples[i] for i in selected),
     )

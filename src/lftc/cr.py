@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .compression import CompressionError, DeflateBackend, ncd_value
 from .corpus import Corpus, LabeledText
 
-NCD_BACKEND = DeflateBackend(level=6)
+NCD_BACKEND = DeflateBackend()
 
 
 @dataclass(frozen=True)

@@ -46,18 +46,19 @@ class DegenerateCorpusError(ValueError):
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Segmenting policy: bytes per segment and an optional cap on the number
-    of compressors per class (capped lists keep evenly spaced segments)."""
+    """Segmenting policy: bytes per segment and a cap on the number of
+    compressors per class (capped lists keep evenly spaced segments; a cap
+    at or above every class's segment count keeps every segment)."""
 
     step_size: int = 65536
-    max_compressors_per_class: int | None = 16
+    max_compressors_per_class: int = 16
 
     def __post_init__(self):
-        if self.step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        cap = self.max_compressors_per_class
-        if cap is not None and cap < 1:
-            raise ValueError("max_compressors_per_class must be >= 1 or None")
+        # A plan is also read back from a bundle's JSON.
+        for name in ("step_size", "max_compressors_per_class"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,8 @@ def build_all_lists(
     """The dictionaries of every class's compressor list, all lists of one
     length (see the module docstring), trained serially."""
     texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
-    count = min(segment_count(len(text), plan.step_size) for text in texts.values())
-    if plan.max_compressors_per_class is not None:
-        count = min(count, plan.max_compressors_per_class)
+    count = min(plan.max_compressors_per_class,
+                *(segment_count(len(text), plan.step_size) for text in texts.values()))
     return {
         class_id: _class_dictionaries(class_id, text, plan, count, dict_mode)
         for class_id, text in texts.items()

@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
 
@@ -24,7 +24,6 @@ class EvalReport:
     trials: list[float] | None = None
     ci95: tuple[float, float] | None = None
     errors: int = 0
-    schema_version: int = field(default=SCHEMA_VERSION)
 
     def __post_init__(self):
         if not (0.0 <= self.accuracy <= 1.0):
@@ -39,7 +38,7 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "dataset": self.dataset,
             "variant": self.variant,
             "config": self.config,

@@ -15,7 +15,7 @@ from lftc.classifier import (
 from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.compression import CompressionError, TrainedDictionary
-from lftc.corpus import Corpus
+from lftc.corpus import Corpus, DatasetError
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
@@ -332,6 +332,12 @@ def test_fewshot_evaluate_trials_and_ci(motif_split):
     assert half >= 0
     single = evaluate_fewshot(train, test, PipelineConfig(), shots=3, seed=5, trials=1)
     assert single.ci95 is None
+
+
+def test_fewshot_evaluate_needs_one_trial(motif_split):
+    train, test = motif_split
+    with pytest.raises(DatasetError, match="trials must be >= 1"):
+        evaluate_fewshot(train, test, PipelineConfig(), shots=3, seed=5, trials=0)
 
 
 def test_variant_validation():

@@ -41,6 +41,7 @@ def test_eval_ablation_direction(tmp_path):
     full = EvalReport.loads(out_full.read_text())
     argmin_only = EvalReport.loads(out_cr.read_text())
     assert argmin_only.accuracy <= full.accuracy + 0.03
+    assert full.config["threads"] == 1  # --threads defaults to 1
 
 
 def test_eval_invalid_k_exit_code(capsys):
@@ -162,6 +163,23 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
         assert err.startswith("error: ") and f"version {version}; delete it to rebuild" in err
 
 
+def test_eval_rejects_a_bundle_saved_without_a_cap(tmp_path, capsys):
+    # A plan saved with no cap records "max_compressors_per_class": null;
+    # every plan now has an integer cap.
+    bundle = tmp_path / "lists.bundle"
+    base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
+    assert run(base) == EXIT_OK
+    doc = json.loads(bundle.read_text())
+    doc["plan"]["max_compressors_per_class"] = None
+    bundle.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(base) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1
+    assert "max_compressors_per_class must be an integer >= 1" in err
+    assert "TypeError" not in err
+
+
 def test_eval_reuses_a_bundle_that_records_a_level(tmp_path, capsys):
     # Bundles used to record the level of the run that saved them, as
     # "backend": {"kind": "zstd", "level": L}; such a bundle still loads,
@@ -251,6 +269,10 @@ def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
     ("sweep", "--step-sizes=4096"),
     ("sweep", "--levels=1,3"),
     ("sweep", "--caps=2"),
+    ("eval", "--no-cap"),
+    ("fewshot", "--no-cap"),
+    ("compare", "--no-cap"),
+    ("sweep", "--no-cap"),
     pytest.param("eval", "--variant=baseline-ncd --bundle=b.bundle",
                  id="eval-baseline-ncd-bundle"),
 ])
@@ -409,33 +431,6 @@ def test_sweep_empty_grid_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "--train", TRAIN, "--test", TEST, "--step-size", ","])
     assert exc.value.code == EXIT_VALIDATION
-
-
-@pytest.mark.parametrize("subcommand, cap", [
-    ("eval", "8"), ("eval", "16"), ("sweep", "2,4"), ("fewshot", "16"),
-])
-def test_no_cap_conflicts_with_max_compressors(subcommand, cap, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run([subcommand, "--train", TRAIN, "--test", TEST, "--max-compressors", cap, "--no-cap"])
-    assert exc.value.code == EXIT_VALIDATION
-    assert "not allowed with argument" in capsys.readouterr().err
-
-
-def test_threads_env_var_default(monkeypatch, capsys):
-    from lftc.cli import build_parser
-
-    monkeypatch.setenv("LFTC_THREADS", "6")
-    args = build_parser().parse_args(["eval", "--train", TRAIN, "--test", TEST])
-    assert args.threads == 6
-    monkeypatch.delenv("LFTC_THREADS")
-    args = build_parser().parse_args(["eval", "--train", TRAIN, "--test", TEST])
-    assert args.threads == 1
-    for bad in ("abc", "0"):
-        monkeypatch.setenv("LFTC_THREADS", bad)
-        assert run(["eval", "--train", TRAIN, "--test", TEST]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "LFTC_THREADS" in err
-        assert err.count("\n") == 1
 
 
 def test_unwritable_output_is_runtime_failure(tmp_path, capsys):

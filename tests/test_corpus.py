@@ -6,7 +6,6 @@ from lftc.corpus import (
     DEFAULT_SEPARATOR,
     Corpus,
     DatasetError,
-    FewShotSpec,
     LabeledText,
     concat_class_text,
     few_shot_sample,
@@ -163,12 +162,12 @@ def test_concat_length_identity(bundled_train):
 
 def test_fewshot_forced_selection():
     corpus = corpus_from([("a", b"one"), ("b", b"two")])
-    sub = few_shot_sample(corpus, FewShotSpec(shots=1, seed=9, trials=1), 0)
+    sub = few_shot_sample(corpus, shots=1, seed=9)
     assert set(sub.samples) == set(corpus.samples)
 
 
 def test_fewshot_cardinality(bundled_train):
-    sub = few_shot_sample(bundled_train, FewShotSpec(shots=5, seed=1, trials=3), 1)
+    sub = few_shot_sample(bundled_train, shots=5, seed=1, trial_index=1)
     assert len(sub) == 5 * len(bundled_train.classes)
     counts = {c: 0 for c in bundled_train.classes}
     for s in sub.samples:
@@ -177,35 +176,32 @@ def test_fewshot_cardinality(bundled_train):
 
 
 def test_fewshot_deterministic(bundled_train):
-    spec = FewShotSpec(shots=3, seed=42, trials=5)
-    a = few_shot_sample(bundled_train, spec, 2)
-    b = few_shot_sample(bundled_train, spec, 2)
+    a = few_shot_sample(bundled_train, 3, 42, 2)
+    b = few_shot_sample(bundled_train, 3, 42, 2)
     assert a.samples == b.samples
 
 
 def test_fewshot_trials_differ(bundled_train):
-    spec = FewShotSpec(shots=3, seed=42, trials=5)
-    draws = {few_shot_sample(bundled_train, spec, t).samples for t in range(5)}
+    draws = {few_shot_sample(bundled_train, 3, 42, t).samples for t in range(5)}
     assert len(draws) > 1
 
 
 def test_fewshot_infeasible_class_named():
     corpus = corpus_from([("a", b"one"), ("a", b"two"), ("b", b"three")])
     with pytest.raises(DatasetError, match="'b' has 1 samples"):
-        few_shot_sample(corpus, FewShotSpec(shots=2, seed=0, trials=1), 0)
+        few_shot_sample(corpus, shots=2, seed=0)
 
 
-def test_fewshot_trial_index_range(bundled_train):
-    with pytest.raises(DatasetError, match="trial_index"):
-        few_shot_sample(bundled_train, FewShotSpec(shots=1, seed=0, trials=2), 2)
+def test_fewshot_needs_one_shot(bundled_train):
+    with pytest.raises(DatasetError, match="shots must be >= 1"):
+        few_shot_sample(bundled_train, shots=0, seed=0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=-(2**63), max_value=2**63 - 1),
        trial=st.integers(min_value=0, max_value=4))
 def test_fewshot_label_sets_property(bundled_train, seed, trial):
-    spec = FewShotSpec(shots=2, seed=seed, trials=5)
-    sub = few_shot_sample(bundled_train, spec, trial)
+    sub = few_shot_sample(bundled_train, 2, seed, trial)
     labels = [s.label for s in sub.samples]
     assert sorted(set(labels)) == sorted(bundled_train.classes)
     assert all(labels.count(c) == 2 for c in bundled_train.classes)

@@ -51,6 +51,13 @@ def test_segment_count_rejects_nonpositive():
         segment_count(4, 0)
 
 
+@pytest.mark.parametrize("field", ["step_size", "max_compressors_per_class"])
+@pytest.mark.parametrize("value", [None, 0, -1, 2.0, "16"])
+def test_segment_plan_takes_integers_at_least_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        SegmentPlan(**{field: value})
+
+
 def one_text_per_class(total_len: int):
     # single samples avoid separator arithmetic in span checks; "b" is as
     # long as "a", so the shared list length is a's own segment count
@@ -62,6 +69,14 @@ def spans(dictionaries):
     return [(d.source_span.start, d.source_span.stop) for d in dictionaries]
 
 
+def uncapped(corpus, step_size):
+    """A plan whose cap is every class's segment count or more: it binds no
+    class, so the lists keep the fewest segments any class has."""
+    largest = max(segment_count(len(concat_class_text(corpus, c)), step_size)
+                  for c in corpus.classes)
+    return SegmentPlan(step_size=step_size, max_compressors_per_class=largest)
+
+
 def fitted_lists(corpus, plan):
     """Compressor lists as a fit builds them: trained, then digested at 3."""
     return compressor_lists(build_all_lists(corpus, plan), 3)
@@ -69,7 +84,7 @@ def fitted_lists(corpus, plan):
 
 def test_build_class_list_spans_tile():
     corpus = one_text_per_class(1000)
-    ds = build_all_lists(corpus, SegmentPlan(step_size=400, max_compressors_per_class=None))["a"]
+    ds = build_all_lists(corpus, uncapped(corpus, 400))["a"]
     assert len(ds) == 3
     assert spans(ds) == [(0, 400), (400, 800), (800, 1000)]
 
@@ -101,13 +116,13 @@ def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
     # Every class keeps m step-size slices of its concatenated text, with m
     # the fewest segments any class has; the first slice starts at 0.
     train, _ = motif_split
-    plan = SegmentPlan(step_size=1024, max_compressors_per_class=None)
-    dictionaries = build_all_lists(train, plan)
+    dictionaries = build_all_lists(train, uncapped(train, 1024))
     lengths = {c: len(concat_class_text(train, c)) for c in dictionaries}
-    counts = {c: segment_count(n, plan.step_size) for c, n in lengths.items()}
+    counts = {c: segment_count(n, 1024) for c, n in lengths.items()}
     m = min(counts.values())
-    assert len(set(counts.values())) > 1  # the split is ragged
+    assert (m, max(counts.values())) == (3, 4)  # the split is ragged
     for class_id, ds in dictionaries.items():
+        assert len(ds) == m
         indices = mcc._segment_indices(counts[class_id], m)
         assert [d.source_span.segment_index for d in ds] == indices
         assert spans(ds) == [
@@ -123,13 +138,11 @@ def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
     full = gen.corpus("t", 24, "train")
     small = [s for s in full.samples if s.label == "alpha"][:4]
     train = Corpus("ragged", tuple(small) + tuple(s for s in full.samples if s.label != "alpha"))
-    for cap in (None, 16, 2):
+    counts = {c: segment_count(len(concat_class_text(train, c)), 4096) for c in train.classes}
+    assert counts["alpha"] < min(n for c, n in counts.items() if c != "alpha")
+    for cap, m in ((max(counts.values()), counts["alpha"]), (16, counts["alpha"]), (2, 2)):
         plan = SegmentPlan(step_size=4096, max_compressors_per_class=cap)
-        counts = {c: segment_count(len(concat_class_text(train, c)), 4096)
-                  for c in train.classes}
-        assert counts["alpha"] < min(n for c, n in counts.items() if c != "alpha")
         dictionaries = build_all_lists(train, plan)
-        m = counts["alpha"] if cap is None else min(counts["alpha"], cap)
         assert {c: len(ds) for c, ds in dictionaries.items()} == dict.fromkeys(dictionaries, m)
     assert counts["beta"] > m
 
@@ -151,9 +164,10 @@ def test_dictionaries_do_not_depend_on_the_level(motif_split):
     # ZDICT is given no level: fits at levels 1, 3 and 19 train the same
     # dictionaries, and the level enters only the digests.
     train, _ = motif_split
-    plan = SegmentPlan(step_size=2048, max_compressors_per_class=None)
+    plan = uncapped(train, 2048)
     fits = {level: Pipeline(train, PipelineConfig(plan=plan, level=level)) for level in (1, 3, 19)}
     fast = fits[1].dictionaries
+    assert [len(ds) for ds in fast.values()] == [2] * len(train.classes)
     modes = {d.source_span.mode for ds in fast.values() for d in ds}
     assert modes == {"trained", "raw"}
     for level, fit in fits.items():
@@ -173,17 +187,17 @@ def test_build_all_lists_faults_in_one_dictionarys_tables():
     gen = MotifGenerator(1, classes=4, tokens_per_doc=(200, 400), noise_ratio=0.3)
     train = gen.corpus("t", 40, "train")
 
-    def faults(cap):
-        plan = SegmentPlan(step_size=8192, max_compressors_per_class=cap)
+    def faults(plan):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         with zb.keep_heap():
             lists = compressor_lists(build_all_lists(train, plan), 3)
         dictionaries = sum(len(cl.compressors) for cl in lists.values())
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, dictionaries
 
-    faults(1)  # loads libzstd and settles the allocator
-    few, small = faults(1)
-    many, large = faults(None)
+    one = SegmentPlan(step_size=8192, max_compressors_per_class=1)
+    faults(one)  # loads libzstd and settles the allocator
+    few, small = faults(one)
+    many, large = faults(uncapped(train, 8192))
     assert (small, large) == (4, 48)
     assert (many - few) / (large - small) < 50, (many, few)
 
@@ -279,7 +293,8 @@ def test_pair_recall_with_equal_lists_on_32_classes():
     # fewer segments sum lower, and only 0.7375 of these queries have their
     # class in the pair; with equal lists every one does.
     train, test = make_motif_split(1, classes=32, tokens_per_doc=(200, 400), noise_ratio=0.3)
-    lists = fitted_lists(train, SegmentPlan(step_size=8192, max_compressors_per_class=None))
+    lists = fitted_lists(train, uncapped(train, 8192))
+    assert {len(cl.compressors) for cl in lists.values()} == {11}
     queries = test.samples[::3]
     assert len(queries) == 320
     missed = []
