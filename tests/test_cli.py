@@ -269,10 +269,7 @@ def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
     ("sweep", "--step-sizes=4096"),
     ("sweep", "--levels=1,3"),
     ("sweep", "--caps=2"),
-    ("eval", "--no-cap"),
-    ("fewshot", "--no-cap"),
     ("compare", "--no-cap"),
-    ("sweep", "--no-cap"),
     pytest.param("eval", "--variant=baseline-ncd --bundle=b.bundle",
                  id="eval-baseline-ncd-bundle"),
 ])
@@ -290,6 +287,18 @@ def test_unused_flags_rejected(subcommand, flag, capsys, tmp_path, monkeypatch):
     if not err.startswith("usage: "):
         assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("subcommand, cap", [
+    ("eval", "8"), ("eval", "16"), ("sweep", "2,4"), ("fewshot", "16"),
+])
+def test_no_cap_conflicts_with_max_compressors(subcommand, cap, capsys):
+    # There is no --no-cap flag: a cap is only ever set with --max-compressors,
+    # and argparse refuses the old flag beside it as unknown.
+    with pytest.raises(SystemExit) as exc:
+        run([subcommand, "--train", TRAIN, "--test", TEST, "--max-compressors", cap, "--no-cap"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments: --no-cap" in capsys.readouterr().err
 
 
 def test_fewshot_reproducible(tmp_path, capsys):
