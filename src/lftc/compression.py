@@ -20,9 +20,10 @@ from . import zstd_bindings as zb
 # "trained" runs ZDICT on a segment, "raw" keeps its bytes as the dictionary.
 DICT_MODES = ("trained", "raw")
 
-# Trained dictionaries: a lone segment is chunked into pseudo-samples for
-# ZDICT, capacity clamped to [1 KiB, 110 KiB], with a frequency table of
-# eight slots per segment byte, up to libzstd's default of 2^20.
+# Trained dictionaries: a lone segment is chunked into pseudo-samples, all
+# of which ZDICT's one fastCover pass trains on, capacity clamped to
+# [1 KiB, 110 KiB], with a frequency table of eight slots per segment byte,
+# up to libzstd's default of 2^20.
 _ZDICT_CHUNKS = 64
 _ZDICT_MIN_CAPACITY = 1024
 _ZDICT_MAX_CAPACITY = 110 * 1024

@@ -37,7 +37,7 @@ from .corpus import Corpus, concat_class_text
 from .zstd_bindings import MIN_TABLE_LOG
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 
 
 class DegenerateCorpusError(ValueError):
@@ -221,7 +221,7 @@ def save_bundle(
 
 def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]:
     """A bundle's dictionaries, undigested, and their source; a ValueError
-    that names the bundle when it is not a well-formed version 3 bundle."""
+    that names the bundle when it is not a well-formed version 4 bundle."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -231,7 +231,8 @@ def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]
         raise ValueError(f"{path}: not a compressor bundle")
     if doc.get("version") != BUNDLE_VERSION:
         # Version 1 recorded neither the train split nor the dictionary mode;
-        # version 2 trained with libzstd's default table and ragged lists.
+        # version 2 trained with libzstd's default table and ragged lists;
+        # version 3 trained with the fastCover optimiser's five-k search.
         raise ValueError(
             f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
         )

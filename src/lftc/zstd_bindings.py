@@ -4,7 +4,7 @@ Only the pieces this package needs: dictionary training (ZDICT) and the
 compressed size of a frame made with a digested dictionary (CDict).
 Besides the stable API they use libzstd's experimental calls, which the
 shared library exports: ``ZSTD_getCParams``, ``ZSTD_createCDict_advanced``,
-``ZSTD_compress_usingCDict_advanced`` and the fastCover optimiser.
+``ZSTD_compress_usingCDict_advanced`` and ``ZDICT_trainFromBuffer_fastCover``.
 Compression contexts and their output buffers are kept thread-local
 because a ZSTD_CCtx is not thread-safe; CDict handles are immutable and
 may be shared freely between threads.
@@ -28,21 +28,27 @@ pays the same. A 3 KiB generated query scored against a 1-byte raw
 dictionary at level 3 takes 976 bytes at table log 6, and 753 bytes with
 the level's own tables.
 
-``train_dictionary`` runs zstd's fastCover optimiser as
-``ZDICT_trainFromBuffer`` does, except that the caller sizes its frequency
-table (2^f entries of 4 bytes, plus a 2-byte table per value of k tried):
-libzstd's default f=20 allocates ~10 MB per dictionary however small the
-samples are, and clearing those tables was most of an 8 KiB segment's
-training time.
+``train_dictionary`` makes one fastCover pass over every sample at k=50
+and d=8: the dictionary is built from 50-byte pieces of the samples, picked
+by the frequency of the 8-byte strings in them. k is fixed rather than
+searched. ``ZDICT_trainFromBuffer`` runs libzstd's optimiser, which builds,
+finalizes and test-compresses a dictionary for each of five values of k,
+and tests them on the last quarter of the samples, which then never reaches
+the dictionary; over the 176 segments of the 16-class generated split at
+step 8192 its picks spread over all five values, and the search was about
+three quarters of that fit. The caller sizes the frequency table (2^f
+entries of 4 bytes, plus a 2-byte table as long): libzstd's default f=20
+allocates 6 MiB per dictionary however small the samples are.
 
 ``keep_heap()`` wraps every fit (``lftc.classifier.Pipeline``). From 4
 KiB segments up the scratch tables reach glibc's default mmap threshold
 (128 KiB), so they are mmapped fresh and unmapped on every call, and the
-kernel zero-fills them page by page: a 16-class fit of 193 dictionaries
-at f=20 took ~575,000 minor page faults, with more system time than user
-time. Inside the block, glibc serves such tables from the heap and keeps
-them mapped (mmap threshold 32 MiB, trim threshold 64 MiB), which cuts
-that fit to ~3,300 faults, one dictionary's worth; leaving the block
+kernel zero-fills them page by page: training the 176 dictionaries of
+the 16-class generated split at step 8192 took ~18,000 minor page faults
+and 0.04 s of system time beside 0.09 s of user time. Inside the block,
+glibc serves such tables from the heap and keeps them mapped (mmap
+threshold 32 MiB, trim threshold 64 MiB), which cuts that training to
+~600 faults and 0.08 s in all; leaving the block
 returns the free heap to the system with ``malloc_trim(0)``. The
 thresholds are set on the first entry and stay set for the rest of the
 process, so the predictions after a fit run under them too. There they
@@ -111,15 +117,24 @@ class _CustomMem(ctypes.Structure):
                 ("opaque", ctypes.c_void_p)]
 
 
+class _ZDictParams(ctypes.Structure):
+    """ZDICT_params_t; all zero is libzstd's default (level 3, silent, no
+    fixed dictionary ID)."""
+
+    _fields_ = [("compressionLevel", ctypes.c_int), ("notificationLevel", ctypes.c_uint),
+                ("dictID", ctypes.c_uint)]
+
+
 class _FastCoverParams(ctypes.Structure):
-    """ZDICT_fastCover_params_t: its first four fields, then zeros for the
-    rest (nbThreads, splitPoint, accel, shrinkDict, shrinkDictMaxRegression
-    and the ZDICT_params_t, 56 bytes in all in libzstd 1.5), where zero
-    means libzstd's default. The tail is longer than any libzstd's struct."""
+    """ZDICT_fastCover_params_t, all 56 bytes of it, as
+    ZDICT_trainFromBuffer_fastCover takes it by value. A zero field means
+    libzstd's default."""
 
     _fields_ = [
         ("k", ctypes.c_uint), ("d", ctypes.c_uint), ("f", ctypes.c_uint),
-        ("steps", ctypes.c_uint), ("_defaults", ctypes.c_char * 128),
+        ("steps", ctypes.c_uint), ("nbThreads", ctypes.c_uint), ("splitPoint", ctypes.c_double),
+        ("accel", ctypes.c_uint), ("shrinkDict", ctypes.c_uint),
+        ("shrinkDictMaxRegression", ctypes.c_uint), ("zParams", _ZDictParams),
     ]
 
 
@@ -165,10 +180,10 @@ def _load():
             _FrameParams,
         ]
 
-        lib.ZDICT_optimizeTrainFromBuffer_fastCover.restype = c.c_size_t
-        lib.ZDICT_optimizeTrainFromBuffer_fastCover.argtypes = [
+        lib.ZDICT_trainFromBuffer_fastCover.restype = c.c_size_t
+        lib.ZDICT_trainFromBuffer_fastCover.argtypes = [
             c.c_void_p, c.c_size_t, c.c_void_p, c.POINTER(c.c_size_t), c.c_uint,
-            c.POINTER(_FastCoverParams),
+            _FastCoverParams,
         ]
         lib.ZDICT_isError.restype = c.c_uint
         lib.ZDICT_isError.argtypes = [c.c_size_t]
@@ -264,20 +279,17 @@ def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
 
 
 def train_dictionary(samples: list[bytes], capacity: int, f: int) -> bytes:
-    """Run ZDICT's fastCover optimiser over the sample set with a 2^f-entry
-    frequency table, trying d=8 and five values of k as
-    ``ZDICT_trainFromBuffer`` does (which is this call at f=20); raises
-    ZstdError when it refuses (too little data, too few samples, ...)."""
+    """One fastCover pass over every sample at k=50, d=8, with a 2^f-entry
+    frequency table; raises ZstdError when ZDICT refuses (too little data,
+    too few samples, ...)."""
     lib = _load()
     if not samples:
         raise ZstdError("no samples")
     blob = b"".join(samples)
     sizes = (ctypes.c_size_t * len(samples))(*[len(s) for s in samples])
     dst = ctypes.create_string_buffer(capacity)
-    params = _FastCoverParams(d=8, f=f, steps=4)
-    n = lib.ZDICT_optimizeTrainFromBuffer_fastCover(
-        dst, capacity, blob, sizes, len(samples), ctypes.byref(params)
-    )
+    params = _FastCoverParams(k=50, d=8, f=f)
+    n = lib.ZDICT_trainFromBuffer_fastCover(dst, capacity, blob, sizes, len(samples), params)
     if lib.ZDICT_isError(n):
         raise ZstdError(lib.ZDICT_getErrorName(n).decode("ascii", "replace"))
     return dst.raw[:n]

@@ -150,10 +150,10 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bundle}: ") and "unequal lengths" in err
     assert err.count("\n") == 1
-    # A version 2 bundle trained its dictionaries with libzstd's default
-    # table, and a version 1 bundle does not record its split: both must
-    # be rebuilt.
-    for version in (2, 1):
+    # A version 3 bundle trained its dictionaries with the fastCover
+    # optimiser, a version 2 bundle with libzstd's default table, and a
+    # version 1 bundle does not record its split: all must be rebuilt.
+    for version in (3, 2, 1):
         doc["version"] = version
         if version == 1:
             del doc["train_sha256"], doc["dict_mode"]

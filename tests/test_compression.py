@@ -186,23 +186,51 @@ def test_scored_frames_carry_no_dictionary_id():
             assert len(named) > len(frame)
 
 
-def test_train_dictionary_at_f20_is_zdict_train_from_buffer():
-    # libzstd's ZDICT_trainFromBuffer is the fastCover optimiser at d=8,
-    # steps=4 and its default table of 2^20 entries.
+def test_train_dictionary_is_fastcover_at_k50_over_every_sample(monkeypatch):
+    # One fastCover pass is libzstd's optimiser held to k=50, d=8 and a
+    # split point of 1.0: every sample trains, none is held out to test.
+    assert ctypes.sizeof(zb._FastCoverParams) == 56
+    assert zb._FastCoverParams.splitPoint.offset == 24
     lib = zb._load()
-    legacy = lib.ZDICT_trainFromBuffer
-    legacy.restype = ctypes.c_size_t
-    legacy.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
-                       ctypes.POINTER(ctypes.c_size_t), ctypes.c_uint]
-    for seed, tokens in ((1, 1500), (2, 3000), (3, 12000)):
-        seg = motif_bytes(seed, tokens=tokens)
-        samples = [seg[off : off + 256] for off in range(0, len(seg), 256)]
-        capacity = max(1024, len(seg) // 4)
+    optimise = lib.ZDICT_optimizeTrainFromBuffer_fastCover
+    optimise.restype = ctypes.c_size_t
+    optimise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p,
+                         ctypes.POINTER(ctypes.c_size_t), ctypes.c_uint,
+                         ctypes.POINTER(zb._FastCoverParams)]
+    calls = []
+    train = zb.train_dictionary
+
+    def recording(samples, capacity, f):
+        payload = train(samples, capacity, f)
+        calls.append((samples, capacity, f, payload))
+        return payload
+
+    monkeypatch.setattr(zb, "train_dictionary", recording)
+    for size in (4096, 8192, 65536):
+        for seed in range(4):
+            seg = motif_bytes(seed, tokens=size // 4)[:size]
+            assert train_dictionary(seg, SourceSpan("c", 0, 0, size)).source_span.mode == "trained"
+    assert len(calls) == 12
+    for samples, capacity, f, payload in calls:
         sizes = (ctypes.c_size_t * len(samples))(*map(len, samples))
         dst = ctypes.create_string_buffer(capacity)
-        n = legacy(dst, capacity, b"".join(samples), sizes, len(samples))
+        params = zb._FastCoverParams(k=50, d=8, f=f, splitPoint=1.0)
+        n = optimise(dst, capacity, b"".join(samples), sizes, len(samples), ctypes.byref(params))
         assert not lib.ZDICT_isError(n)
-        assert zb.train_dictionary(samples, capacity, 20) == dst.raw[:n]
+        assert payload == dst.raw[:n]
+
+
+@pytest.mark.parametrize("offset", [6144, 7168])
+def test_text_only_in_the_last_quarter_reaches_the_dictionary(offset):
+    # No sample is held out: a phrase that repeats only in the tail of an
+    # 8 KiB segment is taken into its dictionary.
+    phrase = b" QUICK ZEBRAS VEX 42 JUMPING OWLS;"
+    seg = motif_bytes(1, tokens=3000)[:offset] + (phrase * 100)[: 8192 - offset]
+    assert phrase not in seg[:offset]
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
+    assert dictionary.source_span.mode == "trained"
+    grams = {phrase[i : i + 8] for i in range(len(phrase) - 7)}
+    assert sum(g in dictionary.payload for g in grams) >= 0.9 * len(grams)
 
 
 def test_frequency_table_grows_with_the_segment(monkeypatch):

@@ -181,9 +181,9 @@ def test_dictionaries_do_not_depend_on_the_level(motif_split):
 def test_build_all_lists_faults_in_one_dictionarys_tables():
     # Under keep_heap(), as in every Pipeline fit, ZDICT's scratch tables
     # stay mapped across a fit. At step 8192 each dictionary's tables take
-    # 256 KiB, above glibc's default mmap threshold: kept mapped, each
-    # dictionary past the first few costs ~16 minor page faults; mapped
-    # afresh per dictionary, ~500.
+    # 384 KiB, above glibc's default mmap threshold: kept mapped, each
+    # dictionary past the first few costs ~3 minor page faults; mapped
+    # afresh per dictionary, ~100.
     gen = MotifGenerator(1, classes=4, tokens_per_doc=(200, 400), noise_ratio=0.3)
     train = gen.corpus("t", 40, "train")
 
