@@ -239,11 +239,11 @@ def evaluate(pipeline: Pipeline, test: Corpus) -> tuple[EvalReport, list[Predict
     return report, preds
 
 
-def config_echo(config: PipelineConfig, train: Corpus, test: Corpus | None = None) -> dict:
+def config_echo(config: PipelineConfig, train: Corpus, test: Corpus) -> dict:
     """Full run configuration for the report; the plan is the one the
     variant's lists are built with."""
     plan = list_plan(config)
-    echo = {
+    return {
         "variant": config.variant,
         "step_size": plan.step_size,
         "max_compressors": plan.max_compressors_per_class,
@@ -256,11 +256,9 @@ def config_echo(config: PipelineConfig, train: Corpus, test: Corpus | None = Non
         "train_dataset": train.name,
         "train_size": len(train),
         "train_sha256": train.digest(),
+        "test_size": len(test),
+        "test_sha256": test.digest(),
     }
-    if test is not None:
-        echo["test_size"] = len(test)
-        echo["test_sha256"] = test.digest()
-    return echo
 
 
 def evaluate_fewshot(

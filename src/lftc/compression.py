@@ -5,6 +5,12 @@
 * ``DeflateBackend`` -- zlib/DEFLATE containers, C(.) of the NCD
   distances: ``compressed_size`` for one text, ``prefixed_sizes`` for one
   prefix followed by each of many suffixes, with the prefix compressed once.
+
+A compressor that fails raises ``CompressionError`` (from
+``lftc.zstd_bindings``), its message starting with the compressor's kind,
+"zstd: " or "deflate: "; nothing here catches or re-words it, except that
+``train_dictionary`` keeps the raw segment when ZDICT refuses it. Empty
+input is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from __future__ import annotations
 import threading
 import weakref
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from . import zstd_bindings as zb
+from .zstd_bindings import CompressionError
 
 # "trained" runs ZDICT on a segment, "raw" keeps its bytes as the dictionary.
 DICT_MODES = ("trained", "raw")
@@ -28,10 +35,6 @@ _ZDICT_CHUNKS = 64
 _ZDICT_MIN_CAPACITY = 1024
 _ZDICT_MAX_CAPACITY = 110 * 1024
 _ZDICT_MAX_F = 20
-
-
-class CompressionError(RuntimeError):
-    """A backend failed; message carries the backend kind."""
 
 
 class DeflateBackend:
@@ -48,10 +51,8 @@ class DeflateBackend:
         except zlib.error as exc:  # pragma: no cover - zlib does not fail on bytes
             raise CompressionError(f"deflate: {exc}") from exc
 
-    def prefixed_sizes(
-        self, prefix: bytes, suffixes: Iterable[bytes]
-    ) -> tuple[int, Iterator[int]]:
-        """C(prefix), and C(prefix + suffix) for each suffix as it is drawn.
+    def prefixed_sizes(self, prefix: bytes, suffixes: Iterable[bytes]) -> tuple[int, list[int]]:
+        """C(prefix), and the list of C(prefix + suffix), one per suffix.
 
         The prefix goes through one deflate stream; each suffix is
         compressed and flushed on a copy of it, and C(prefix) comes from a
@@ -62,13 +63,11 @@ class DeflateBackend:
         _require_nonempty(prefix)
         primed = zlib.compressobj(self.level)
         head = len(primed.compress(prefix))
-
-        def sizes() -> Iterator[int]:
-            for suffix in suffixes:
-                fork = primed.copy()
-                yield head + len(fork.compress(suffix)) + len(fork.flush())
-
-        return head + len(primed.copy().flush()), sizes()
+        sizes = []
+        for suffix in suffixes:
+            fork = primed.copy()
+            sizes.append(head + len(fork.compress(suffix)) + len(fork.flush()))
+        return head + len(primed.copy().flush()), sizes
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,6 @@ _digests: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _digests_lock = threading.Lock()
 
 
-def _digest(payload: bytes, level: int, table_log: int) -> zb.CDict:
-    key = (payload, level, table_log)
-    with _digests_lock:
-        cdict = _digests.get(key)
-        if cdict is None:
-            cdict = _digests[key] = zb.CDict(payload, level, table_log)
-    return cdict
-
-
 class DictCompressor:
     """Scores byte strings by their zstd-compressed size against one
     dictionary.
@@ -128,17 +118,15 @@ class DictCompressor:
     """
 
     def __init__(self, dictionary: TrainedDictionary, level: int, table_log: int):
-        try:
-            self.cdict = _digest(dictionary.payload, level, table_log)
-        except zb.ZstdError as exc:
-            raise CompressionError(f"zstd: {exc}") from exc
+        key = (dictionary.payload, level, table_log)
+        with _digests_lock:
+            self.cdict = _digests.get(key)
+            if self.cdict is None:
+                self.cdict = _digests[key] = zb.CDict(*key)
 
     def score(self, data: bytes) -> int:
         _require_nonempty(data)
-        try:
-            return zb.compressed_size_with_cdict(data, self.cdict)
-        except zb.ZstdError as exc:
-            raise CompressionError(f"zstd: {exc}") from exc
+        return zb.compressed_size_with_cdict(data, self.cdict)
 
 
 def train_dictionary(segment: bytes, span: SourceSpan, mode: str = "trained") -> TrainedDictionary:
@@ -171,7 +159,7 @@ def _zdict_train_segment(segment: bytes) -> bytes | None:
     f = min(_ZDICT_MAX_F, (8 * len(segment) - 1).bit_length())
     try:
         payload = zb.train_dictionary(samples, capacity, f)
-    except zb.ZstdError:
+    except CompressionError:
         return None
     return payload or None
 

@@ -13,7 +13,8 @@ training text's C(y) is computed once at fit (``sample_sizes``), and a
 query is compressed once per prediction: ``DeflateBackend.prefixed_sizes``
 primes one deflate stream with it and forks a copy per gold sample, so C(x)
 and every C(xy) cost one pass over the query plus one over each gold text.
-The sizes are those of compressing x and xy from scratch.
+The sizes are those of compressing x and xy from scratch, returned as plain
+integers; a compressor failure reaches the caller as the backend raised it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 
-from .compression import CompressionError, DeflateBackend, ncd_value
+from .compression import DeflateBackend, ncd_value
 from .corpus import Corpus, LabeledText
 
 NCD_BACKEND = DeflateBackend()
@@ -74,14 +75,10 @@ def ncd_distances(
     if not query:
         raise ValueError("query text must be non-empty")
     c_query, c_xys = NCD_BACKEND.prefixed_sizes(query, (s.text for s in samples))
-    out = []
-    for i, (sample, c_y) in enumerate(zip(samples, sizes, strict=True)):
-        try:
-            c_xy = next(c_xys)
-        except CompressionError as exc:
-            raise CompressionError(f"sample {i}: {exc}") from exc
-        out.append(NcdNeighbor(ncd_value(c_xy, c_query, c_y), sample.label, i))
-    return out
+    return [
+        NcdNeighbor(ncd_value(c_xy, c_query, c_y), sample.label, i)
+        for i, (sample, c_y, c_xy) in enumerate(zip(samples, sizes, c_xys, strict=True))
+    ]
 
 
 def vote_detail(neighbors: list[NcdNeighbor], k: int = 1) -> ReasoningOutcome:

@@ -5,9 +5,15 @@ compressed size of a frame made with a digested dictionary (CDict).
 Besides the stable API they use libzstd's experimental calls, which the
 shared library exports: ``ZSTD_getCParams``, ``ZSTD_createCDict_advanced``,
 ``ZSTD_compress_usingCDict_advanced`` and ``ZDICT_trainFromBuffer_fastCover``.
-Compression contexts and their output buffers are kept thread-local
-because a ZSTD_CCtx is not thread-safe; CDict handles are immutable and
-may be shared freely between threads.
+libzstd is loaded on the first call that needs it. Compression contexts
+and their output buffers are kept thread-local because a ZSTD_CCtx is not
+thread-safe; CDict handles are immutable and may be shared freely between
+threads.
+
+A call that fails raises ``CompressionError`` where it fails, with
+libzstd's error name after ``"zstd: "`` (``zstd: Destination buffer is too
+small``); it is the one error of every compressor in the package, and
+``lftc.compression`` imports it.
 
 Frames are scored without a dictionary ID in their header
 (``noDictIDFlag``), so a trained dictionary, which has an ID, and a raw
@@ -78,8 +84,9 @@ _M_MMAP_THRESHOLD = -3
 _HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
 
 
-class ZstdError(RuntimeError):
-    """A libzstd call returned an error code."""
+class CompressionError(RuntimeError):
+    """A compressor call failed; the message starts with the compressor's
+    kind ("zstd: ", "deflate: ")."""
 
 
 class _FrameParams(ctypes.Structure):
@@ -138,68 +145,60 @@ class _FastCoverParams(ctypes.Structure):
     ]
 
 
-_lib = None
-_lib_lock = threading.Lock()
-
-
+@functools.cache
 def _load():
-    global _lib
-    if _lib is not None:
-        return _lib
-    with _lib_lock:
-        if _lib is not None:
-            return _lib
-        name = ctypes.util.find_library("zstd") or "libzstd.so.1"
-        try:
-            lib = ctypes.CDLL(name)
-        except OSError as exc:  # pragma: no cover - environment dependent
-            raise ZstdError(f"cannot load libzstd ({name}): {exc}") from exc
+    """libzstd, loaded on the first call, with the signatures of the calls
+    this module makes declared."""
+    name = ctypes.util.find_library("zstd") or "libzstd.so.1"
+    try:
+        lib = ctypes.CDLL(name)
+    except OSError as exc:  # pragma: no cover - environment dependent
+        raise CompressionError(f"zstd: cannot load libzstd ({name}): {exc}") from exc
 
-        c = ctypes
-        lib.ZSTD_versionNumber.restype = c.c_uint
-        lib.ZSTD_getErrorName.restype = c.c_char_p
-        lib.ZSTD_getErrorName.argtypes = [c.c_size_t]
-        lib.ZSTD_compressBound.restype = c.c_size_t
-        lib.ZSTD_compressBound.argtypes = [c.c_size_t]
+    c = ctypes
+    lib.ZSTD_versionNumber.restype = c.c_uint
+    lib.ZSTD_getErrorName.restype = c.c_char_p
+    lib.ZSTD_getErrorName.argtypes = [c.c_size_t]
+    lib.ZSTD_compressBound.restype = c.c_size_t
+    lib.ZSTD_compressBound.argtypes = [c.c_size_t]
 
-        lib.ZSTD_createCCtx.restype = c.c_void_p
-        lib.ZSTD_freeCCtx.restype = c.c_size_t
-        lib.ZSTD_freeCCtx.argtypes = [c.c_void_p]
+    lib.ZSTD_createCCtx.restype = c.c_void_p
+    lib.ZSTD_freeCCtx.restype = c.c_size_t
+    lib.ZSTD_freeCCtx.argtypes = [c.c_void_p]
 
-        lib.ZSTD_getCParams.restype = _CParams
-        lib.ZSTD_getCParams.argtypes = [c.c_int, c.c_ulonglong, c.c_size_t]
-        lib.ZSTD_createCDict_advanced.restype = c.c_void_p
-        lib.ZSTD_createCDict_advanced.argtypes = [
-            c.c_void_p, c.c_size_t, c.c_int, c.c_int, _CParams, _CustomMem,
-        ]
-        lib.ZSTD_freeCDict.restype = c.c_size_t
-        lib.ZSTD_freeCDict.argtypes = [c.c_void_p]
-        lib.ZSTD_compress_usingCDict_advanced.restype = c.c_size_t
-        lib.ZSTD_compress_usingCDict_advanced.argtypes = [
-            c.c_void_p, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t, c.c_void_p,
-            _FrameParams,
-        ]
+    lib.ZSTD_getCParams.restype = _CParams
+    lib.ZSTD_getCParams.argtypes = [c.c_int, c.c_ulonglong, c.c_size_t]
+    lib.ZSTD_createCDict_advanced.restype = c.c_void_p
+    lib.ZSTD_createCDict_advanced.argtypes = [
+        c.c_void_p, c.c_size_t, c.c_int, c.c_int, _CParams, _CustomMem,
+    ]
+    lib.ZSTD_freeCDict.restype = c.c_size_t
+    lib.ZSTD_freeCDict.argtypes = [c.c_void_p]
+    lib.ZSTD_compress_usingCDict_advanced.restype = c.c_size_t
+    lib.ZSTD_compress_usingCDict_advanced.argtypes = [
+        c.c_void_p, c.c_void_p, c.c_size_t, c.c_void_p, c.c_size_t, c.c_void_p,
+        _FrameParams,
+    ]
 
-        lib.ZDICT_trainFromBuffer_fastCover.restype = c.c_size_t
-        lib.ZDICT_trainFromBuffer_fastCover.argtypes = [
-            c.c_void_p, c.c_size_t, c.c_void_p, c.POINTER(c.c_size_t), c.c_uint,
-            _FastCoverParams,
-        ]
-        lib.ZDICT_isError.restype = c.c_uint
-        lib.ZDICT_isError.argtypes = [c.c_size_t]
-        lib.ZDICT_getErrorName.restype = c.c_char_p
-        lib.ZDICT_getErrorName.argtypes = [c.c_size_t]
+    lib.ZDICT_trainFromBuffer_fastCover.restype = c.c_size_t
+    lib.ZDICT_trainFromBuffer_fastCover.argtypes = [
+        c.c_void_p, c.c_size_t, c.c_void_p, c.POINTER(c.c_size_t), c.c_uint,
+        _FastCoverParams,
+    ]
+    lib.ZDICT_isError.restype = c.c_uint
+    lib.ZDICT_isError.argtypes = [c.c_size_t]
+    lib.ZDICT_getErrorName.restype = c.c_char_p
+    lib.ZDICT_getErrorName.argtypes = [c.c_size_t]
 
-        _lib = lib
-    return _lib
+    return lib
 
 
 def _check(lib, code: int, capacity: int) -> int:
     """``code`` when it is a size that fits ``capacity`` bytes, else a
-    ZstdError: zstd's error codes are the top values of size_t, above any
-    buffer's size, so this needs no ZSTD_isError call."""
+    CompressionError: zstd's error codes are the top values of size_t,
+    above any buffer's size, so this needs no ZSTD_isError call."""
     if code > capacity:
-        raise ZstdError(lib.ZSTD_getErrorName(code).decode("ascii", "replace"))
+        raise CompressionError("zstd: " + lib.ZSTD_getErrorName(code).decode("ascii", "replace"))
     return code
 
 
@@ -214,7 +213,7 @@ class _CCtxHolder:
     def __init__(self, lib):
         self.ptr = lib.ZSTD_createCCtx()
         if not self.ptr:
-            raise ZstdError("ZSTD_createCCtx failed")
+            raise CompressionError("zstd: ZSTD_createCCtx failed")
         self._finalizer = weakref.finalize(self, lib.ZSTD_freeCCtx, self.ptr)
         self.dst = ctypes.create_string_buffer(0)
 
@@ -262,7 +261,7 @@ class CDict:
             payload, len(payload), _DLM_BY_REF, _DCT_AUTO, params, _CustomMem()
         )
         if not self._ptr:
-            raise ZstdError("ZSTD_createCDict_advanced failed")
+            raise CompressionError("zstd: ZSTD_createCDict_advanced failed")
         self._finalizer = weakref.finalize(self, lib.ZSTD_freeCDict, self._ptr)
 
 
@@ -280,18 +279,18 @@ def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
 
 def train_dictionary(samples: list[bytes], capacity: int, f: int) -> bytes:
     """One fastCover pass over every sample at k=50, d=8, with a 2^f-entry
-    frequency table; raises ZstdError when ZDICT refuses (too little data,
+    frequency table; raises CompressionError when ZDICT refuses (too little data,
     too few samples, ...)."""
     lib = _load()
     if not samples:
-        raise ZstdError("no samples")
+        raise CompressionError("zstd: no samples")
     blob = b"".join(samples)
     sizes = (ctypes.c_size_t * len(samples))(*[len(s) for s in samples])
     dst = ctypes.create_string_buffer(capacity)
     params = _FastCoverParams(k=50, d=8, f=f)
     n = lib.ZDICT_trainFromBuffer_fastCover(dst, capacity, blob, sizes, len(samples), params)
     if lib.ZDICT_isError(n):
-        raise ZstdError(lib.ZDICT_getErrorName(n).decode("ascii", "replace"))
+        raise CompressionError("zstd: " + lib.ZDICT_getErrorName(n).decode("ascii", "replace"))
     return dst.raw[:n]
 
 

@@ -100,10 +100,10 @@ def decompress(frame: bytes, dict_payload: bytes = b"") -> bytes:
     lib = _lib()
     size = lib.ZSTD_getFrameContentSize(frame, len(frame))
     if size in (_CONTENTSIZE_UNKNOWN, _CONTENTSIZE_ERROR):
-        raise zb.ZstdError("frame content size unavailable")
+        raise zb.CompressionError("zstd: frame content size unavailable")
     dctx = lib.ZSTD_createDCtx()
     if not dctx:
-        raise zb.ZstdError("ZSTD_createDCtx failed")
+        raise zb.CompressionError("zstd: ZSTD_createDCtx failed")
     try:
         dst = ctypes.create_string_buffer(max(1, size))
         n = zb._check(

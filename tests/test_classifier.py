@@ -181,6 +181,16 @@ def test_evaluate_rejects_disjoint_labels(motif_split):
         evaluate(Pipeline(train, PipelineConfig()), other)
 
 
+def test_libzstd_error_reaches_the_prediction(motif_split, monkeypatch):
+    # A zero-byte output buffer is too small for any frame: the error
+    # libzstd returns is the one the prediction reports.
+    train, test = motif_split
+    pipeline = Pipeline(train, PipelineConfig())
+    monkeypatch.setattr(zb, "_compress_bound", lambda size: 0)
+    pred = pipeline.predict(test.samples[0].text)
+    assert pred.error == "CompressionError: zstd: Destination buffer is too small"
+
+
 def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
     train, test = motif_split
     pipeline = Pipeline(train, PipelineConfig())

@@ -14,6 +14,7 @@ from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.compression import (
     DICT_MODES,
+    CompressionError,
     DeflateBackend,
     DictCompressor,
     SourceSpan,
@@ -159,7 +160,7 @@ def test_mismatched_dictionary_raises_zstd_error():
     assert frames.decompress(frame, dictionary.payload) == motif_bytes(5, tokens=150)
     seg = motif_bytes(6, tokens=2000)
     other = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
-    with pytest.raises(zb.ZstdError, match="(?i)dictionary"):
+    with pytest.raises(zb.CompressionError, match="(?i)dictionary"):
         frames.decompress(frame, other.payload)
 
 
@@ -280,7 +281,7 @@ prefixes = st.one_of(
 def test_prefixed_sizes_match_one_shot_compression(prefix, suffixes):
     c_prefix, c_xys = DeflateBackend().prefixed_sizes(prefix, suffixes)
     assert c_prefix == len(zlib.compress(prefix, 6))
-    assert list(c_xys) == [len(zlib.compress(prefix + y, 6)) for y in suffixes]
+    assert c_xys == [len(zlib.compress(prefix + y, 6)) for y in suffixes]
 
 
 def test_prefixed_sizes_reject_an_empty_prefix():
@@ -323,6 +324,27 @@ def test_train_dictionary_raw_mode_requested():
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)), mode="raw")
     assert dictionary.source_span.mode == "raw"
     assert dictionary.payload == seg
+
+
+def test_refused_training_falls_back_to_raw(monkeypatch):
+    def refuse(samples, capacity, f):
+        raise CompressionError("zstd: Src size is incorrect")
+
+    monkeypatch.setattr(zb, "train_dictionary", refuse)
+    seg = motif_bytes(6, tokens=12000)[:65536]
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
+    assert dictionary.source_span.mode == "raw"
+    assert dictionary.payload == seg
+
+
+def test_training_programming_errors_propagate(monkeypatch):
+    def broken(samples, capacity, f):
+        raise TypeError("broken binding")
+
+    monkeypatch.setattr(zb, "train_dictionary", broken)
+    seg = motif_bytes(6, tokens=12000)[:65536]
+    with pytest.raises(TypeError, match="broken binding"):
+        train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
 
 
 # --- DictCompressor.score -----------------------------------------------------
@@ -374,6 +396,15 @@ def test_identical_dictionaries_share_one_digest():
     assert DictCompressor(copy, 3, 11).cdict is comp.cdict
     assert DictCompressor(dictionary, 5, 11).cdict is not comp.cdict
     assert DictCompressor(dictionary, 3, 12).cdict is not comp.cdict
+
+
+def test_refused_digest_raises_compression_error():
+    # Match tables of 2^1 entries are below libzstd's minimum of 2^6, so
+    # ZSTD_createCDict_advanced refuses the parameters.
+    dictionary = train_dictionary(b"dictionary", SourceSpan("c", 0, 0, 10), mode="raw")
+    with pytest.raises(CompressionError) as info:
+        DictCompressor(dictionary, 3, 1)
+    assert str(info.value) == "zstd: ZSTD_createCDict_advanced failed"
 
 
 def test_digest_of_a_2kib_dictionary_fits_32kib():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lftc.compression import CompressionError, DeflateBackend
+from lftc.compression import DeflateBackend
 from lftc.cr import (
     NcdNeighbor,
     extract_gold,
@@ -120,26 +120,6 @@ def test_distances_reject_empty_query():
     corpus = corpus_from([("p", b"x")])
     with pytest.raises(ValueError):
         gold_distances(b"", extract_gold(corpus, PAIR))
-
-
-def test_backend_failure_reports_sample_index(monkeypatch):
-    corpus = corpus_from([("p", b"first"), ("q", b"second"), ("p", b"third")])
-    gold = extract_gold(corpus, PAIR)
-    sizes = sample_sizes(gold.samples)
-    real = DeflateBackend.prefixed_sizes
-
-    def exploding(self, prefix, suffixes):
-        c_prefix, c_xys = real(self, prefix, suffixes)
-
-        def failing_on_the_second():
-            yield next(c_xys)
-            raise CompressionError("deflate: synthetic failure")
-
-        return c_prefix, failing_on_the_second()
-
-    monkeypatch.setattr(DeflateBackend, "prefixed_sizes", exploding)
-    with pytest.raises(CompressionError, match="sample 1: deflate: synthetic failure"):
-        ncd_distances(b"query", gold.samples, sizes)
 
 
 # --- vote_detail -------------------------------------------------------------
