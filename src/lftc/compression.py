@@ -9,7 +9,9 @@
 A compressor that fails raises ``CompressionError`` (from
 ``lftc.zstd_bindings``), its message starting with the compressor's kind,
 "zstd: " or "deflate: "; nothing here catches or re-words it, except that
-``train_dictionary`` keeps the raw segment when ZDICT refuses it. Empty
+``train_dictionary`` keeps the raw segment when ZDICT refuses it. The
+trainer's parameters belong to ``zstd_bindings.train_dictionary``; this
+module only chooses between its dictionary and the raw segment. Empty
 input is a ``ValueError``.
 """
 
@@ -26,15 +28,6 @@ from .zstd_bindings import CompressionError
 
 # "trained" runs ZDICT on a segment, "raw" keeps its bytes as the dictionary.
 DICT_MODES = ("trained", "raw")
-
-# Trained dictionaries: a lone segment is chunked into pseudo-samples, all
-# of which ZDICT's one fastCover pass trains on, capacity clamped to
-# [1 KiB, 110 KiB], with a frequency table of eight slots per segment byte,
-# up to libzstd's default of 2^20.
-_ZDICT_CHUNKS = 64
-_ZDICT_MIN_CAPACITY = 1024
-_ZDICT_MAX_CAPACITY = 110 * 1024
-_ZDICT_MAX_F = 20
 
 
 class DeflateBackend:
@@ -132,9 +125,10 @@ class DictCompressor:
 def train_dictionary(segment: bytes, span: SourceSpan, mode: str = "trained") -> TrainedDictionary:
     """Build a dictionary from one corpus segment.
 
-    ``mode="trained"`` runs ZDICT and falls back to the raw segment bytes when
-    the trainer refuses the segment (too small / too uniform); the fallback is
-    recorded in the span's ``mode``. ``mode="raw"`` skips training entirely.
+    ``mode="trained"`` trains one with ``zstd_bindings.train_dictionary``,
+    which sets every ZDICT parameter, and keeps the raw segment bytes when
+    libzstd refuses the segment (1 KiB or less, too uniform, ...); the
+    span's ``mode`` records which. ``mode="raw"`` skips training entirely.
     No zstd level enters the dictionary: ZDICT is given none, and the level
     applies only when ``DictCompressor`` digests it.
     """
@@ -144,24 +138,11 @@ def train_dictionary(segment: bytes, span: SourceSpan, mode: str = "trained") ->
         raise ValueError(f"unknown dictionary mode: {mode!r}")
 
     if mode == "trained":
-        payload = _zdict_train_segment(segment)
-        if payload is not None:
-            return TrainedDictionary(payload, replace(span, mode="trained"))
+        try:
+            return TrainedDictionary(zb.train_dictionary(segment), replace(span, mode="trained"))
+        except CompressionError:
+            pass
     return TrainedDictionary(segment, replace(span, mode="raw"))
-
-
-def _zdict_train_segment(segment: bytes) -> bytes | None:
-    capacity = max(_ZDICT_MIN_CAPACITY, min(_ZDICT_MAX_CAPACITY, len(segment) // 4))
-    chunk = max(256, len(segment) // _ZDICT_CHUNKS)
-    samples = [segment[off : off + chunk] for off in range(0, len(segment), chunk)]
-    if len(samples) < 5:  # ZDICT rejects tiny sample sets outright
-        return None
-    f = min(_ZDICT_MAX_F, (8 * len(segment) - 1).bit_length())
-    try:
-        payload = zb.train_dictionary(samples, capacity, f)
-    except CompressionError:
-        return None
-    return payload or None
 
 
 def ncd_value(c_xy: int, c_x: int, c_y: int) -> float:

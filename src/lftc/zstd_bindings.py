@@ -34,17 +34,23 @@ pays the same. A 3 KiB generated query scored against a 1-byte raw
 dictionary at level 3 takes 976 bytes at table log 6, and 753 bytes with
 the level's own tables.
 
-``train_dictionary`` makes one fastCover pass over every sample at k=50
-and d=8: the dictionary is built from 50-byte pieces of the samples, picked
-by the frequency of the 8-byte strings in them. k is fixed rather than
-searched. ``ZDICT_trainFromBuffer`` runs libzstd's optimiser, which builds,
-finalizes and test-compresses a dictionary for each of five values of k,
-and tests them on the last quarter of the samples, which then never reaches
-the dictionary; over the 176 segments of the 16-class generated split at
-step 8192 its picks spread over all five values, and the search was about
-three quarters of that fit. The caller sizes the frequency table (2^f
-entries of 4 bytes, plus a 2-byte table as long): libzstd's default f=20
-allocates 6 MiB per dictionary however small the samples are.
+``train_dictionary`` sets every parameter of the trainer. It hands libzstd
+the segment as one buffer of pieces, ``max(256, len // 64)`` bytes each
+with a shorter last one, and makes one fastCover pass over every piece at
+k=50 and d=8: the dictionary is built from 50-byte stretches of the
+segment, picked by the frequency of the 8-byte strings in them. Its
+capacity is a quarter of the segment, clamped to [1 KiB, 110 KiB]. k is
+fixed rather than searched. ``ZDICT_trainFromBuffer`` runs libzstd's
+optimiser, which builds, finalizes and test-compresses a dictionary for
+each of five values of k, and tests them on the last quarter of the
+samples, which then never reaches the dictionary; over the 176 segments of
+the 16-class generated split at step 8192 its picks spread over all five
+values, and the search was about three quarters of that fit. The
+frequency table (2^f entries of 4 bytes, plus a 2-byte table as long) gets
+eight entries per segment byte, up to libzstd's default f=20, which
+allocates 6 MiB per dictionary however small the segment is. fastCover
+refuses fewer than five pieces, so a segment of 1 KiB or less is never
+trained.
 
 ``keep_heap()`` wraps every fit (``lftc.classifier.Pipeline``). From 4
 KiB segments up the scratch tables reach glibc's default mmap threshold
@@ -159,8 +165,6 @@ def _load():
     lib.ZSTD_versionNumber.restype = c.c_uint
     lib.ZSTD_getErrorName.restype = c.c_char_p
     lib.ZSTD_getErrorName.argtypes = [c.c_size_t]
-    lib.ZSTD_compressBound.restype = c.c_size_t
-    lib.ZSTD_compressBound.argtypes = [c.c_size_t]
 
     lib.ZSTD_createCCtx.restype = c.c_void_p
     lib.ZSTD_freeCCtx.restype = c.c_size_t
@@ -185,18 +189,15 @@ def _load():
         c.c_void_p, c.c_size_t, c.c_void_p, c.POINTER(c.c_size_t), c.c_uint,
         _FastCoverParams,
     ]
-    lib.ZDICT_isError.restype = c.c_uint
-    lib.ZDICT_isError.argtypes = [c.c_size_t]
-    lib.ZDICT_getErrorName.restype = c.c_char_p
-    lib.ZDICT_getErrorName.argtypes = [c.c_size_t]
 
     return lib
 
 
 def _check(lib, code: int, capacity: int) -> int:
     """``code`` when it is a size that fits ``capacity`` bytes, else a
-    CompressionError: zstd's error codes are the top values of size_t,
-    above any buffer's size, so this needs no ZSTD_isError call."""
+    CompressionError: zstd's error codes, ZDICT's included, are the top
+    values of size_t, above any buffer's size, so this needs no
+    ZSTD_isError call."""
     if code > capacity:
         raise CompressionError("zstd: " + lib.ZSTD_getErrorName(code).decode("ascii", "replace"))
     return code
@@ -277,20 +278,25 @@ def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
     )
 
 
-def train_dictionary(samples: list[bytes], capacity: int, f: int) -> bytes:
-    """One fastCover pass over every sample at k=50, d=8, with a 2^f-entry
-    frequency table; raises CompressionError when ZDICT refuses (too little data,
-    too few samples, ...)."""
+def train_dictionary(segment: bytes) -> bytes:
+    """A dictionary trained on ``segment`` by one fastCover pass (see the
+    module docstring); CompressionError when ZDICT refuses the segment
+    (fewer than five pieces, too little data, ...) or returns nothing."""
     lib = _load()
-    if not samples:
-        raise CompressionError("zstd: no samples")
-    blob = b"".join(samples)
-    sizes = (ctypes.c_size_t * len(samples))(*[len(s) for s in samples])
+    size = len(segment)
+    piece = max(256, size // 64)
+    pieces = [min(piece, size - start) for start in range(0, size, piece)]
+    capacity = max(1 << 10, min(110 << 10, size // 4))
     dst = ctypes.create_string_buffer(capacity)
-    params = _FastCoverParams(k=50, d=8, f=f)
-    n = lib.ZDICT_trainFromBuffer_fastCover(dst, capacity, blob, sizes, len(samples), params)
-    if lib.ZDICT_isError(n):
-        raise CompressionError("zstd: " + lib.ZDICT_getErrorName(n).decode("ascii", "replace"))
+    params = _FastCoverParams(k=50, d=8, f=min(20, (8 * size - 1).bit_length()))
+    sizes = (ctypes.c_size_t * len(pieces))(*pieces)
+    n = _check(
+        lib,
+        lib.ZDICT_trainFromBuffer_fastCover(dst, capacity, segment, sizes, len(pieces), params),
+        capacity,
+    )
+    if not n:
+        raise CompressionError("zstd: ZDICT_trainFromBuffer_fastCover returned no dictionary")
     return dst.raw[:n]
 
 

@@ -189,7 +189,9 @@ def test_scored_frames_carry_no_dictionary_id():
 
 def test_train_dictionary_is_fastcover_at_k50_over_every_sample(monkeypatch):
     # One fastCover pass is libzstd's optimiser held to k=50, d=8 and a
-    # split point of 1.0: every sample trains, none is held out to test.
+    # split point of 1.0: every piece trains, none is held out to test.
+    # The oracle cuts the segment and sizes the capacity and the frequency
+    # table by its own arithmetic.
     assert ctypes.sizeof(zb._FastCoverParams) == 56
     assert zb._FastCoverParams.splitPoint.offset == 24
     lib = zb._load()
@@ -201,23 +203,29 @@ def test_train_dictionary_is_fastcover_at_k50_over_every_sample(monkeypatch):
     calls = []
     train = zb.train_dictionary
 
-    def recording(samples, capacity, f):
-        payload = train(samples, capacity, f)
-        calls.append((samples, capacity, f, payload))
+    def recording(segment):
+        payload = train(segment)
+        calls.append((segment, payload))
         return payload
 
     monkeypatch.setattr(zb, "train_dictionary", recording)
-    for size in (4096, 8192, 65536):
-        for seed in range(4):
+    for size in (4096, 8192, 65536, 1 << 20):
+        for seed in range(4 if size < (1 << 20) else 1):
             seg = motif_bytes(seed, tokens=size // 4)[:size]
+            assert len(seg) == size
             assert train_dictionary(seg, SourceSpan("c", 0, 0, size)).source_span.mode == "trained"
-    assert len(calls) == 12
-    for samples, capacity, f, payload in calls:
-        sizes = (ctypes.c_size_t * len(samples))(*map(len, samples))
+    assert len(calls) == 13
+    for seg, payload in calls:
+        piece = max(256, len(seg) // 64)
+        whole, rest = divmod(len(seg), piece)
+        pieces = [piece] * whole + ([rest] if rest else [])
+        capacity = sorted((1024, len(seg) // 4, 110 * 1024))[1]
+        f = min(20, math.ceil(math.log2(8 * len(seg))))
+        sizes = (ctypes.c_size_t * len(pieces))(*pieces)
         dst = ctypes.create_string_buffer(capacity)
         params = zb._FastCoverParams(k=50, d=8, f=f, splitPoint=1.0)
-        n = optimise(dst, capacity, b"".join(samples), sizes, len(samples), ctypes.byref(params))
-        assert not lib.ZDICT_isError(n)
+        n = optimise(dst, capacity, seg, sizes, len(pieces), ctypes.byref(params))
+        assert n <= capacity  # not an error code
         assert payload == dst.raw[:n]
 
 
@@ -235,10 +243,16 @@ def test_text_only_in_the_last_quarter_reaches_the_dictionary(offset):
 
 
 def test_frequency_table_grows_with_the_segment(monkeypatch):
+    # f as libzstd receives it: eight entries per segment byte, up to 2^20.
     tables = []
-    train = zb.train_dictionary
-    monkeypatch.setattr(zb, "train_dictionary",
-                        lambda samples, capacity, f: tables.append(f) or train(samples, capacity, f))
+    lib = zb._load()
+    fastcover = lib.ZDICT_trainFromBuffer_fastCover
+
+    def recording(dst, capacity, samples, sizes, count, params):
+        tables.append(params.f)
+        return fastcover(dst, capacity, samples, sizes, count, params)
+
+    monkeypatch.setattr(lib, "ZDICT_trainFromBuffer_fastCover", recording)
     for size in (4096, 8192, 65536, 131072, 131073):
         seg = motif_bytes(size, tokens=size // 4)[:size]
         assert len(seg) == size
@@ -248,7 +262,11 @@ def test_frequency_table_grows_with_the_segment(monkeypatch):
 
 def test_output_bound_is_libzstds():
     # The bound is computed in Python; the margin term ends at 128 KiB.
+    # Declared here, the only caller: undeclared, ctypes would read the
+    # size_t result as a C int.
     lib = zb._load()
+    lib.ZSTD_compressBound.restype = ctypes.c_size_t
+    lib.ZSTD_compressBound.argtypes = [ctypes.c_size_t]
     sizes = range(300_001)
     assert [zb._compress_bound(n) for n in sizes] == [lib.ZSTD_compressBound(n) for n in sizes]
 
@@ -312,6 +330,22 @@ def test_train_dictionary_small_segment_falls_back_to_raw():
     assert dictionary.payload == seg
 
 
+@pytest.mark.parametrize("n,mode", [
+    (1, "raw"), (255, "raw"), (256, "raw"), (1024, "raw"),
+    (1025, "trained"), (1280, "trained"), (8192, "trained"),
+])
+def test_libzstd_refuses_segments_of_fewer_than_five_pieces(n, mode):
+    # Up to 1 KiB a segment is cut into at most four 256-byte pieces, and
+    # fastCover refuses fewer than five: the segment is kept raw, with no
+    # stub and no check in Python.
+    text = motif_bytes(7, tokens=2000)
+    assert len(text) > 8192
+    dictionary = train_dictionary(text[:n], SourceSpan("c", 0, 0, n))
+    assert dictionary.source_span.mode == mode
+    if mode == "raw":
+        assert dictionary.payload == text[:n]
+
+
 def test_train_dictionary_large_segment_trains():
     seg = motif_bytes(6, tokens=12000)[:65536]
     dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
@@ -327,7 +361,7 @@ def test_train_dictionary_raw_mode_requested():
 
 
 def test_refused_training_falls_back_to_raw(monkeypatch):
-    def refuse(samples, capacity, f):
+    def refuse(segment):
         raise CompressionError("zstd: Src size is incorrect")
 
     monkeypatch.setattr(zb, "train_dictionary", refuse)
@@ -338,7 +372,7 @@ def test_refused_training_falls_back_to_raw(monkeypatch):
 
 
 def test_training_programming_errors_propagate(monkeypatch):
-    def broken(samples, capacity, f):
+    def broken(segment):
         raise TypeError("broken binding")
 
     monkeypatch.setattr(zb, "train_dictionary", broken)
