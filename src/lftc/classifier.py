@@ -20,9 +20,19 @@ query. The fit trains the level-free dictionaries of the compressor lists
 (``Pipeline.sizes``). It runs inside ``zstd_bindings.keep_heap()`` for
 every variant: ZDICT's scratch tables stay mapped from one training to the
 next, and every process that predicts does so on the tuned heap, where
-each query's deflate state is served without fresh pages. Dictionaries are
-trained on one thread, as glibc cannot trim a worker thread's heap (a
-16-class fit over two threads kept 14.6 MB more resident after it ended).
+each query's deflate state is served without fresh pages.
+
+The fit's independent work runs on a thread pool of its own, opened and
+joined inside the fit, with ``fit_workers`` threads: one per class, at
+most one per CPU the process may run on. The C(y) of one contiguous slice
+of the training texts per worker is queued first, then one task per
+class's dictionaries when its segments are small
+(``mcc.POOL_SEGMENT_LIMIT``; larger ones train on the calling thread);
+both are C calls that release the GIL. Sizes are joined back in corpus
+order and dictionaries in class order, and the digests are made
+afterwards on the calling thread, so a fit's output is the same at any
+worker count.
+
 Nothing is written after the fit, so evaluation parallelizes over test
 samples with bit-identical results at any worker count;
 ``PipelineConfig.threads`` sets only those prediction workers.
@@ -35,6 +45,8 @@ the fit, ``total_seconds`` the predictions.
 
 from __future__ import annotations
 
+import itertools
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -101,6 +113,17 @@ def list_plan(config: PipelineConfig) -> SegmentPlan:
     return config.plan
 
 
+def fit_workers(classes: int) -> int:
+    """Threads of a fit's pool: one per class, at most one per CPU this
+    process may run on. Not ``PipelineConfig.threads``: the fit's output is
+    the same at any count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(classes, cpus)
+
+
 class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query. A
     train split of fewer than two classes raises ``DegenerateCorpusError``.
@@ -125,18 +148,28 @@ class Pipeline:
         self.classes = sorted(train.classes)
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
-        with keep_heap():
+        workers = fit_workers(len(self.classes))
+        with keep_heap(), ThreadPoolExecutor(workers) as pool:
+            # C(y) of every training text, aligned with train.samples: one
+            # contiguous slice per worker, queued before the trainings.
+            sizes = ()
+            if config.variant != "lftc-cr":
+                n = len(train.samples)
+                sizes = pool.map(cr.sample_sizes, [
+                    train.samples[i * n // workers:(i + 1) * n // workers] for i in range(workers)
+                ])
             if config.variant != "baseline-ncd":
                 if dictionaries is None:
-                    dictionaries = mcc.build_all_lists(train, list_plan(config), config.dict_mode)
+                    dictionaries = mcc.build_all_lists(
+                        train, list_plan(config), config.dict_mode, pool
+                    )
                 differ = set(self.classes) ^ set(dictionaries)
                 if differ:
                     raise ValueError(
                         f"dictionaries do not match the training classes: {sorted(differ)}"
                     )
                 self.lists = mcc.compressor_lists(dictionaries, config.level)
-            # C(y) of every training text, aligned with train.samples.
-            self.sizes = () if config.variant == "lftc-cr" else cr.sample_sizes(train.samples)
+            self.sizes = tuple(itertools.chain.from_iterable(sizes))
         self.list_build_seconds = time.perf_counter() - t0
         self.dictionaries: dict[str, list[TrainedDictionary]] | None = dictionaries
 

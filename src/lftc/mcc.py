@@ -10,12 +10,13 @@ Per-class scores are plain sums over the list, so every list of a fit has
 the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
-``build_all_lists`` trains a fit's dictionaries, serially on the calling
-thread, and gives them no zstd level: the level applies only to their
-digests. ``compressor_lists`` is the one place that digests them, so every
-set of dictionaries, fitted or loaded from a bundle, becomes lists of one
-length, at one level, with match tables of one size (set by the set's
-largest dictionary): class scores are comparable.
+``build_all_lists`` trains a fit's dictionaries, one class per task of the
+fit's thread pool when the segments are small, and gives them no zstd
+level: the level applies only to their digests. ``compressor_lists`` is
+the one place that digests them, so every set of dictionaries, fitted or
+loaded from a bundle, becomes lists of one length, at one level, with
+match tables of one size (set by the set's largest dictionary): class
+scores are comparable.
 
 A saved bundle holds a fit's dictionaries and what they were built from
 (``BundleSource``); a run with the same source reuses it at any zstd level.
@@ -24,7 +25,9 @@ A saved bundle holds a fit's dictionaries and what they were built from
 from __future__ import annotations
 
 import base64
+import functools
 import json
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 
 from .compression import (
@@ -38,6 +41,14 @@ from .zstd_bindings import MIN_TABLE_LOG
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
 BUNDLE_VERSION = 4
+
+# The largest segment trained on a fit's pool. ZDICT's tables take about 48
+# bytes per segment byte (384 KiB at 8 KiB), and a pool thread's malloc
+# arena keeps what its trainings took resident after the fit, as glibc
+# trims only the main arena: on the bundled split at 64 KiB segments, two
+# training threads kept 8.6 MB, and raised the fit's peak by 4 MB. Larger
+# segments train in turn on the calling thread.
+POOL_SEGMENT_LIMIT = 8 << 10
 
 
 class DegenerateCorpusError(ValueError):
@@ -140,17 +151,21 @@ def compressor_lists(
 
 
 def build_all_lists(
-    corpus: Corpus, plan: SegmentPlan, dict_mode: str = "trained"
+    corpus: Corpus, plan: SegmentPlan, dict_mode: str = "trained", pool: Executor | None = None
 ) -> dict[str, list[TrainedDictionary]]:
     """The dictionaries of every class's compressor list, all lists of one
-    length (see the module docstring), trained serially."""
+    length (see the module docstring). Each class's list is one task of
+    ``pool`` when no segment exceeds ``POOL_SEGMENT_LIMIT``; otherwise, or
+    without a pool, the lists are trained in turn on the calling thread. A
+    task's exception comes out as itself, and the tasks not yet started are
+    cancelled."""
     texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
     count = min(plan.max_compressors_per_class,
                 *(segment_count(len(text), plan.step_size) for text in texts.values()))
-    return {
-        class_id: _class_dictionaries(class_id, text, plan, count, dict_mode)
-        for class_id, text in texts.items()
-    }
+    largest = min(plan.step_size, max(len(text) for text in texts.values()))
+    run = pool.map if pool and largest <= POOL_SEGMENT_LIMIT else map
+    train = functools.partial(_class_dictionaries, plan=plan, count=count, dict_mode=dict_mode)
+    return dict(zip(texts, run(train, texts, texts.values())))
 
 
 def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:

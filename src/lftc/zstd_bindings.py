@@ -322,7 +322,8 @@ def keep_heap():
     scratch tables across the trainings in the block, and the deflate state
     of every NCD compression after it. The free heap is released once at the
     block's end (see the module docstring). Only the main glibc arena can be
-    trimmed, so train on one thread."""
+    trimmed: what trainings on other threads took stays resident in their
+    arenas (``lftc.mcc.POOL_SEGMENT_LIMIT`` bounds it)."""
     libc = _tuned_libc()
     try:
         yield

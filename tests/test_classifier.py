@@ -2,9 +2,11 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from lftc import classifier, cr
 from lftc.classifier import (
     VARIANTS,
     Pipeline,
@@ -15,7 +17,7 @@ from lftc.classifier import (
 from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.compression import CompressionError, TrainedDictionary
-from lftc.corpus import Corpus, DatasetError
+from lftc.corpus import Corpus, DatasetError, concat_class_text
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
@@ -229,6 +231,120 @@ def test_programming_error_propagates(motif_split, monkeypatch):
     monkeypatch.setattr(mcc, "score_query", broken)
     with pytest.raises(TypeError, match="injected bug"):
         pipeline.predict(test.samples[0].text)
+
+
+def _decision(p):
+    return (p.predicted, p.candidate_pair, p.neighbors, p.tie, p.ncd_calls, p.error)
+
+
+@pytest.mark.parametrize("split", ["bundled", "motif"])
+@pytest.mark.parametrize("variant", ["lftc", "lftc-mcc", "baseline-ncd"])
+def test_fit_is_the_same_at_any_fit_worker_count(
+    split, variant, bundled_train, bundled_test, motif_split, monkeypatch
+):
+    # One fit worker, and four (more than the classes of either split):
+    # the same dictionaries, spans included, the same C(y) and the same
+    # answers. No pool thread outlives a fit. At step 4096 lftc trains on
+    # the pool; lftc-mcc's whole-class segments train on the calling thread.
+    train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
+    config = PipelineConfig(variant=variant, plan=SegmentPlan(step_size=4096))
+    fits = {}
+    for workers in (1, 4):
+        monkeypatch.setattr(classifier, "fit_workers", lambda classes: workers)
+        before = threading.enumerate()
+        fits[workers] = Pipeline(train, config)
+        assert threading.enumerate() == before
+    one, four = fits[1], fits[4]
+    assert one.dictionaries == four.dictionaries
+    assert one.sizes == four.sizes == cr.sample_sizes(train.samples)
+    for s in test.samples[:30]:
+        assert _decision(one.predict(s.text)) == _decision(four.predict(s.text))
+
+
+def test_fit_trains_on_two_threads(motif_split, monkeypatch):
+    # At two fit workers both threads train: the first training on each
+    # thread waits until a training has started on the other one.
+    train, _ = motif_split
+    monkeypatch.setattr(classifier, "fit_workers", lambda classes: 2)
+    original = mcc.train_dictionary
+    threads, lock, barrier = set(), threading.Lock(), threading.Barrier(2, timeout=20)
+
+    def recorded(*args, **kwargs):
+        with lock:
+            first = threading.get_ident() not in threads
+            threads.add(threading.get_ident())
+        if first:
+            barrier.wait()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mcc, "train_dictionary", recorded)
+    Pipeline(train, PipelineConfig())
+    assert len(threads) == 2 and threading.get_ident() not in threads
+
+
+def test_large_segments_train_on_the_calling_thread(bundled_train, monkeypatch):
+    # The bundled split's 64 KiB segments exceed POOL_SEGMENT_LIMIT: every
+    # training runs on the thread that fits, while C(y) still uses the pool.
+    monkeypatch.setattr(classifier, "fit_workers", lambda classes: 2)
+    original = mcc.train_dictionary
+    threads = set()
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mcc, "train_dictionary", recorded)
+    assert SegmentPlan().step_size > mcc.POOL_SEGMENT_LIMIT
+    Pipeline(bundled_train, PipelineConfig())
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch, workers):
+    # libzstd refuses every 1 KiB segment; the refusal is handled inside
+    # each class's task, and the fit keeps the raw bytes.
+    monkeypatch.setattr(classifier, "fit_workers", lambda classes: workers)
+    plan = SegmentPlan(step_size=1024, max_compressors_per_class=4)
+    pipeline = Pipeline(bundled_train, PipelineConfig(plan=plan))
+    for class_id, ds in pipeline.dictionaries.items():
+        text = concat_class_text(bundled_train, class_id)
+        assert [d.source_span.mode for d in ds] == ["raw"] * 4
+        assert all(d.payload == text[d.source_span.start:d.source_span.stop] for d in ds)
+
+
+@pytest.mark.parametrize("stage", ["training", "sizes"])
+def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
+    motif_split, monkeypatch, stage
+):
+    # A TypeError raised on a pool thread, in one class's training or in one
+    # slice of C(y), reaches the caller as the same object, and the pool's
+    # threads are gone once the fit has failed.
+    train, _ = motif_split
+    monkeypatch.setattr(classifier, "fit_workers", lambda classes: 4)
+    bug = TypeError("injected bug")
+    if stage == "training":
+        original = mcc.train_dictionary
+
+        def failing(segment, span, mode="trained"):
+            if span.class_id == "beta":
+                raise bug
+            return original(segment, span, mode)
+
+        monkeypatch.setattr(mcc, "train_dictionary", failing)
+    else:
+        original = cr.sample_sizes
+
+        def failing(samples):
+            if train.samples[-1] in samples:
+                raise bug
+            return original(samples)
+
+        monkeypatch.setattr(cr, "sample_sizes", failing)
+    before = threading.enumerate()
+    with pytest.raises(TypeError) as caught:
+        Pipeline(train, PipelineConfig())
+    assert caught.value is bug
+    assert threading.enumerate() == before
 
 
 def test_fitted_dictionaries_reuse(motif_split):
