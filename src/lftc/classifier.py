@@ -26,12 +26,10 @@ The fit's independent work runs on a thread pool of its own, opened and
 joined inside the fit, with ``fit_workers`` threads: one per class, at
 most one per CPU the process may run on. The C(y) of one contiguous slice
 of the training texts per worker is queued first, then one task per
-class's dictionaries when its segments are small
-(``mcc.POOL_SEGMENT_LIMIT``; larger ones train on the calling thread);
-both are C calls that release the GIL. Sizes are joined back in corpus
-order and dictionaries in class order, and the digests are made
-afterwards on the calling thread, so a fit's output is the same at any
-worker count.
+class's dictionaries, whatever the segment size; both are C calls that
+release the GIL. Sizes are joined back in corpus order and dictionaries
+in class order, and the digests are made afterwards on the calling
+thread, so a fit's output is the same at any worker count.
 
 Nothing is written after the fit, so evaluation parallelizes over test
 samples with bit-identical results at any worker count;

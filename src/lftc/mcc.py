@@ -10,13 +10,12 @@ Per-class scores are plain sums over the list, so every list of a fit has
 the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
-``build_all_lists`` trains a fit's dictionaries, one class per task of the
-fit's thread pool when the segments are small, and gives them no zstd
-level: the level applies only to their digests. ``compressor_lists`` is
-the one place that digests them, so every set of dictionaries, fitted or
-loaded from a bundle, becomes lists of one length, at one level, with
-match tables of one size (set by the set's largest dictionary): class
-scores are comparable.
+``build_all_lists`` trains a fit's dictionaries, one class per task of
+the fit's thread pool, and gives them no zstd level: the level applies
+only to their digests. ``compressor_lists`` is the one place that digests
+them, so every set of dictionaries, fitted or loaded from a bundle,
+becomes lists of one length, at one level, with match tables of one size
+(set by the set's largest dictionary): class scores are comparable.
 
 A saved bundle holds a fit's dictionaries and what they were built from
 (``BundleSource``); a run with the same source reuses it at any zstd level.
@@ -40,15 +39,7 @@ from .corpus import Corpus, concat_class_text
 from .zstd_bindings import MIN_TABLE_LOG
 
 BUNDLE_FORMAT = "lftc-compressor-bundle"
-BUNDLE_VERSION = 4
-
-# The largest segment trained on a fit's pool. ZDICT's tables take about 48
-# bytes per segment byte (384 KiB at 8 KiB), and a pool thread's malloc
-# arena keeps what its trainings took resident after the fit, as glibc
-# trims only the main arena: on the bundled split at 64 KiB segments, two
-# training threads kept 8.6 MB, and raised the fit's peak by 4 MB. Larger
-# segments train in turn on the calling thread.
-POOL_SEGMENT_LIMIT = 8 << 10
+BUNDLE_VERSION = 5
 
 
 class DegenerateCorpusError(ValueError):
@@ -155,15 +146,13 @@ def build_all_lists(
 ) -> dict[str, list[TrainedDictionary]]:
     """The dictionaries of every class's compressor list, all lists of one
     length (see the module docstring). Each class's list is one task of
-    ``pool`` when no segment exceeds ``POOL_SEGMENT_LIMIT``; otherwise, or
-    without a pool, the lists are trained in turn on the calling thread. A
-    task's exception comes out as itself, and the tasks not yet started are
-    cancelled."""
+    ``pool``; without a pool the lists are trained in turn on the calling
+    thread. A task's exception comes out as itself, and the tasks not yet
+    started are cancelled."""
     texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
     count = min(plan.max_compressors_per_class,
                 *(segment_count(len(text), plan.step_size) for text in texts.values()))
-    largest = min(plan.step_size, max(len(text) for text in texts.values()))
-    run = pool.map if pool and largest <= POOL_SEGMENT_LIMIT else map
+    run = pool.map if pool else map
     train = functools.partial(_class_dictionaries, plan=plan, count=count, dict_mode=dict_mode)
     return dict(zip(texts, run(train, texts, texts.values())))
 
@@ -236,7 +225,7 @@ def save_bundle(
 
 def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]:
     """A bundle's dictionaries, undigested, and their source; a ValueError
-    that names the bundle when it is not a well-formed version 4 bundle."""
+    that names the bundle when it is not a well-formed version 5 bundle."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -247,7 +236,8 @@ def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]
     if doc.get("version") != BUNDLE_VERSION:
         # Version 1 recorded neither the train split nor the dictionary mode;
         # version 2 trained with libzstd's default table and ragged lists;
-        # version 3 trained with the fastCover optimiser's five-k search.
+        # version 3 trained with the fastCover optimiser's five-k search;
+        # version 4 gave segments above 8 KiB frequency tables up to f=20.
         raise ValueError(
             f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
         )

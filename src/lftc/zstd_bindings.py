@@ -47,10 +47,12 @@ samples, which then never reaches the dictionary; over the 176 segments of
 the 16-class generated split at step 8192 its picks spread over all five
 values, and the search was about three quarters of that fit. The
 frequency table (2^f entries of 4 bytes, plus a 2-byte table as long) gets
-eight entries per segment byte, up to libzstd's default f=20, which
-allocates 6 MiB per dictionary however small the segment is. fastCover
-refuses fewer than five pieces, so a segment of 1 KiB or less is never
-trained.
+eight entries per segment byte up to f=16, an 8 KiB segment's 384 KiB;
+libzstd's default f=20 allocates 6 MiB per dictionary however small the
+segment is. Larger segments share the 2^16 entries, which count hashed
+8-byte strings to rank the stretches; on the bundled split's 64 KiB
+segments the cap changes no predicted label. fastCover refuses fewer than
+five pieces, so a segment of 1 KiB or less is never trained.
 
 ``keep_heap()`` wraps every fit (``lftc.classifier.Pipeline``). From 4
 KiB segments up the scratch tables reach glibc's default mmap threshold
@@ -288,7 +290,7 @@ def train_dictionary(segment: bytes) -> bytes:
     pieces = [min(piece, size - start) for start in range(0, size, piece)]
     capacity = max(1 << 10, min(110 << 10, size // 4))
     dst = ctypes.create_string_buffer(capacity)
-    params = _FastCoverParams(k=50, d=8, f=min(20, (8 * size - 1).bit_length()))
+    params = _FastCoverParams(k=50, d=8, f=min(16, (8 * size - 1).bit_length()))
     sizes = (ctypes.c_size_t * len(pieces))(*pieces)
     n = _check(
         lib,
@@ -323,7 +325,7 @@ def keep_heap():
     of every NCD compression after it. The free heap is released once at the
     block's end (see the module docstring). Only the main glibc arena can be
     trimmed: what trainings on other threads took stays resident in their
-    arenas (``lftc.mcc.POOL_SEGMENT_LIMIT`` bounds it)."""
+    arenas, which the trainer's cap at f=16 keeps small."""
     libc = _tuned_libc()
     try:
         yield

@@ -244,27 +244,28 @@ def test_fit_is_the_same_at_any_fit_worker_count(
 ):
     # One fit worker, and four (more than the classes of either split):
     # the same dictionaries, spans included, the same C(y) and the same
-    # answers. No pool thread outlives a fit. At step 4096 lftc trains on
-    # the pool; lftc-mcc's whole-class segments train on the calling thread.
+    # answers, at step 4096 and at the default plan's 65536. No pool
+    # thread outlives a fit.
     train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
-    config = PipelineConfig(variant=variant, plan=SegmentPlan(step_size=4096))
-    fits = {}
-    for workers in (1, 4):
-        monkeypatch.setattr(classifier, "fit_workers", lambda classes: workers)
-        before = threading.enumerate()
-        fits[workers] = Pipeline(train, config)
-        assert threading.enumerate() == before
-    one, four = fits[1], fits[4]
-    assert one.dictionaries == four.dictionaries
-    assert one.sizes == four.sizes == cr.sample_sizes(train.samples)
-    for s in test.samples[:30]:
-        assert _decision(one.predict(s.text)) == _decision(four.predict(s.text))
+    for step in (4096, 65536):
+        config = PipelineConfig(variant=variant, plan=SegmentPlan(step_size=step))
+        fits = {}
+        for workers in (1, 4):
+            monkeypatch.setattr(classifier, "fit_workers", lambda classes: workers)
+            before = threading.enumerate()
+            fits[workers] = Pipeline(train, config)
+            assert threading.enumerate() == before
+        one, four = fits[1], fits[4]
+        assert one.dictionaries == four.dictionaries
+        assert one.sizes == four.sizes == cr.sample_sizes(train.samples)
+        for s in test.samples[:30]:
+            assert _decision(one.predict(s.text)) == _decision(four.predict(s.text))
 
 
-def test_fit_trains_on_two_threads(motif_split, monkeypatch):
-    # At two fit workers both threads train: the first training on each
-    # thread waits until a training has started on the other one.
-    train, _ = motif_split
+def _training_threads(train, monkeypatch):
+    # The threads a default fit at two fit workers trains on. The first
+    # training on each thread waits until a training has started on the
+    # other one, so a fit that trains on one thread only fails here.
     monkeypatch.setattr(classifier, "fit_workers", lambda classes: 2)
     original = mcc.train_dictionary
     threads, lock, barrier = set(), threading.Lock(), threading.Barrier(2, timeout=20)
@@ -279,24 +280,19 @@ def test_fit_trains_on_two_threads(motif_split, monkeypatch):
 
     monkeypatch.setattr(mcc, "train_dictionary", recorded)
     Pipeline(train, PipelineConfig())
+    return threads
+
+
+def test_fit_trains_on_two_threads(motif_split, monkeypatch):
+    threads = _training_threads(motif_split[0], monkeypatch)
     assert len(threads) == 2 and threading.get_ident() not in threads
 
 
-def test_large_segments_train_on_the_calling_thread(bundled_train, monkeypatch):
-    # The bundled split's 64 KiB segments exceed POOL_SEGMENT_LIMIT: every
-    # training runs on the thread that fits, while C(y) still uses the pool.
-    monkeypatch.setattr(classifier, "fit_workers", lambda classes: 2)
-    original = mcc.train_dictionary
-    threads = set()
-
-    def recorded(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mcc, "train_dictionary", recorded)
-    assert SegmentPlan().step_size > mcc.POOL_SEGMENT_LIMIT
-    Pipeline(bundled_train, PipelineConfig())
-    assert threads == {threading.get_ident()}
+def test_default_plan_segments_train_on_two_threads(bundled_train, monkeypatch):
+    # The bundled split's 64 KiB segments train on the pool like any other.
+    assert SegmentPlan().step_size == 65536
+    threads = _training_threads(bundled_train, monkeypatch)
+    assert len(threads) == 2 and threading.get_ident() not in threads
 
 
 @pytest.mark.parametrize("workers", [1, 4])

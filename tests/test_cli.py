@@ -150,10 +150,11 @@ def test_eval_bundle_config_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bundle}: ") and "unequal lengths" in err
     assert err.count("\n") == 1
-    # A version 3 bundle trained its dictionaries with the fastCover
+    # A version 4 bundle gave segments above 8 KiB larger frequency tables,
+    # a version 3 bundle trained its dictionaries with the fastCover
     # optimiser, a version 2 bundle with libzstd's default table, and a
     # version 1 bundle does not record its split: all must be rebuilt.
-    for version in (3, 2, 1):
+    for version in (4, 3, 2, 1):
         doc["version"] = version
         if version == 1:
             del doc["train_sha256"], doc["dict_mode"]

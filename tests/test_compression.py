@@ -220,7 +220,7 @@ def test_train_dictionary_is_fastcover_at_k50_over_every_sample(monkeypatch):
         whole, rest = divmod(len(seg), piece)
         pieces = [piece] * whole + ([rest] if rest else [])
         capacity = sorted((1024, len(seg) // 4, 110 * 1024))[1]
-        f = min(20, math.ceil(math.log2(8 * len(seg))))
+        f = min(16, math.ceil(math.log2(8 * len(seg))))
         sizes = (ctypes.c_size_t * len(pieces))(*pieces)
         dst = ctypes.create_string_buffer(capacity)
         params = zb._FastCoverParams(k=50, d=8, f=f, splitPoint=1.0)
@@ -243,7 +243,8 @@ def test_text_only_in_the_last_quarter_reaches_the_dictionary(offset):
 
 
 def test_frequency_table_grows_with_the_segment(monkeypatch):
-    # f as libzstd receives it: eight entries per segment byte, up to 2^20.
+    # f as libzstd receives it: eight entries per segment byte, up to 2^16,
+    # which an 8 KiB segment reaches.
     tables = []
     lib = zb._load()
     fastcover = lib.ZDICT_trainFromBuffer_fastCover
@@ -253,11 +254,11 @@ def test_frequency_table_grows_with_the_segment(monkeypatch):
         return fastcover(dst, capacity, samples, sizes, count, params)
 
     monkeypatch.setattr(lib, "ZDICT_trainFromBuffer_fastCover", recording)
-    for size in (4096, 8192, 65536, 131072, 131073):
+    for size in (4096, 8192, 8193, 65536, 131072, 131073):
         seg = motif_bytes(size, tokens=size // 4)[:size]
         assert len(seg) == size
         train_dictionary(seg, SourceSpan("c", 0, 0, size))
-    assert tables == [15, 16, 19, 20, 20]
+    assert tables == [15, 16, 16, 16, 16, 16]
 
 
 def test_output_bound_is_libzstds():
