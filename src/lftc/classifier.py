@@ -33,7 +33,13 @@ thread, so a fit's output is the same at any worker count.
 
 Nothing is written after the fit, so evaluation parallelizes over test
 samples with bit-identical results at any worker count;
-``PipelineConfig.threads`` sets only those prediction workers.
+``PipelineConfig.threads`` sets those prediction workers. The CPUs they
+leave idle become prediction lanes: ``predict_corpus`` gives each query
+``prediction_lanes(threads)`` = max(1, CPUs // threads) threads, its own
+included, which share its MCC class sums and its CR forks
+(``compression.lane_map``). Results are joined by index, so they are
+bit-identical at any lane count too; a direct ``predict`` call runs on
+its calling thread alone.
 
 ``evaluate(pipeline, test)`` takes only a fitted pipeline, so its report
 echoes the train split and config that the predictions came from. Report
@@ -44,12 +50,11 @@ the fit, ``total_seconds`` the predictions.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from . import cr, mcc
+from . import compression, cr, mcc
 from .compression import DICT_MODES, CompressionError, TrainedDictionary
 from .corpus import DEFAULT_SEPARATOR, Corpus, DatasetError, few_shot_sample
 from .report import TIMING_KEYS, EvalReport, confidence_interval
@@ -115,11 +120,13 @@ def fit_workers(classes: int) -> int:
     """Threads of a fit's pool: one per class, at most one per CPU this
     process may run on. Not ``PipelineConfig.threads``: the fit's output is
     the same at any count."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(classes, cpus)
+    return min(classes, compression.usable_cpus())
+
+
+def prediction_lanes(threads: int) -> int:
+    """Threads that share one query's compressions when ``threads``
+    prediction workers run at once, the worker's own included."""
+    return max(1, compression.usable_cpus() // threads)
 
 
 class Pipeline:
@@ -171,22 +178,27 @@ class Pipeline:
         self.list_build_seconds = time.perf_counter() - t0
         self.dictionaries: dict[str, list[TrainedDictionary]] | None = dictionaries
 
-    def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
+    def predict(
+        self, text: bytes, sample_index: int = 0, truth: str | None = None, *, lanes: int = 1
+    ) -> Prediction:
         """MCC shortlists a pair when the pipeline has lists; CR then votes
         over the pair's training texts, or over every class for
         baseline-ncd. lftc-cr, which fits no sizes, answers the pair's first
-        class."""
+        class. Both stages share their compressions among ``lanes``
+        threads, and every lane task has ended when this returns."""
         t_start = mcc_end = cr_end = time.perf_counter()
         pair = None
         labels = self.classes
         try:
             if self.lists is not None:
-                pair = mcc.select_candidates(mcc.score_query(self.lists, text))
+                pair = mcc.select_candidates(mcc.score_query(self.lists, text, lanes=lanes))
                 labels = [pair.first, pair.second]
                 mcc_end = cr_end = time.perf_counter()
             outcome = cr.ReasoningOutcome(label=labels[0], neighbors=(), ncd_calls=0)
             if self.sizes:
-                outcome = cr.reason_detail(self.train, labels, text, self.sizes, self.config.k)
+                outcome = cr.reason_detail(
+                    self.train, labels, text, self.sizes, self.config.k, lanes=lanes
+                )
                 cr_end = time.perf_counter()
         except (ValueError, CompressionError) as exc:
             # Bad data and compressor failures count as incorrect, never
@@ -214,13 +226,15 @@ class Pipeline:
 def predict_corpus(
     train: Corpus, test: Corpus, config: PipelineConfig, pipeline: Pipeline | None = None
 ) -> tuple[list[Prediction], Pipeline]:
-    """All test predictions, in test order at any worker count."""
+    """All test predictions, in test order at any worker count, each query
+    on ``prediction_lanes(config.threads)`` threads."""
     pipeline = pipeline or Pipeline(train, config)
     items = list(enumerate(test.samples))
+    lanes = prediction_lanes(config.threads)
 
     def run(item):
         i, sample = item
-        return pipeline.predict(sample.text, sample_index=i, truth=sample.label)
+        return pipeline.predict(sample.text, sample_index=i, truth=sample.label, lanes=lanes)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

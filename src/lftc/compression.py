@@ -13,14 +13,21 @@ A compressor that fails raises ``CompressionError`` (from
 trainer's parameters belong to ``zstd_bindings.train_dictionary``; this
 module only chooses between its dictionary and the raw segment. Empty
 input is a ``ValueError``.
+
+``lane_map`` shares one query's compressions (MCC's class sums, CR's
+forks), C calls that release the GIL, with one process-wide lane pool of
+``usable_cpus() - 1`` threads, started on first use. Results are joined by
+index, so sizes are the same at any lane count.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 import zlib
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import zstd_bindings as zb
@@ -44,23 +51,83 @@ class DeflateBackend:
         except zlib.error as exc:  # pragma: no cover - zlib does not fail on bytes
             raise CompressionError(f"deflate: {exc}") from exc
 
-    def prefixed_sizes(self, prefix: bytes, suffixes: Iterable[bytes]) -> tuple[int, list[int]]:
+    def prefixed_sizes(
+        self, prefix: bytes, suffixes: Iterable[bytes], *, lanes: int = 1
+    ) -> tuple[int, list[int]]:
         """C(prefix), and the list of C(prefix + suffix), one per suffix.
 
         The prefix goes through one deflate stream; each suffix is
-        compressed and flushed on a copy of it, and C(prefix) comes from a
-        copy flushed with no suffix. Deflate's output does not depend on
-        how its input is split, so every size equals
-        ``compressed_size(prefix + suffix)``.
+        compressed and flushed on a copy of it, on ``lanes`` threads
+        (``lane_map``), and C(prefix) comes from a copy flushed with no
+        suffix. Deflate's output does not depend on how its input is split,
+        so every size equals ``compressed_size(prefix + suffix)``.
         """
         _require_nonempty(prefix)
         primed = zlib.compressobj(self.level)
         head = len(primed.compress(prefix))
-        sizes = []
-        for suffix in suffixes:
+
+        def forked(suffix: bytes) -> int:
             fork = primed.copy()
-            sizes.append(head + len(fork.compress(suffix)) + len(fork.flush()))
-        return head + len(primed.copy().flush()), sizes
+            return head + len(fork.compress(suffix)) + len(fork.flush())
+
+        return head + len(primed.copy().flush()), lane_map(forked, suffixes, lanes)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; the fit's pool, the prediction
+    lanes and the lane pool are all sized from it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# Lane pools by thread count, each made on first use: one in a process
+# whose CPU count does not change. The lock keeps two prediction workers'
+# first queries from making two.
+_lane_pools: dict[int, ThreadPoolExecutor] = {}
+_lane_pools_lock = threading.Lock()
+
+
+def _lane_pool(threads: int) -> ThreadPoolExecutor:
+    with _lane_pools_lock:
+        if threads not in _lane_pools:
+            _lane_pools[threads] = ThreadPoolExecutor(threads, thread_name_prefix="lftc-lane")
+        return _lane_pools[threads]
+
+
+def lane_map(fn: Callable, items: Iterable, lanes: int = 1) -> list:
+    """``[fn(item) for item in items]``, shared between the calling thread
+    and up to ``lanes - 1`` lane tasks, each taking the next item from one
+    iterator (``next`` on a C iterator is atomic under the GIL). Lane tasks
+    not started when the items run out are cancelled and the others
+    awaited, so none outlives the call. The lowest-index item's exception
+    is raised as itself, as the serial loop would raise it."""
+    items = list(items)
+    if lanes < 2 or len(items) < 2:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    failures = {}
+    todo = enumerate(items)
+
+    def work():
+        for i, item in todo:
+            try:
+                results[i] = fn(item)
+            except Exception as exc:
+                failures[i] = exc
+
+    pool = _lane_pool(max(1, usable_cpus() - 1))
+    tasks = [pool.submit(work) for _ in range(min(lanes, len(items)) - 1)]
+    try:
+        work()
+    finally:
+        for task in tasks:
+            if not task.cancel():
+                task.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -118,7 +185,8 @@ class DictCompressor:
                 self.cdict = _digests[key] = zb.CDict(*key)
 
     def score(self, data: bytes) -> int:
-        _require_nonempty(data)
+        if not data:  # _require_nonempty, inlined for the lanes' GIL
+            raise ValueError("data must be non-empty")
         return zb.compressed_size_with_cdict(data, self.cdict)
 
 

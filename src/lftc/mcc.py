@@ -33,6 +33,7 @@ from .compression import (
     DictCompressor,
     SourceSpan,
     TrainedDictionary,
+    lane_map,
     train_dictionary,
 )
 from .corpus import Corpus, concat_class_text
@@ -157,17 +158,23 @@ def build_all_lists(
     return dict(zip(texts, run(train, texts, texts.values())))
 
 
-def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:
+def score_query(
+    lists: dict[str, ClassCompressorList], query: bytes, *, lanes: int = 1
+) -> list[ClassScore]:
     """Sum of dictionary-compressed sizes of the query bytes per class, all
-    classes, sorted by class id for a stable audit trail."""
+    classes, sorted by class id for a stable audit trail. Each class's sum
+    is one item of ``compression.lane_map`` on ``lanes`` threads."""
     if not lists:
         raise ValueError("no compressor lists")
     if not query:
         raise ValueError("query text must be non-empty")
-    return [
-        ClassScore(class_id, sum(c.score(query) for c in lists[class_id].compressors))
-        for class_id in sorted(lists)
-    ]
+    class_ids = sorted(lists)
+    sums = lane_map(
+        lambda compressors: sum(c.score(query) for c in compressors),
+        [lists[class_id].compressors for class_id in class_ids],
+        lanes,
+    )
+    return [ClassScore(class_id, total) for class_id, total in zip(class_ids, sums)]
 
 
 def select_candidates(scores: list[ClassScore]) -> CandidatePair:

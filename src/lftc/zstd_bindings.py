@@ -269,15 +269,19 @@ class CDict:
 
 
 def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
+    # Every MCC score, on the prediction lanes too, which run in parallel
+    # only outside the GIL: around its one C call, the common case makes a
+    # few lookups and calls no helper but _load and _compress_bound.
     lib = _load()
-    cctx, dst, bound = _cctx_dst(lib, len(data))
-    return _check(
-        lib,
-        lib.ZSTD_compress_usingCDict_advanced(
-            cctx, dst, bound, data, len(data), cdict._ptr, _SCORE_FRAME
-        ),
-        bound,
+    holder = getattr(_tls, "cctx", None)
+    bound = _compress_bound(len(data))
+    if holder is None or len(holder.dst) < bound:
+        _cctx_dst(lib, len(data))
+        holder = _tls.cctx
+    n = lib.ZSTD_compress_usingCDict_advanced(
+        holder.ptr, holder.dst, bound, data, len(data), cdict._ptr, _SCORE_FRAME
     )
+    return n if n <= bound else _check(lib, n, bound)
 
 
 def train_dictionary(segment: bytes) -> bytes:

@@ -3,10 +3,12 @@ import random
 import subprocess
 import sys
 import threading
+import time
+import zlib
 
 import pytest
 
-from lftc import classifier, cr
+from lftc import classifier, compression, cr
 from lftc.classifier import (
     VARIANTS,
     Pipeline,
@@ -199,11 +201,11 @@ def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
     calls = {"n": 0}
     original = mcc.score_query
 
-    def flaky(lists, query):
+    def flaky(lists, query, *, lanes):
         calls["n"] += 1
         if calls["n"] == 2:
             raise CompressionError("injected failure")
-        return original(lists, query)
+        return original(lists, query, lanes=lanes)
 
     monkeypatch.setattr(mcc, "score_query", flaky)
     report, preds = evaluate(pipeline, test)
@@ -225,7 +227,7 @@ def test_programming_error_propagates(motif_split, monkeypatch):
     train, test = motif_split
     pipeline = Pipeline(train, PipelineConfig())
 
-    def broken(lists, query):
+    def broken(lists, query, *, lanes):
         raise TypeError("injected bug")
 
     monkeypatch.setattr(mcc, "score_query", broken)
@@ -341,6 +343,192 @@ def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
         Pipeline(train, PipelineConfig())
     assert caught.value is bug
     assert threading.enumerate() == before
+
+
+def _force_cpus(monkeypatch, cpus):
+    # The one CPU count behind fit_workers, prediction_lanes and the lane pool.
+    monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
+
+
+class _Stream:
+    """A zlib compress object whose copies pass each compression through
+    ``hook(suffix, compute)``: a CR fork's one compression of a gold text."""
+
+    def __init__(self, stream, hook, forked=False):
+        self.stream, self.hook, self.forked = stream, hook, forked
+
+    def compress(self, data):
+        if self.forked:
+            return self.hook(data, lambda: self.stream.compress(data))
+        return self.stream.compress(data)
+
+    def flush(self):
+        return self.stream.flush()
+
+    def copy(self):
+        return _Stream(self.stream.copy(), self.hook, forked=True)
+
+
+def _hook_compressions(monkeypatch, pipeline, hook):
+    """Every MCC score goes through ``hook(class_id, compute)`` and every CR
+    fork through ``hook(gold_text, compute)``; ``compute()`` is the call."""
+    owner = {id(c): cid for cid, cl in (pipeline.lists or {}).items() for c in cl.compressors}
+    score = compression.DictCompressor.score
+    compressobj = zlib.compressobj
+    monkeypatch.setattr(compression.DictCompressor, "score",
+                        lambda self, data: hook(owner[id(self)], lambda: score(self, data)))
+    monkeypatch.setattr(zlib, "compressobj", lambda level: _Stream(compressobj(level), hook))
+
+
+def _on_a_lane():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_prediction_lanes_fill_the_cpus_the_workers_leave(monkeypatch):
+    _force_cpus(monkeypatch, 2)
+    assert [classifier.prediction_lanes(t) for t in (1, 2, 3)] == [2, 1, 1]
+    _force_cpus(monkeypatch, 8)
+    assert [classifier.prediction_lanes(t) for t in (1, 2, 3, 8, 16)] == [8, 4, 2, 1, 1]
+    assert classifier.fit_workers(16) == 8
+
+
+@pytest.mark.parametrize("threads, lanes", [(1, 4), (2, 2), (3, 1), (8, 1)])
+def test_predict_corpus_gives_each_query_its_lanes(threads, lanes, motif_split, monkeypatch):
+    train, test = motif_split
+    _force_cpus(monkeypatch, 4)
+    pipeline = Pipeline(train, PipelineConfig(threads=threads))
+    inner, seen = pipeline.predict, []
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["lanes"])
+        return inner(*args, **kwargs)
+
+    pipeline.predict = recorded
+    classifier.predict_corpus(train, test, pipeline.config, pipeline)
+    assert seen == [lanes] * len(test)
+
+
+def test_a_direct_predict_runs_on_its_calling_thread(motif_split, monkeypatch):
+    # Every compression is slow enough for a lane to wake and take some.
+    train, test = motif_split
+    _force_cpus(monkeypatch, 4)
+    pipeline = Pipeline(train, PipelineConfig())
+    threads = set()
+
+    def hook(key, compute):
+        threads.add(threading.get_ident())
+        time.sleep(0.001)
+        return compute()
+
+    _hook_compressions(monkeypatch, pipeline, hook)
+    for s in test.samples:
+        assert pipeline.predict(s.text).error is None
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("split", ["bundled", "motif"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_answers_are_the_same_at_any_lane_count(
+    split, variant, bundled_train, bundled_test, motif_split, monkeypatch
+):
+    # One prediction worker on 1, 2 and 4 CPUs puts each query on 1, 2 and
+    # 4 lanes: MCC scores, pair, neighbours, tie flag, NCD calls and error
+    # are the same.
+    train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
+    pipeline = Pipeline(train, PipelineConfig(variant=variant))
+    decisions = {}
+    for cpus in (1, 2, 4):
+        _force_cpus(monkeypatch, cpus)
+        preds, _ = classifier.predict_corpus(train, test, pipeline.config, pipeline)
+        decisions[cpus] = [_decision(p) for p in preds]
+    assert decisions[1] == decisions[2] == decisions[4]
+
+
+@pytest.mark.parametrize("stage", ["mcc", "cr"])
+def test_a_compressor_failure_is_the_same_error_at_any_lane_count(stage, motif_split, monkeypatch):
+    # Two items fail: the later one at once, the earlier one late. The
+    # prediction reports the earlier one's error, whichever thread ran it.
+    train, test = motif_split
+    pipeline = Pipeline(train, PipelineConfig())
+    query = test.samples[:1]
+    pair = pipeline.predict(query[0].text).candidate_pair
+    if stage == "mcc":
+        items = sorted(pipeline.lists)
+    else:
+        items = [s.text for s in train.samples if s.label in (pair.first, pair.second)]
+    slow, fast = items[0], items[2]
+
+    def hook(key, compute):
+        if key is slow:
+            time.sleep(0.02)
+        if key is slow or key is fast:
+            raise CompressionError(f"{stage}: injected at item {items.index(key)}")
+        return compute()
+
+    _hook_compressions(monkeypatch, pipeline, hook)
+    for cpus in (1, 2, 4):
+        _force_cpus(monkeypatch, cpus)
+        preds, _ = classifier.predict_corpus(train, Corpus("one", query), pipeline.config, pipeline)
+        assert preds[0].error == f"CompressionError: {stage}: injected at item 0"
+
+
+@pytest.mark.parametrize("stage", ["mcc", "cr"])
+def test_a_programming_error_on_a_lane_propagates_as_itself(stage, motif_split, monkeypatch):
+    # The calling thread's items are slow, so a lane takes some, and every
+    # item a lane takes raises the one TypeError.
+    train, test = motif_split
+    pipeline = Pipeline(train, PipelineConfig())
+    bug = TypeError("injected bug")
+    mcc_key = sorted(pipeline.lists)
+
+    def hook(key, compute):
+        if (key in mcc_key) != (stage == "mcc"):
+            return compute()
+        if _on_a_lane():
+            raise bug
+        time.sleep(0.02)
+        return compute()
+
+    _hook_compressions(monkeypatch, pipeline, hook)
+    _force_cpus(monkeypatch, 2)
+    with pytest.raises(TypeError) as caught:
+        classifier.predict_corpus(train, test, pipeline.config, pipeline)
+    assert caught.value is bug
+
+
+def test_no_lane_task_outlives_its_query(motif_split, monkeypatch):
+    # Items on lanes are slower than on the calling thread, which runs out
+    # of items first: when predict returns, none of its query's
+    # compressions runs.
+    train, test = motif_split
+    pipeline = Pipeline(train, PipelineConfig())
+    running, threads, lock = [0], set(), threading.Lock()
+
+    def hook(key, compute):
+        with lock:
+            running[0] += 1
+            threads.add(threading.get_ident())
+        try:
+            time.sleep(0.003 if _on_a_lane() else 0.001)
+            return compute()
+        finally:
+            with lock:
+                running[0] -= 1
+
+    _hook_compressions(monkeypatch, pipeline, hook)
+    inner, after = pipeline.predict, []
+
+    def checked(*args, **kwargs):
+        pred = inner(*args, **kwargs)
+        after.append(running[0])
+        return pred
+
+    pipeline.predict = checked
+    _force_cpus(monkeypatch, 4)
+    preds, _ = classifier.predict_corpus(train, test, pipeline.config, pipeline)
+    assert all(p.error is None for p in preds)
+    assert after == [0] * len(test)
+    assert len(threads) > 1
 
 
 def test_fitted_dictionaries_reuse(motif_split):

@@ -3,6 +3,8 @@ import gc
 import math
 import random
 import sys
+import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lftc import mcc
+from lftc import compression, mcc
 from lftc import zstd_bindings as zb
 from lftc.compression import (
     DICT_MODES,
@@ -306,6 +308,93 @@ def test_prefixed_sizes_match_one_shot_compression(prefix, suffixes):
 def test_prefixed_sizes_reject_an_empty_prefix():
     with pytest.raises(ValueError):
         DeflateBackend().prefixed_sizes(b"", [b"x"])
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+def test_prefixed_sizes_are_the_same_on_any_lane_count(count, monkeypatch):
+    # Fewer suffixes than lanes included: four lanes, forced through the CPU
+    # count that sizes the lane pool, share 0, 1, 2 or 7 forks.
+    monkeypatch.setattr(compression, "usable_cpus", lambda: 4)
+    prefix = motif_bytes(1)
+    suffixes = [motif_bytes(seed) for seed in range(2, 2 + count)]
+    want = (len(zlib.compress(prefix, 6)), [len(zlib.compress(prefix + y, 6)) for y in suffixes])
+    for lanes in (1, 2, 4):
+        assert DeflateBackend().prefixed_sizes(prefix, suffixes, lanes=lanes) == want
+
+
+def test_lane_map_shares_the_items_between_threads(monkeypatch):
+    # The first item on each thread waits until another thread has taken
+    # one, so a map that runs on the calling thread alone fails here.
+    monkeypatch.setattr(compression, "usable_cpus", lambda: 2)
+    threads, lock = set(), threading.Lock()
+    barrier = threading.Barrier(2, timeout=20)
+
+    def recorded(item):
+        with lock:
+            first = threading.get_ident() not in threads
+            threads.add(threading.get_ident())
+        if first:
+            barrier.wait()
+        return item * item
+
+    assert compression.lane_map(recorded, range(40), 2) == [i * i for i in range(40)]
+    assert len(threads) == 2 and threading.get_ident() in threads
+
+
+def test_lane_map_takes_each_item_once_under_stress(monkeypatch):
+    # Eight lanes, more than the cores, and a thread switch every
+    # microsecond: an item taken twice or skipped shows in the call count
+    # or in the results.
+    monkeypatch.setattr(compression, "usable_cpus", lambda: 8)
+    calls, lock = [0], threading.Lock()
+
+    def fn(item):
+        with lock:
+            calls[0] += 1
+        return -item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls[0] = 0
+            assert compression.lane_map(fn, range(500), 8) == [-i for i in range(500)]
+            assert calls[0] == 500
+        # Sixteen first uses at once make one pool (no task is sent to it).
+        monkeypatch.setattr(compression, "_lane_pools", {})
+        start = threading.Barrier(16, timeout=20)
+
+        def first_use(_):
+            start.wait()
+            return id(compression._lane_pool(3))
+
+        with ThreadPoolExecutor(16) as workers:
+            assert len(set(workers.map(first_use, range(16)))) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+def test_lane_map_raises_the_lowest_index_failure(lanes, monkeypatch):
+    # Item 3 fails late and item 5 at once: item 3's exception is raised, as
+    # the same object, at any lane count, and no item runs after the call.
+    monkeypatch.setattr(compression, "usable_cpus", lambda: 4)
+    errors = {3: TypeError("item 3"), 5: CompressionError("deflate: item 5")}
+    running = []
+
+    def fn(item):
+        running.append(item)
+        if item == 3:
+            time.sleep(0.05)
+        running.remove(item)
+        if item in errors:
+            raise errors[item]
+        return item
+
+    with pytest.raises(TypeError) as caught:
+        compression.lane_map(fn, range(8), lanes)
+    assert caught.value is errors[3]
+    assert running == []
 
 
 # --- dictionary training -----------------------------------------------------
