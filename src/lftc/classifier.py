@@ -22,24 +22,25 @@ every variant: ZDICT's scratch tables stay mapped from one training to the
 next, and every process that predicts does so on the tuned heap, where
 each query's deflate state is served without fresh pages.
 
-The fit's independent work runs on a thread pool of its own, opened and
-joined inside the fit, with ``fit_workers`` threads: one per class, at
-most one per CPU the process may run on. The C(y) of one contiguous slice
-of the training texts per worker is queued first, then one task per
-class's dictionaries, whatever the segment size; both are C calls that
-release the GIL. Sizes are joined back in corpus order and dictionaries
-in class order, and the digests are made afterwards on the calling
-thread, so a fit's output is the same at any worker count.
+All parallel work goes through ``compression.lane_map``: the calling
+thread and tasks of one process-wide pool, whose threads outlive the fit.
+The fit computes the C(y) of one contiguous slice of the training texts
+per CPU, then trains one class's dictionaries per item, whatever the
+segment size; both are C calls that release the GIL. Sizes are joined
+back in corpus order and dictionaries in class order, and the digests are
+made afterwards on the calling thread, so a fit's output is the same at
+any CPU count.
 
 Nothing is written after the fit, so evaluation parallelizes over test
-samples with bit-identical results at any worker count;
-``PipelineConfig.threads`` sets those prediction workers. The CPUs they
-leave idle become prediction lanes: ``predict_corpus`` gives each query
+samples with bit-identical results at any worker count:
+``predict_corpus`` maps the queries with ``lane_map`` on
+``PipelineConfig.threads`` threads, so a count above the CPUs runs no
+more queries at once than there are CPUs (two on one CPU). The CPUs the
+workers leave idle become prediction lanes: each query gets
 ``prediction_lanes(threads)`` = max(1, CPUs // threads) threads, its own
-included, which share its MCC class sums and its CR forks
-(``compression.lane_map``). Results are joined by index, so they are
-bit-identical at any lane count too; a direct ``predict`` call runs on
-its calling thread alone.
+included, which share its MCC class sums and its CR forks on the same
+pool. Results are joined by index, so they are bit-identical at any lane
+count too; a direct ``predict`` call runs on its calling thread alone.
 
 ``evaluate(pipeline, test)`` takes only a fitted pipeline, so its report
 echoes the train split and config that the predictions came from. Report
@@ -51,11 +52,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import compression, cr, mcc
-from .compression import DICT_MODES, CompressionError, TrainedDictionary
+from .compression import DICT_MODES, CompressionError, TrainedDictionary, lane_map
 from .corpus import DEFAULT_SEPARATOR, Corpus, DatasetError, few_shot_sample
 from .report import TIMING_KEYS, EvalReport, confidence_interval
 from .mcc import CandidatePair, SegmentPlan
@@ -116,13 +116,6 @@ def list_plan(config: PipelineConfig) -> SegmentPlan:
     return config.plan
 
 
-def fit_workers(classes: int) -> int:
-    """Threads of a fit's pool: one per class, at most one per CPU this
-    process may run on. Not ``PipelineConfig.threads``: the fit's output is
-    the same at any count."""
-    return min(classes, compression.usable_cpus())
-
-
 def prediction_lanes(threads: int) -> int:
     """Threads that share one query's compressions when ``threads``
     prediction workers run at once, the worker's own included."""
@@ -153,21 +146,17 @@ class Pipeline:
         self.classes = sorted(train.classes)
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
-        workers = fit_workers(len(self.classes))
-        with keep_heap(), ThreadPoolExecutor(workers) as pool:
+        with keep_heap():
             # C(y) of every training text, aligned with train.samples: one
-            # contiguous slice per worker, queued before the trainings.
+            # contiguous slice per CPU.
             sizes = ()
             if config.variant != "lftc-cr":
-                n = len(train.samples)
-                sizes = pool.map(cr.sample_sizes, [
-                    train.samples[i * n // workers:(i + 1) * n // workers] for i in range(workers)
-                ])
+                n, cpus = len(train.samples), compression.usable_cpus()
+                slices = [train.samples[i * n // cpus:(i + 1) * n // cpus] for i in range(cpus)]
+                sizes = lane_map(cr.sample_sizes, slices, cpus)
             if config.variant != "baseline-ncd":
                 if dictionaries is None:
-                    dictionaries = mcc.build_all_lists(
-                        train, list_plan(config), config.dict_mode, pool
-                    )
+                    dictionaries = mcc.build_all_lists(train, list_plan(config), config.dict_mode)
                 differ = set(self.classes) ^ set(dictionaries)
                 if differ:
                     raise ValueError(
@@ -236,12 +225,7 @@ def predict_corpus(
         i, sample = item
         return pipeline.predict(sample.text, sample_index=i, truth=sample.label, lanes=lanes)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            preds = list(pool.map(run, items))
-    else:
-        preds = [run(it) for it in items]
-    return preds, pipeline
+    return lane_map(run, items, config.threads), pipeline
 
 
 def evaluate(pipeline: Pipeline, test: Corpus) -> tuple[EvalReport, list[Prediction]]:

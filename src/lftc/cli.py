@@ -80,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"zstd level of the compressor lists{axis} (default 3)")
         p.add_argument("--k", type=_positive, default=1, help="KNN neighbour count")
         p.add_argument("--threads", type=_positive, default=1,
-                       help="prediction worker count (default 1); each query shares "
-                            "its compressions among max(1, CPUs // threads) lane threads, "
-                            "its own included, and the fit uses one thread per class, up "
-                            "to the CPUs available")
+                       help="prediction worker count (default 1), running at most "
+                            "max(2, CPUs) queries at once; each query shares its "
+                            "compressions among max(1, CPUs // threads) lane threads, its "
+                            "own included, and the fit uses every CPU")
         p.add_argument("--dict-mode", choices=DICT_MODES, default="trained")
         p.add_argument("--label-column", type=_column, default="label")
         p.add_argument("--text-column", type=_column, default="text")

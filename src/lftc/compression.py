@@ -14,10 +14,13 @@ trainer's parameters belong to ``zstd_bindings.train_dictionary``; this
 module only chooses between its dictionary and the raw segment. Empty
 input is a ``ValueError``.
 
-``lane_map`` shares one query's compressions (MCC's class sums, CR's
-forks), C calls that release the GIL, with one process-wide lane pool of
-``usable_cpus() - 1`` threads, started on first use. Results are joined by
-index, so sizes are the same at any lane count.
+``lane_map`` is the package's one way to run work in parallel: a fit's
+C(y) slices and class trainings, ``predict_corpus``'s queries, and one
+query's compressions (MCC's class sums, CR's forks), mostly C calls that
+release the GIL. It shares them between the calling thread and one
+process-wide lane pool of ``usable_cpus() - 1`` threads (at least one),
+started on first use and kept for the life of the process. Results are
+joined by index, so they are the same at any lane count.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class DeflateBackend:
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on; the fit's pool, the prediction
+    """The CPUs this process may run on; the fit's lanes, the prediction
     lanes and the lane pool are all sized from it."""
     try:
         return len(os.sched_getaffinity(0))
@@ -82,18 +85,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Lane pools by thread count, each made on first use: one in a process
-# whose CPU count does not change. The lock keeps two prediction workers'
-# first queries from making two.
-_lane_pools: dict[int, ThreadPoolExecutor] = {}
-_lane_pools_lock = threading.Lock()
+# The lane pool, made on first use with one thread per CPU but the
+# caller's; the lock keeps two first uses at once from making two.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
-def _lane_pool(threads: int) -> ThreadPoolExecutor:
-    with _lane_pools_lock:
-        if threads not in _lane_pools:
-            _lane_pools[threads] = ThreadPoolExecutor(threads, thread_name_prefix="lftc-lane")
-        return _lane_pools[threads]
+def _lane_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="lftc-lane")
+        return _pool
 
 
 def lane_map(fn: Callable, items: Iterable, lanes: int = 1) -> list:
@@ -102,7 +105,9 @@ def lane_map(fn: Callable, items: Iterable, lanes: int = 1) -> list:
     iterator (``next`` on a C iterator is atomic under the GIL). Lane tasks
     not started when the items run out are cancelled and the others
     awaited, so none outlives the call. The lowest-index item's exception
-    is raised as itself, as the serial loop would raise it."""
+    is raised as itself, as the serial loop would raise it. ``fn`` may call
+    ``lane_map`` itself: a call awaits only tasks that have started, so
+    nested calls cannot deadlock on a busy pool."""
     items = list(items)
     if lanes < 2 or len(items) < 2:
         return [fn(item) for item in items]
@@ -117,7 +122,7 @@ def lane_map(fn: Callable, items: Iterable, lanes: int = 1) -> list:
             except Exception as exc:
                 failures[i] = exc
 
-    pool = _lane_pool(max(1, usable_cpus() - 1))
+    pool = _lane_pool()
     tasks = [pool.submit(work) for _ in range(min(lanes, len(items)) - 1)]
     try:
         work()

@@ -10,12 +10,13 @@ Per-class scores are plain sums over the list, so every list of a fit has
 the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
-``build_all_lists`` trains a fit's dictionaries, one class per task of
-the fit's thread pool, and gives them no zstd level: the level applies
-only to their digests. ``compressor_lists`` is the one place that digests
-them, so every set of dictionaries, fitted or loaded from a bundle,
-becomes lists of one length, at one level, with match tables of one size
-(set by the set's largest dictionary): class scores are comparable.
+``build_all_lists`` trains a fit's dictionaries, one class per item of
+``compression.lane_map`` on every CPU, and gives them no zstd level: the
+level applies only to their digests. ``compressor_lists`` is the one
+place that digests them, so every set of dictionaries, fitted or loaded
+from a bundle, becomes lists of one length, at one level, with match
+tables of one size (set by the set's largest dictionary): class scores
+are comparable.
 
 A saved bundle holds a fit's dictionaries and what they were built from
 (``BundleSource``); a run with the same source reuses it at any zstd level.
@@ -24,11 +25,10 @@ A saved bundle holds a fit's dictionaries and what they were built from
 from __future__ import annotations
 
 import base64
-import functools
 import json
-from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 
+from . import compression
 from .compression import (
     DictCompressor,
     SourceSpan,
@@ -143,19 +143,21 @@ def compressor_lists(
 
 
 def build_all_lists(
-    corpus: Corpus, plan: SegmentPlan, dict_mode: str = "trained", pool: Executor | None = None
+    corpus: Corpus, plan: SegmentPlan, dict_mode: str = "trained"
 ) -> dict[str, list[TrainedDictionary]]:
     """The dictionaries of every class's compressor list, all lists of one
-    length (see the module docstring). Each class's list is one task of
-    ``pool``; without a pool the lists are trained in turn on the calling
-    thread. A task's exception comes out as itself, and the tasks not yet
-    started are cancelled."""
+    length (see the module docstring). Each class's list is one item of
+    ``compression.lane_map`` on every CPU; a failing class's exception,
+    the first in class order, comes out as itself."""
     texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
     count = min(plan.max_compressors_per_class,
                 *(segment_count(len(text), plan.step_size) for text in texts.values()))
-    run = pool.map if pool else map
-    train = functools.partial(_class_dictionaries, plan=plan, count=count, dict_mode=dict_mode)
-    return dict(zip(texts, run(train, texts, texts.values())))
+    lists = lane_map(
+        lambda class_id: _class_dictionaries(class_id, texts[class_id], plan, count, dict_mode),
+        texts,
+        compression.usable_cpus(),
+    )
+    return dict(zip(texts, lists))
 
 
 def score_query(

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -239,36 +240,62 @@ def _decision(p):
     return (p.predicted, p.candidate_pair, p.neighbors, p.tie, p.ncd_calls, p.error)
 
 
+def _count_fit_tasks(monkeypatch):
+    # Every training and every slice of C(y) counts as running while it
+    # runs; those on lane threads take longer, so the calling thread runs
+    # out of work first and a fit that returned without awaiting its lanes
+    # would leave some running.
+    running, lock = [0], threading.Lock()
+
+    def counted(fn):
+        def run(*args, **kwargs):
+            with lock:
+                running[0] += 1
+            try:
+                if _on_a_lane():
+                    time.sleep(0.002)
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+        return run
+
+    monkeypatch.setattr(mcc, "train_dictionary", counted(mcc.train_dictionary))
+    monkeypatch.setattr(cr, "sample_sizes", counted(cr.sample_sizes))
+    return running
+
+
 @pytest.mark.parametrize("split", ["bundled", "motif"])
 @pytest.mark.parametrize("variant", ["lftc", "lftc-mcc", "baseline-ncd"])
 def test_fit_is_the_same_at_any_fit_worker_count(
     split, variant, bundled_train, bundled_test, motif_split, monkeypatch
 ):
-    # One fit worker, and four (more than the classes of either split):
-    # the same dictionaries, spans included, the same C(y) and the same
-    # answers, at step 4096 and at the default plan's 65536. No pool
-    # thread outlives a fit.
+    # One CPU, and four (more than the classes of either split): the same
+    # dictionaries, spans included, the same C(y) and the same answers, at
+    # step 4096 and at the default plan's 65536. No fit task runs once the
+    # fit has returned.
     train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
+    want_sizes = cr.sample_sizes(train.samples)
+    running = _count_fit_tasks(monkeypatch)
     for step in (4096, 65536):
         config = PipelineConfig(variant=variant, plan=SegmentPlan(step_size=step))
         fits = {}
-        for workers in (1, 4):
-            monkeypatch.setattr(classifier, "fit_workers", lambda classes: workers)
-            before = threading.enumerate()
-            fits[workers] = Pipeline(train, config)
-            assert threading.enumerate() == before
+        for cpus in (1, 4):
+            _force_cpus(monkeypatch, cpus)
+            fits[cpus] = Pipeline(train, config)
+            assert running[0] == 0
         one, four = fits[1], fits[4]
         assert one.dictionaries == four.dictionaries
-        assert one.sizes == four.sizes == cr.sample_sizes(train.samples)
+        assert one.sizes == four.sizes == want_sizes
         for s in test.samples[:30]:
             assert _decision(one.predict(s.text)) == _decision(four.predict(s.text))
 
 
 def _training_threads(train, monkeypatch):
-    # The threads a default fit at two fit workers trains on. The first
-    # training on each thread waits until a training has started on the
-    # other one, so a fit that trains on one thread only fails here.
-    monkeypatch.setattr(classifier, "fit_workers", lambda classes: 2)
+    # The threads a default fit on two CPUs trains on. The first training
+    # on each thread waits until a training has started on the other one,
+    # so a fit that trains on one thread only fails here.
+    _force_cpus(monkeypatch, 2)
     original = mcc.train_dictionary
     threads, lock, barrier = set(), threading.Lock(), threading.Barrier(2, timeout=20)
 
@@ -287,21 +314,21 @@ def _training_threads(train, monkeypatch):
 
 def test_fit_trains_on_two_threads(motif_split, monkeypatch):
     threads = _training_threads(motif_split[0], monkeypatch)
-    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert len(threads) == 2 and threading.get_ident() in threads
 
 
 def test_default_plan_segments_train_on_two_threads(bundled_train, monkeypatch):
-    # The bundled split's 64 KiB segments train on the pool like any other.
+    # The bundled split's 64 KiB segments train on the lanes like any other.
     assert SegmentPlan().step_size == 65536
     threads = _training_threads(bundled_train, monkeypatch)
-    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert len(threads) == 2 and threading.get_ident() in threads
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch, workers):
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch, cpus):
     # libzstd refuses every 1 KiB segment; the refusal is handled inside
-    # each class's task, and the fit keeps the raw bytes.
-    monkeypatch.setattr(classifier, "fit_workers", lambda classes: workers)
+    # each class's item, and the fit keeps the raw bytes.
+    _force_cpus(monkeypatch, cpus)
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=4)
     pipeline = Pipeline(bundled_train, PipelineConfig(plan=plan))
     for class_id, ds in pipeline.dictionaries.items():
@@ -314,11 +341,11 @@ def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch
 def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
     motif_split, monkeypatch, stage
 ):
-    # A TypeError raised on a pool thread, in one class's training or in one
-    # slice of C(y), reaches the caller as the same object, and the pool's
-    # threads are gone once the fit has failed.
+    # A TypeError raised in one class's training or in one slice of C(y)
+    # reaches the caller as the same object, and no fit task runs once the
+    # fit has failed.
     train, _ = motif_split
-    monkeypatch.setattr(classifier, "fit_workers", lambda classes: 4)
+    _force_cpus(monkeypatch, 4)
     bug = TypeError("injected bug")
     if stage == "training":
         original = mcc.train_dictionary
@@ -338,15 +365,16 @@ def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
             return original(samples)
 
         monkeypatch.setattr(cr, "sample_sizes", failing)
-    before = threading.enumerate()
+    running = _count_fit_tasks(monkeypatch)
     with pytest.raises(TypeError) as caught:
         Pipeline(train, PipelineConfig())
     assert caught.value is bug
-    assert threading.enumerate() == before
+    assert running[0] == 0
 
 
 def _force_cpus(monkeypatch, cpus):
-    # The one CPU count behind fit_workers, prediction_lanes and the lane pool.
+    # The one CPU count behind the fit's lanes, prediction_lanes and the
+    # lane pool.
     monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
 
 
@@ -389,7 +417,9 @@ def test_prediction_lanes_fill_the_cpus_the_workers_leave(monkeypatch):
     assert [classifier.prediction_lanes(t) for t in (1, 2, 3)] == [2, 1, 1]
     _force_cpus(monkeypatch, 8)
     assert [classifier.prediction_lanes(t) for t in (1, 2, 3, 8, 16)] == [8, 4, 2, 1, 1]
-    assert classifier.fit_workers(16) == 8
+    # The one lane pool, made at 8 CPUs, has a thread for each but the caller's.
+    monkeypatch.setattr(compression, "_pool", None)
+    assert compression._lane_pool()._max_workers == 7
 
 
 @pytest.mark.parametrize("threads, lanes", [(1, 4), (2, 2), (3, 1), (8, 1)])
@@ -431,17 +461,20 @@ def test_a_direct_predict_runs_on_its_calling_thread(motif_split, monkeypatch):
 def test_answers_are_the_same_at_any_lane_count(
     split, variant, bundled_train, bundled_test, motif_split, monkeypatch
 ):
-    # One prediction worker on 1, 2 and 4 CPUs puts each query on 1, 2 and
-    # 4 lanes: MCC scores, pair, neighbours, tie flag, NCD calls and error
-    # are the same.
+    # 1, 2 and 8 prediction workers on 1, 2 and 4 CPUs: each query on 1 to
+    # 4 lanes, and up to eight workers on a pool of fewer threads, whose
+    # queries' lanes queue behind the workers on that pool. MCC scores,
+    # pair, neighbours, tie flag, NCD calls and error are the same.
     train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
     pipeline = Pipeline(train, PipelineConfig(variant=variant))
     decisions = {}
-    for cpus in (1, 2, 4):
-        _force_cpus(monkeypatch, cpus)
-        preds, _ = classifier.predict_corpus(train, test, pipeline.config, pipeline)
-        decisions[cpus] = [_decision(p) for p in preds]
-    assert decisions[1] == decisions[2] == decisions[4]
+    for threads in (1, 2, 8):
+        config = replace(pipeline.config, threads=threads)
+        for cpus in (1, 2, 4):
+            _force_cpus(monkeypatch, cpus)
+            preds, _ = classifier.predict_corpus(train, test, config, pipeline)
+            decisions[threads, cpus] = [_decision(p) for p in preds]
+    assert all(d == decisions[1, 1] for d in decisions.values())
 
 
 @pytest.mark.parametrize("stage", ["mcc", "cr"])
@@ -474,19 +507,21 @@ def test_a_compressor_failure_is_the_same_error_at_any_lane_count(stage, motif_s
 
 @pytest.mark.parametrize("stage", ["mcc", "cr"])
 def test_a_programming_error_on_a_lane_propagates_as_itself(stage, motif_split, monkeypatch):
-    # The calling thread's items are slow, so a lane takes some, and every
-    # item a lane takes raises the one TypeError.
+    # The calling thread's first item waits until a lane has taken one, and
+    # every item a lane takes raises the one TypeError.
     train, test = motif_split
     pipeline = Pipeline(train, PipelineConfig())
     bug = TypeError("injected bug")
     mcc_key = sorted(pipeline.lists)
+    taken = threading.Event()
 
     def hook(key, compute):
         if (key in mcc_key) != (stage == "mcc"):
             return compute()
         if _on_a_lane():
+            taken.set()
             raise bug
-        time.sleep(0.02)
+        assert taken.wait(timeout=20)
         return compute()
 
     _hook_compressions(monkeypatch, pipeline, hook)
@@ -497,19 +532,25 @@ def test_a_programming_error_on_a_lane_propagates_as_itself(stage, motif_split, 
 
 
 def test_no_lane_task_outlives_its_query(motif_split, monkeypatch):
-    # Items on lanes are slower than on the calling thread, which runs out
-    # of items first: when predict returns, none of its query's
+    # In every query the calling thread's first item waits until a lane has
+    # taken one, and items on lanes are slower, so the calling thread runs
+    # out of items first: when predict returns, none of its query's
     # compressions runs.
     train, test = motif_split
     pipeline = Pipeline(train, PipelineConfig())
     running, threads, lock = [0], set(), threading.Lock()
+    taken = threading.Event()
 
     def hook(key, compute):
         with lock:
             running[0] += 1
             threads.add(threading.get_ident())
         try:
-            time.sleep(0.003 if _on_a_lane() else 0.001)
+            if _on_a_lane():
+                taken.set()
+                time.sleep(0.002)
+            else:
+                assert taken.wait(timeout=20)
             return compute()
         finally:
             with lock:
@@ -519,6 +560,7 @@ def test_no_lane_task_outlives_its_query(motif_split, monkeypatch):
     inner, after = pipeline.predict, []
 
     def checked(*args, **kwargs):
+        taken.clear()
         pred = inner(*args, **kwargs)
         after.append(running[0])
         return pred

@@ -361,12 +361,12 @@ def test_lane_map_takes_each_item_once_under_stress(monkeypatch):
             assert compression.lane_map(fn, range(500), 8) == [-i for i in range(500)]
             assert calls[0] == 500
         # Sixteen first uses at once make one pool (no task is sent to it).
-        monkeypatch.setattr(compression, "_lane_pools", {})
+        monkeypatch.setattr(compression, "_pool", None)
         start = threading.Barrier(16, timeout=20)
 
         def first_use(_):
             start.wait()
-            return id(compression._lane_pool(3))
+            return id(compression._lane_pool())
 
         with ThreadPoolExecutor(16) as workers:
             assert len(set(workers.map(first_use, range(16)))) == 1
