@@ -24,12 +24,14 @@ each query's deflate state is served without fresh pages.
 
 All parallel work goes through ``compression.lane_map``: the calling
 thread and tasks of one process-wide pool, whose threads outlive the fit.
-The fit computes the C(y) of one contiguous slice of the training texts
-per CPU, then trains one class's dictionaries per item, whatever the
-segment size; both are C calls that release the GIL. Sizes are joined
-back in corpus order and dictionaries in class order, and the digests are
-made afterwards on the calling thread, so a fit's output is the same at
-any CPU count.
+The fit is one ``lane_map`` pass on every CPU over two kinds of item: the
+training of one segment (``mcc.class_segments``), in class then segment
+order, whatever the segment size, then the C(y) of contiguous slices of
+the training texts, four per CPU, whose short items fill the tail; both
+are C calls that release the GIL. Sizes are joined back in corpus order
+and dictionaries in class order, the lowest-index failure is raised as
+itself, and the digests are made afterwards on the calling thread, so a
+fit's output is the same at any CPU count.
 
 Nothing is written after the fit, so evaluation parallelizes over test
 samples with bit-identical results at any worker count:
@@ -50,6 +52,7 @@ the fit, ``total_seconds`` the predictions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -147,23 +150,31 @@ class Pipeline:
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
         with keep_heap():
-            # C(y) of every training text, aligned with train.samples: one
-            # contiguous slice per CPU.
-            sizes = ()
+            # One lane_map pass: a training per segment, in class then
+            # segment order, then C(y) of the training texts in contiguous
+            # slices, four per CPU, whose short items even out the lanes' ends.
+            cpus = compression.usable_cpus()
+            segments = []
+            if config.variant != "baseline-ncd" and dictionaries is None:
+                segments = mcc.class_segments(train, list_plan(config))
+            tasks = [functools.partial(mcc.train_segment, s, config.dict_mode) for s in segments]
             if config.variant != "lftc-cr":
-                n, cpus = len(train.samples), compression.usable_cpus()
-                slices = [train.samples[i * n // cpus:(i + 1) * n // cpus] for i in range(cpus)]
-                sizes = lane_map(cr.sample_sizes, slices, cpus)
+                n = len(train.samples)
+                parts = min(n, 4 * cpus)
+                for i in range(parts):
+                    part = train.samples[i * n // parts:(i + 1) * n // parts]
+                    tasks.append(functools.partial(cr.sample_sizes, part))
+            done = lane_map(lambda task: task(), tasks, cpus)
+            if segments:
+                dictionaries = mcc.by_class(done[:len(segments)])
             if config.variant != "baseline-ncd":
-                if dictionaries is None:
-                    dictionaries = mcc.build_all_lists(train, list_plan(config), config.dict_mode)
                 differ = set(self.classes) ^ set(dictionaries)
                 if differ:
                     raise ValueError(
                         f"dictionaries do not match the training classes: {sorted(differ)}"
                     )
                 self.lists = mcc.compressor_lists(dictionaries, config.level)
-            self.sizes = tuple(itertools.chain.from_iterable(sizes))
+            self.sizes = tuple(itertools.chain.from_iterable(done[len(segments):]))
         self.list_build_seconds = time.perf_counter() - t0
         self.dictionaries: dict[str, list[TrainedDictionary]] | None = dictionaries
 

@@ -15,7 +15,7 @@ module only chooses between its dictionary and the raw segment. Empty
 input is a ``ValueError``.
 
 ``lane_map`` is the package's one way to run work in parallel: a fit's
-C(y) slices and class trainings, ``predict_corpus``'s queries, and one
+segment trainings and C(y) slices, ``predict_corpus``'s queries, and one
 query's compressions (MCC's class sums, CR's forks), mostly C calls that
 release the GIL. It shares them between the calling thread and one
 process-wide lane pool of ``usable_cpus() - 1`` threads (at least one),

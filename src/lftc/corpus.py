@@ -9,6 +9,7 @@ to share across worker threads.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -42,8 +43,9 @@ class Corpus:
         if not self.samples:
             raise DatasetError(f"corpus {self.name!r} has no samples")
 
-    @property
+    @functools.cached_property
     def classes(self) -> frozenset[str]:
+        """The labels of the samples, computed on first use and kept."""
         return frozenset(s.label for s in self.samples)
 
     def __len__(self) -> int:

@@ -10,13 +10,16 @@ Per-class scores are plain sums over the list, so every list of a fit has
 the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
-``build_all_lists`` trains a fit's dictionaries, one class per item of
-``compression.lane_map`` on every CPU, and gives them no zstd level: the
-level applies only to their digests. ``compressor_lists`` is the one
-place that digests them, so every set of dictionaries, fitted or loaded
-from a bundle, becomes lists of one length, at one level, with match
-tables of one size (set by the set's largest dictionary): class scores
-are comparable.
+``class_segments`` lists every class's segments, one item per
+dictionary, and ``by_class`` groups their dictionaries back into lists.
+The fit trains each segment (``train_segment``) as one item of its one
+``compression.lane_map`` pass on every CPU; ``build_all_lists`` trains
+them the same way on its own. Dictionaries get no zstd level: the level
+applies only to their digests. ``compressor_lists`` is the one place that
+digests them, so every set of dictionaries, fitted or loaded from a
+bundle, becomes lists of one length, at one level, with match tables of
+one size (set by the set's largest dictionary): class scores are
+comparable.
 
 A saved bundle holds a fit's dictionaries and what they were built from
 (``BundleSource``); a run with the same source reuses it at any zstd level.
@@ -106,19 +109,38 @@ def _segment_indices(n_full: int, count: int) -> list[int]:
     return [(i * n_full) // count for i in range(count)]
 
 
-def _class_dictionaries(
-    class_id: str, text: bytes, plan: SegmentPlan, count: int, dict_mode: str
-) -> list[TrainedDictionary]:
-    """One dictionary for each of ``count`` evenly spaced step_size segments
-    of ``text`` (the last segment may be shorter)."""
-    indices = _segment_indices(segment_count(len(text), plan.step_size), count)
-    dictionaries = []
-    for segment_index in indices:
-        start = segment_index * plan.step_size
-        stop = min(len(text), start + plan.step_size)
-        span = SourceSpan(class_id, segment_index, start, stop)
-        dictionaries.append(train_dictionary(text[start:stop], span, mode=dict_mode))
-    return dictionaries
+def class_segments(corpus: Corpus, plan: SegmentPlan) -> list[tuple[bytes, SourceSpan]]:
+    """Every class's segments as ``(class text, span)``, in class then
+    segment order: ``count`` evenly spaced step_size segments of each class's
+    concatenated text (the last may be shorter), where ``count`` is the
+    fewest segments any class has, capped by the plan. The text is sliced
+    only when its segment trains, so the list holds no copies."""
+    texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
+    count = min(plan.max_compressors_per_class,
+                *(segment_count(len(text), plan.step_size) for text in texts.values()))
+    segments = []
+    for class_id, text in texts.items():
+        for segment_index in _segment_indices(segment_count(len(text), plan.step_size), count):
+            start = segment_index * plan.step_size
+            stop = min(len(text), start + plan.step_size)
+            segments.append((text, SourceSpan(class_id, segment_index, start, stop)))
+    return segments
+
+
+def train_segment(segment: tuple[bytes, SourceSpan], dict_mode: str) -> TrainedDictionary:
+    """The dictionary of one of ``class_segments``' segments, trained by
+    this module's ``train_dictionary`` as it is at call time, so that a
+    replacement (a tracer's, a test's) sees every training."""
+    text, span = segment
+    return train_dictionary(text[span.start:span.stop], span, mode=dict_mode)
+
+
+def by_class(dictionaries: list[TrainedDictionary]) -> dict[str, list[TrainedDictionary]]:
+    """Trained segments, in class then segment order, as one list per class."""
+    lists: dict[str, list[TrainedDictionary]] = {}
+    for d in dictionaries:
+        lists.setdefault(d.source_span.class_id, []).append(d)
+    return lists
 
 
 def compressor_lists(
@@ -146,18 +168,12 @@ def build_all_lists(
     corpus: Corpus, plan: SegmentPlan, dict_mode: str = "trained"
 ) -> dict[str, list[TrainedDictionary]]:
     """The dictionaries of every class's compressor list, all lists of one
-    length (see the module docstring). Each class's list is one item of
-    ``compression.lane_map`` on every CPU; a failing class's exception,
-    the first in class order, comes out as itself."""
-    texts = {class_id: concat_class_text(corpus, class_id) for class_id in sorted(corpus.classes)}
-    count = min(plan.max_compressors_per_class,
-                *(segment_count(len(text), plan.step_size) for text in texts.values()))
-    lists = lane_map(
-        lambda class_id: _class_dictionaries(class_id, texts[class_id], plan, count, dict_mode),
-        texts,
-        compression.usable_cpus(),
-    )
-    return dict(zip(texts, lists))
+    length (see the module docstring). Each segment's training is one item
+    of ``compression.lane_map`` on every CPU; the first failing segment's
+    exception, in class then segment order, comes out as itself."""
+    segments = class_segments(corpus, plan)
+    return by_class(lane_map(lambda s: train_segment(s, dict_mode), segments,
+                             compression.usable_cpus()))
 
 
 def score_query(

@@ -270,34 +270,37 @@ def _count_fit_tasks(monkeypatch):
 def test_fit_is_the_same_at_any_fit_worker_count(
     split, variant, bundled_train, bundled_test, motif_split, monkeypatch
 ):
-    # One CPU, and four (more than the classes of either split): the same
-    # dictionaries, spans included, the same C(y) and the same answers, at
-    # step 4096 and at the default plan's 65536. No fit task runs once the
-    # fit has returned.
+    # One CPU, three (which split a class's segments between threads) and
+    # four (more than the classes of either split): the same dictionaries,
+    # spans included, the same C(y) and the same answers, at step 4096 and
+    # at the default plan's 65536. No fit task runs once the fit has
+    # returned.
     train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
     want_sizes = cr.sample_sizes(train.samples)
     running = _count_fit_tasks(monkeypatch)
     for step in (4096, 65536):
         config = PipelineConfig(variant=variant, plan=SegmentPlan(step_size=step))
         fits = {}
-        for cpus in (1, 4):
+        for cpus in (1, 3, 4):
             _force_cpus(monkeypatch, cpus)
             fits[cpus] = Pipeline(train, config)
             assert running[0] == 0
-        one, four = fits[1], fits[4]
-        assert one.dictionaries == four.dictionaries
-        assert one.sizes == four.sizes == want_sizes
-        for s in test.samples[:30]:
-            assert _decision(one.predict(s.text)) == _decision(four.predict(s.text))
+        one = fits[1]
+        assert one.sizes == want_sizes
+        for other in (fits[3], fits[4]):
+            assert other.dictionaries == one.dictionaries
+            assert other.sizes == one.sizes
+            for s in test.samples[:30]:
+                assert _decision(other.predict(s.text)) == _decision(one.predict(s.text))
 
 
-def _training_threads(train, monkeypatch):
-    # The threads a default fit on two CPUs trains on. The first training
-    # on each thread waits until a training has started on the other one,
-    # so a fit that trains on one thread only fails here.
-    _force_cpus(monkeypatch, 2)
+def _training_threads(train, monkeypatch, cpus=2):
+    # The threads a default fit on ``cpus`` CPUs trains on. The first
+    # training on each thread waits until trainings have started on
+    # ``cpus`` threads, so a fit that trains on fewer threads fails here.
+    _force_cpus(monkeypatch, cpus)
     original = mcc.train_dictionary
-    threads, lock, barrier = set(), threading.Lock(), threading.Barrier(2, timeout=20)
+    threads, lock, barrier = set(), threading.Lock(), threading.Barrier(cpus, timeout=20)
 
     def recorded(*args, **kwargs):
         with lock:
@@ -324,10 +327,23 @@ def test_default_plan_segments_train_on_two_threads(bundled_train, monkeypatch):
     assert len(threads) == 2 and threading.get_ident() in threads
 
 
+def test_trainings_run_on_more_threads_than_there_are_classes(bundled_train, monkeypatch):
+    # Two classes of two default-plan segments each, on three CPUs and a
+    # fresh pool of two lane threads: each segment's training is its own
+    # item, so three threads train, more than there are classes.
+    two = Corpus("two", tuple(s for s in bundled_train.samples if s.label != "gamma"))
+    monkeypatch.setattr(compression, "_pool", None)
+    try:
+        threads = _training_threads(two, monkeypatch, cpus=3)
+    finally:
+        compression._pool.shutdown()
+    assert len(threads) == 3 and threading.get_ident() in threads
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch, cpus):
     # libzstd refuses every 1 KiB segment; the refusal is handled inside
-    # each class's item, and the fit keeps the raw bytes.
+    # each segment's item, and the fit keeps the raw bytes.
     _force_cpus(monkeypatch, cpus)
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=4)
     pipeline = Pipeline(bundled_train, PipelineConfig(plan=plan))
@@ -337,38 +353,39 @@ def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch
         assert all(d.payload == text[d.source_span.start:d.source_span.stop] for d in ds)
 
 
-@pytest.mark.parametrize("stage", ["training", "sizes"])
+@pytest.mark.parametrize("stage", ["training", "sizes", "both"])
 def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
     motif_split, monkeypatch, stage
 ):
-    # A TypeError raised in one class's training or in one slice of C(y)
-    # reaches the caller as the same object, and no fit task runs once the
-    # fit has failed.
+    # A TypeError raised in one segment's training or in one slice of C(y)
+    # reaches the caller as the same object; with one of each in the fit,
+    # the training's, queued before every slice, does. No fit task runs
+    # once the fit has failed.
     train, _ = motif_split
     _force_cpus(monkeypatch, 4)
-    bug = TypeError("injected bug")
-    if stage == "training":
-        original = mcc.train_dictionary
+    training_bug, sizes_bug = TypeError("injected training bug"), TypeError("injected sizes bug")
+    if stage != "sizes":
+        train_dictionary = mcc.train_dictionary
 
-        def failing(segment, span, mode="trained"):
+        def failing_training(segment, span, mode="trained"):
             if span.class_id == "beta":
-                raise bug
-            return original(segment, span, mode)
+                raise training_bug
+            return train_dictionary(segment, span, mode)
 
-        monkeypatch.setattr(mcc, "train_dictionary", failing)
-    else:
-        original = cr.sample_sizes
+        monkeypatch.setattr(mcc, "train_dictionary", failing_training)
+    if stage != "training":
+        sample_sizes = cr.sample_sizes
 
-        def failing(samples):
+        def failing_sizes(samples):
             if train.samples[-1] in samples:
-                raise bug
-            return original(samples)
+                raise sizes_bug
+            return sample_sizes(samples)
 
-        monkeypatch.setattr(cr, "sample_sizes", failing)
+        monkeypatch.setattr(cr, "sample_sizes", failing_sizes)
     running = _count_fit_tasks(monkeypatch)
     with pytest.raises(TypeError) as caught:
         Pipeline(train, PipelineConfig())
-    assert caught.value is bug
+    assert caught.value is (sizes_bug if stage == "sizes" else training_bug)
     assert running[0] == 0
 
 
