@@ -24,25 +24,26 @@ each query's deflate state is served without fresh pages.
 
 All parallel work goes through ``compression.lane_map``: the calling
 thread and tasks of one process-wide pool, whose threads outlive the fit.
-The fit is one ``lane_map`` pass on every CPU over two kinds of item: the
-training of one segment (``mcc.class_segments``), in class then segment
-order, whatever the segment size, then the C(y) of contiguous slices of
-the training texts, four per CPU, whose short items fill the tail; both
-are C calls that release the GIL. Sizes are joined back in corpus order
-and dictionaries in class order, the lowest-index failure is raised as
-itself, and the digests are made afterwards on the calling thread, so a
-fit's output is the same at any CPU count.
+``lane_map`` alone decides how many threads share a call; only
+``predict_corpus`` passes it a count. The fit is one ``lane_map`` pass over
+two kinds of item: the training of one segment (``mcc.class_segments``),
+in class then segment order, whatever the segment size, then the C(y) of
+contiguous slices of the training texts, four per CPU, whose short items
+fill the tail; both are C calls that release the GIL. Sizes are joined
+back in corpus order and dictionaries in class order, the lowest-index
+failure is raised as itself, and the digests are made afterwards on the
+calling thread, so a fit's output is the same at any CPU count.
 
 Nothing is written after the fit, so evaluation parallelizes over test
 samples with bit-identical results at any worker count:
 ``predict_corpus`` maps the queries with ``lane_map`` on
 ``PipelineConfig.threads`` threads, so a count above the CPUs runs no
-more queries at once than there are CPUs (two on one CPU). The CPUs the
-workers leave idle become prediction lanes: each query gets
-``prediction_lanes(threads)`` = max(1, CPUs // threads) threads, its own
-included, which share its MCC class sums and its CR forks on the same
-pool. Results are joined by index, so they are bit-identical at any lane
-count too; a direct ``predict`` call runs on its calling thread alone.
+more queries at once than there are CPUs (two on one CPU). Every
+``predict``, a direct call included, offers its MCC class sums and its CR
+forks to the same pool, where the pool threads that no worker holds take
+them; with every pool thread running a worker, the query runs them alone.
+Results are joined by index, so they are bit-identical at any lane count
+too.
 
 ``evaluate(pipeline, test)`` takes only a fitted pipeline, so its report
 echoes the train split and config that the predictions came from. Report
@@ -119,12 +120,6 @@ def list_plan(config: PipelineConfig) -> SegmentPlan:
     return config.plan
 
 
-def prediction_lanes(threads: int) -> int:
-    """Threads that share one query's compressions when ``threads``
-    prediction workers run at once, the worker's own included."""
-    return max(1, compression.usable_cpus() // threads)
-
-
 class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query. A
     train split of fewer than two classes raises ``DegenerateCorpusError``.
@@ -153,18 +148,17 @@ class Pipeline:
             # One lane_map pass: a training per segment, in class then
             # segment order, then C(y) of the training texts in contiguous
             # slices, four per CPU, whose short items even out the lanes' ends.
-            cpus = compression.usable_cpus()
             segments = []
             if config.variant != "baseline-ncd" and dictionaries is None:
                 segments = mcc.class_segments(train, list_plan(config))
             tasks = [functools.partial(mcc.train_segment, s, config.dict_mode) for s in segments]
             if config.variant != "lftc-cr":
                 n = len(train.samples)
-                parts = min(n, 4 * cpus)
+                parts = min(n, 4 * compression.usable_cpus())
                 for i in range(parts):
                     part = train.samples[i * n // parts:(i + 1) * n // parts]
                     tasks.append(functools.partial(cr.sample_sizes, part))
-            done = lane_map(lambda task: task(), tasks, cpus)
+            done = lane_map(lambda task: task(), tasks)
             if segments:
                 dictionaries = mcc.by_class(done[:len(segments)])
             if config.variant != "baseline-ncd":
@@ -178,27 +172,23 @@ class Pipeline:
         self.list_build_seconds = time.perf_counter() - t0
         self.dictionaries: dict[str, list[TrainedDictionary]] | None = dictionaries
 
-    def predict(
-        self, text: bytes, sample_index: int = 0, truth: str | None = None, *, lanes: int = 1
-    ) -> Prediction:
+    def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
         """MCC shortlists a pair when the pipeline has lists; CR then votes
         over the pair's training texts, or over every class for
         baseline-ncd. lftc-cr, which fits no sizes, answers the pair's first
-        class. Both stages share their compressions among ``lanes``
-        threads, and every lane task has ended when this returns."""
+        class. Both stages share their compressions with idle lane threads
+        (``lane_map``), and every lane task has ended when this returns."""
         t_start = mcc_end = cr_end = time.perf_counter()
         pair = None
         labels = self.classes
         try:
             if self.lists is not None:
-                pair = mcc.select_candidates(mcc.score_query(self.lists, text, lanes=lanes))
+                pair = mcc.select_candidates(mcc.score_query(self.lists, text))
                 labels = [pair.first, pair.second]
                 mcc_end = cr_end = time.perf_counter()
             outcome = cr.ReasoningOutcome(label=labels[0], neighbors=(), ncd_calls=0)
             if self.sizes:
-                outcome = cr.reason_detail(
-                    self.train, labels, text, self.sizes, self.config.k, lanes=lanes
-                )
+                outcome = cr.reason_detail(self.train, labels, text, self.sizes, self.config.k)
                 cr_end = time.perf_counter()
         except (ValueError, CompressionError) as exc:
             # Bad data and compressor failures count as incorrect, never
@@ -226,15 +216,14 @@ class Pipeline:
 def predict_corpus(
     train: Corpus, test: Corpus, config: PipelineConfig, pipeline: Pipeline | None = None
 ) -> tuple[list[Prediction], Pipeline]:
-    """All test predictions, in test order at any worker count, each query
-    on ``prediction_lanes(config.threads)`` threads."""
+    """All test predictions, in test order at any worker count, on
+    ``config.threads`` workers."""
     pipeline = pipeline or Pipeline(train, config)
     items = list(enumerate(test.samples))
-    lanes = prediction_lanes(config.threads)
 
     def run(item):
         i, sample = item
-        return pipeline.predict(sample.text, sample_index=i, truth=sample.label, lanes=lanes)
+        return pipeline.predict(sample.text, sample_index=i, truth=sample.label)
 
     return lane_map(run, items, config.threads), pipeline
 

@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_positive, default=1,
                        help="prediction worker count (default 1), running at most "
                             "max(2, CPUs) queries at once; each query shares its "
-                            "compressions among max(1, CPUs // threads) lane threads, its "
-                            "own included, and the fit uses every CPU")
+                            "compressions with the lane threads no worker holds, and "
+                            "the fit uses every CPU")
         p.add_argument("--dict-mode", choices=DICT_MODES, default="trained")
         p.add_argument("--label-column", type=_column, default="label")
         p.add_argument("--text-column", type=_column, default="text")

@@ -14,13 +14,14 @@ trainer's parameters belong to ``zstd_bindings.train_dictionary``; this
 module only chooses between its dictionary and the raw segment. Empty
 input is a ``ValueError``.
 
-``lane_map`` is the package's one way to run work in parallel: a fit's
-segment trainings and C(y) slices, ``predict_corpus``'s queries, and one
-query's compressions (MCC's class sums, CR's forks), mostly C calls that
-release the GIL. It shares them between the calling thread and one
-process-wide lane pool of ``usable_cpus() - 1`` threads (at least one),
-started on first use and kept for the life of the process. Results are
-joined by index, so they are the same at any lane count.
+``lane_map`` is the package's one way to run work in parallel, and the
+only code that decides how many threads share a call: a fit's segment
+trainings and C(y) slices, ``predict_corpus``'s queries, and one query's
+compressions (MCC's class sums, CR's forks), mostly C calls that release
+the GIL. It shares them between the calling thread and the free threads
+of one process-wide lane pool of ``usable_cpus() - 1`` threads (at least
+one), started on first use and kept for the life of the process. Results
+are joined by index, so they are the same at any lane count.
 """
 
 from __future__ import annotations
@@ -54,16 +55,14 @@ class DeflateBackend:
         except zlib.error as exc:  # pragma: no cover - zlib does not fail on bytes
             raise CompressionError(f"deflate: {exc}") from exc
 
-    def prefixed_sizes(
-        self, prefix: bytes, suffixes: Iterable[bytes], *, lanes: int = 1
-    ) -> tuple[int, list[int]]:
+    def prefixed_sizes(self, prefix: bytes, suffixes: Iterable[bytes]) -> tuple[int, list[int]]:
         """C(prefix), and the list of C(prefix + suffix), one per suffix.
 
         The prefix goes through one deflate stream; each suffix is
-        compressed and flushed on a copy of it, on ``lanes`` threads
-        (``lane_map``), and C(prefix) comes from a copy flushed with no
-        suffix. Deflate's output does not depend on how its input is split,
-        so every size equals ``compressed_size(prefix + suffix)``.
+        compressed and flushed on a copy of it, one ``lane_map`` item each,
+        and C(prefix) comes from a copy flushed with no suffix. Deflate's
+        output does not depend on how its input is split, so every size
+        equals ``compressed_size(prefix + suffix)``.
         """
         _require_nonempty(prefix)
         primed = zlib.compressobj(self.level)
@@ -73,42 +72,54 @@ class DeflateBackend:
             fork = primed.copy()
             return head + len(fork.compress(suffix)) + len(fork.flush())
 
-        return head + len(primed.copy().flush()), lane_map(forked, suffixes, lanes)
+        return head + len(primed.copy().flush()), lane_map(forked, suffixes)
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on; the fit's lanes, the prediction
-    lanes and the lane pool are all sized from it."""
+    """The CPUs this process may run on; ``lane_map`` and its pool are
+    sized from it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
 
 
+class _LanePool(ThreadPoolExecutor):
+    """A thread pool that counts its threads no lane task holds."""
+
+    def __init__(self, threads: int):
+        super().__init__(threads, thread_name_prefix="lftc-lane")
+        self.free = threading.Semaphore(threads)
+
+
 # The lane pool, made on first use with one thread per CPU but the
 # caller's; the lock keeps two first uses at once from making two.
-_pool: ThreadPoolExecutor | None = None
+_pool: _LanePool | None = None
 _pool_lock = threading.Lock()
 
 
-def _lane_pool() -> ThreadPoolExecutor:
+def _lane_pool() -> _LanePool:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="lftc-lane")
+            _pool = _LanePool(max(1, usable_cpus() - 1))
         return _pool
 
 
-def lane_map(fn: Callable, items: Iterable, lanes: int = 1) -> list:
+def lane_map(fn: Callable, items: Iterable, lanes: int | None = None) -> list:
     """``[fn(item) for item in items]``, shared between the calling thread
-    and up to ``lanes - 1`` lane tasks, each taking the next item from one
-    iterator (``next`` on a C iterator is atomic under the GIL). Lane tasks
-    not started when the items run out are cancelled and the others
-    awaited, so none outlives the call. The lowest-index item's exception
-    is raised as itself, as the serial loop would raise it. ``fn`` may call
-    ``lane_map`` itself: a call awaits only tasks that have started, so
-    nested calls cannot deadlock on a busy pool."""
+    and up to ``lanes - 1`` lane tasks (``usable_cpus() - 1`` when no count
+    is given), each taking the next item from one iterator (``next`` on a
+    C iterator is atomic under the GIL). A task is sent only while a pool
+    thread is free, so none waits behind busy threads; with none free the
+    caller runs the items alone. Lane tasks not started when the items run
+    out are cancelled and the others awaited, so none outlives the call.
+    The lowest-index item's exception is raised as itself, as the serial
+    loop would raise it. ``fn`` may call ``lane_map`` itself: a call awaits
+    only tasks that have started, so nested calls cannot deadlock."""
     items = list(items)
+    if lanes is None:
+        lanes = usable_cpus()
     if lanes < 2 or len(items) < 2:
         return [fn(item) for item in items]
     results = [None] * len(items)
@@ -123,12 +134,23 @@ def lane_map(fn: Callable, items: Iterable, lanes: int = 1) -> list:
                 failures[i] = exc
 
     pool = _lane_pool()
-    tasks = [pool.submit(work) for _ in range(min(lanes, len(items)) - 1)]
+
+    def lane():
+        try:
+            work()
+        finally:
+            pool.free.release()
+
+    tasks = []
+    while len(tasks) < min(lanes, len(items)) - 1 and pool.free.acquire(blocking=False):
+        tasks.append(pool.submit(lane))
     try:
         work()
     finally:
         for task in tasks:
-            if not task.cancel():
+            if task.cancel():
+                pool.free.release()
+            else:
                 task.result()
     if failures:
         raise failures[min(failures)]

@@ -105,6 +105,11 @@ def load_csv(
                 raise DatasetError(f"{path}: empty file")
             label_idx = _resolve_column(header, label_column, path)
             text_idx = _resolve_column(header, text_column, path)
+        if label_idx == text_idx:
+            raise DatasetError(
+                f"{path}: label column {label_column!r} and text column {text_column!r} "
+                "are the same column"
+            )
         for row_no, row in records:
             if not row:
                 continue

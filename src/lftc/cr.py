@@ -13,8 +13,8 @@ training text's C(y) is computed once at fit (``sample_sizes``), and a
 query is compressed once per prediction: ``DeflateBackend.prefixed_sizes``
 primes one deflate stream with it and forks a copy per gold sample, so C(x)
 and every C(xy) cost one pass over the query plus one over each gold text.
-The forks are shared between the calling thread and its prediction lanes
-(``compression.lane_map``).
+The forks are items of one ``compression.lane_map`` call, shared between
+the calling thread and idle lane threads.
 The sizes are those of compressing x and xy from scratch, returned as plain
 integers; a compressor failure reaches the caller as the backend raised it.
 """
@@ -71,13 +71,12 @@ def extract_gold(corpus: Corpus, labels: Collection[str]) -> GoldData:
 
 
 def ncd_distances(
-    query: bytes, samples: tuple[LabeledText, ...], sizes: tuple[int, ...], *, lanes: int = 1
+    query: bytes, samples: tuple[LabeledText, ...], sizes: tuple[int, ...]
 ) -> list[NcdNeighbor]:
-    """One neighbour per sample; ``sizes`` holds each sample's C(y). The
-    C(xy) forks run on ``lanes`` threads."""
+    """One neighbour per sample; ``sizes`` holds each sample's C(y)."""
     if not query:
         raise ValueError("query text must be non-empty")
-    c_query, c_xys = NCD_BACKEND.prefixed_sizes(query, [s.text for s in samples], lanes=lanes)
+    c_query, c_xys = NCD_BACKEND.prefixed_sizes(query, [s.text for s in samples])
     return [
         NcdNeighbor(ncd_value(c_xy, c_query, c_y), sample.label, i)
         for i, (sample, c_y, c_xy) in enumerate(zip(samples, sizes, c_xys, strict=True))
@@ -105,18 +104,11 @@ def vote_detail(neighbors: list[NcdNeighbor], k: int = 1) -> ReasoningOutcome:
 
 
 def reason_detail(
-    corpus: Corpus,
-    labels: Collection[str],
-    query: bytes,
-    sizes: tuple[int, ...],
-    k: int = 1,
-    *,
-    lanes: int = 1,
+    corpus: Corpus, labels: Collection[str], query: bytes, sizes: tuple[int, ...], k: int = 1
 ) -> ReasoningOutcome:
     """Final label for the query, always one of ``labels``, with the audit
-    fields; ``sizes`` is ``sample_sizes(corpus.samples)``. The gold texts'
-    forks run on ``lanes`` threads (``ncd_distances``)."""
+    fields; ``sizes`` is ``sample_sizes(corpus.samples)``."""
     gold = extract_gold(corpus, labels)
     gold_sizes = tuple(sizes[i] for i in gold.corpus_indices)
-    neighbors = ncd_distances(query, gold.samples, gold_sizes, lanes=lanes)
+    neighbors = ncd_distances(query, gold.samples, gold_sizes)
     return vote_detail(neighbors, k)

@@ -13,13 +13,12 @@ taken evenly spaced over each class's text.
 ``class_segments`` lists every class's segments, one item per
 dictionary, and ``by_class`` groups their dictionaries back into lists.
 The fit trains each segment (``train_segment``) as one item of its one
-``compression.lane_map`` pass on every CPU; ``build_all_lists`` trains
-them the same way on its own. Dictionaries get no zstd level: the level
-applies only to their digests. ``compressor_lists`` is the one place that
-digests them, so every set of dictionaries, fitted or loaded from a
-bundle, becomes lists of one length, at one level, with match tables of
-one size (set by the set's largest dictionary): class scores are
-comparable.
+``compression.lane_map`` pass; ``build_all_lists`` trains them the same
+way on its own. Dictionaries get no zstd level: the level applies only to
+their digests. ``compressor_lists`` is the one place that digests them,
+so every set of dictionaries, fitted or loaded from a bundle, becomes
+lists of one length, at one level, with match tables of one size (set by
+the set's largest dictionary): class scores are comparable.
 
 A saved bundle holds a fit's dictionaries and what they were built from
 (``BundleSource``); a run with the same source reuses it at any zstd level.
@@ -31,7 +30,6 @@ import base64
 import json
 from dataclasses import asdict, dataclass
 
-from . import compression
 from .compression import (
     DictCompressor,
     SourceSpan,
@@ -60,10 +58,11 @@ class SegmentPlan:
     max_compressors_per_class: int = 16
 
     def __post_init__(self):
-        # A plan is also read back from a bundle's JSON.
+        # A plan is also read back from a bundle's JSON, where true is a
+        # bool, and a bool is an int that equals 1.
         for name in ("step_size", "max_compressors_per_class"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
 
 
@@ -169,19 +168,16 @@ def build_all_lists(
 ) -> dict[str, list[TrainedDictionary]]:
     """The dictionaries of every class's compressor list, all lists of one
     length (see the module docstring). Each segment's training is one item
-    of ``compression.lane_map`` on every CPU; the first failing segment's
-    exception, in class then segment order, comes out as itself."""
+    of ``compression.lane_map``; the first failing segment's exception, in
+    class then segment order, comes out as itself."""
     segments = class_segments(corpus, plan)
-    return by_class(lane_map(lambda s: train_segment(s, dict_mode), segments,
-                             compression.usable_cpus()))
+    return by_class(lane_map(lambda s: train_segment(s, dict_mode), segments))
 
 
-def score_query(
-    lists: dict[str, ClassCompressorList], query: bytes, *, lanes: int = 1
-) -> list[ClassScore]:
+def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:
     """Sum of dictionary-compressed sizes of the query bytes per class, all
     classes, sorted by class id for a stable audit trail. Each class's sum
-    is one item of ``compression.lane_map`` on ``lanes`` threads."""
+    is one item of ``compression.lane_map``."""
     if not lists:
         raise ValueError("no compressor lists")
     if not query:
@@ -190,7 +186,6 @@ def score_query(
     sums = lane_map(
         lambda compressors: sum(c.score(query) for c in compressors),
         [lists[class_id].compressors for class_id in class_ids],
-        lanes,
     )
     return [ClassScore(class_id, total) for class_id, total in zip(class_ids, sums)]
 

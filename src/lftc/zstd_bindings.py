@@ -269,7 +269,7 @@ class CDict:
 
 
 def compressed_size_with_cdict(data: bytes, cdict: CDict) -> int:
-    # Every MCC score, on the prediction lanes too, which run in parallel
+    # Every MCC score, on the lane threads too, which run in parallel
     # only outside the GIL: around its one C call, the common case makes a
     # few lookups and calls no helper but _load and _compress_bound.
     lib = _load()

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from lftc import compression
 from lftc.corpus import Corpus, LabeledText, load_csv
 from lftc.synthetic import MotifGenerator
 
@@ -29,6 +30,36 @@ def make_motif_split(
     train = gen.corpus(f"motif{seed}-train", train_docs, "train")
     test = gen.corpus(f"motif{seed}-test", test_docs, "test")
     return train, test
+
+
+@pytest.fixture
+def lane_tasks(monkeypatch) -> list:
+    """Every task that ``lane_map`` sends to a lane pool; each still runs."""
+    submitted, submit = [], compression._LanePool.submit
+
+    def recorded(pool, fn):
+        submitted.append(fn)
+        return submit(pool, fn)
+
+    monkeypatch.setattr(compression._LanePool, "submit", recorded)
+    return submitted
+
+
+@pytest.fixture
+def lane_pool(monkeypatch):
+    """``lane_pool(cpus)`` forces ``usable_cpus()`` to ``cpus`` and returns
+    a fresh lane pool of that size, shut down after the test."""
+    pools = []
+
+    def make(cpus):
+        monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(compression, "_pool", None)
+        pools.append(compression._lane_pool())
+        return pools[-1]
+
+    yield make
+    for pool in pools:
+        pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -202,11 +202,11 @@ def test_evaluate_runtime_error_counted_not_fatal(motif_split, monkeypatch):
     calls = {"n": 0}
     original = mcc.score_query
 
-    def flaky(lists, query, *, lanes):
+    def flaky(lists, query):
         calls["n"] += 1
         if calls["n"] == 2:
             raise CompressionError("injected failure")
-        return original(lists, query, lanes=lanes)
+        return original(lists, query)
 
     monkeypatch.setattr(mcc, "score_query", flaky)
     report, preds = evaluate(pipeline, test)
@@ -228,7 +228,7 @@ def test_programming_error_propagates(motif_split, monkeypatch):
     train, test = motif_split
     pipeline = Pipeline(train, PipelineConfig())
 
-    def broken(lists, query, *, lanes):
+    def broken(lists, query):
         raise TypeError("injected bug")
 
     monkeypatch.setattr(mcc, "score_query", broken)
@@ -390,8 +390,7 @@ def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
 
 
 def _force_cpus(monkeypatch, cpus):
-    # The one CPU count behind the fit's lanes, prediction_lanes and the
-    # lane pool.
+    # The one CPU count behind lane_map's lane tasks and the lane pool.
     monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
 
 
@@ -429,48 +428,49 @@ def _on_a_lane():
     return threading.current_thread() is not threading.main_thread()
 
 
-def test_prediction_lanes_fill_the_cpus_the_workers_leave(monkeypatch):
-    _force_cpus(monkeypatch, 2)
-    assert [classifier.prediction_lanes(t) for t in (1, 2, 3)] == [2, 1, 1]
-    _force_cpus(monkeypatch, 8)
-    assert [classifier.prediction_lanes(t) for t in (1, 2, 3, 8, 16)] == [8, 4, 2, 1, 1]
-    # The one lane pool, made at 8 CPUs, has a thread for each but the caller's.
-    monkeypatch.setattr(compression, "_pool", None)
-    assert compression._lane_pool()._max_workers == 7
-
-
-@pytest.mark.parametrize("threads, lanes", [(1, 4), (2, 2), (3, 1), (8, 1)])
-def test_predict_corpus_gives_each_query_its_lanes(threads, lanes, motif_split, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_predict_corpus_passes_only_its_worker_count(threads, motif_split, monkeypatch):
+    # predict_corpus maps its queries on config.threads workers; every
+    # query's calls, its class sums and its gold texts' forks, leave the
+    # count to lane_map, whatever the worker count.
     train, test = motif_split
-    _force_cpus(monkeypatch, 4)
     pipeline = Pipeline(train, PipelineConfig(threads=threads))
-    inner, seen = pipeline.predict, []
+    lane_map, counts = compression.lane_map, []
 
-    def recorded(*args, **kwargs):
-        seen.append(kwargs["lanes"])
-        return inner(*args, **kwargs)
+    def recorded(fn, items, lanes=None):
+        counts.append(lanes)
+        return lane_map(fn, items, lanes)
 
-    pipeline.predict = recorded
-    classifier.predict_corpus(train, test, pipeline.config, pipeline)
-    assert seen == [lanes] * len(test)
+    for module in (classifier, mcc, compression):
+        monkeypatch.setattr(module, "lane_map", recorded)
+    preds, _ = classifier.predict_corpus(train, test, pipeline.config, pipeline)
+    assert all(p.error is None for p in preds)
+    assert counts == [threads] + [None] * (2 * len(test))
 
 
-def test_a_direct_predict_runs_on_its_calling_thread(motif_split, monkeypatch):
-    # Every compression is slow enough for a lane to wake and take some.
+def test_a_direct_predict_shares_its_compressions_with_idle_lanes(motif_split, monkeypatch):
+    # A predict with no worker count, on 4 CPUs: in each query the calling
+    # thread's first compression waits until a lane has taken one, so a
+    # predict that runs its compressions alone fails here.
     train, test = motif_split
-    _force_cpus(monkeypatch, 4)
     pipeline = Pipeline(train, PipelineConfig())
-    threads = set()
+    threads, lock, taken = set(), threading.Lock(), threading.Event()
 
     def hook(key, compute):
-        threads.add(threading.get_ident())
-        time.sleep(0.001)
+        with lock:
+            threads.add(threading.get_ident())
+        if _on_a_lane():
+            taken.set()
+        else:
+            assert taken.wait(timeout=20)
         return compute()
 
     _hook_compressions(monkeypatch, pipeline, hook)
+    _force_cpus(monkeypatch, 4)
     for s in test.samples:
+        taken.clear()
         assert pipeline.predict(s.text).error is None
-    assert threads == {threading.get_ident()}
+    assert len(threads) >= 2 and threading.get_ident() in threads
 
 
 @pytest.mark.parametrize("split", ["bundled", "motif"])
@@ -478,10 +478,10 @@ def test_a_direct_predict_runs_on_its_calling_thread(motif_split, monkeypatch):
 def test_answers_are_the_same_at_any_lane_count(
     split, variant, bundled_train, bundled_test, motif_split, monkeypatch
 ):
-    # 1, 2 and 8 prediction workers on 1, 2 and 4 CPUs: each query on 1 to
-    # 4 lanes, and up to eight workers on a pool of fewer threads, whose
-    # queries' lanes queue behind the workers on that pool. MCC scores,
-    # pair, neighbours, tie flag, NCD calls and error are the same.
+    # 1, 2 and 8 prediction workers on 1, 2 and 4 CPUs: each query's calls
+    # offer 0 to 3 lane tasks, and take the pool threads that no worker
+    # holds, if any. MCC scores, pair, neighbours, tie flag, NCD calls and
+    # error are the same.
     train, test = (bundled_train, bundled_test) if split == "bundled" else motif_split
     pipeline = Pipeline(train, PipelineConfig(variant=variant))
     decisions = {}

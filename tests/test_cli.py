@@ -181,6 +181,35 @@ def test_eval_rejects_a_bundle_saved_without_a_cap(tmp_path, capsys):
     assert "TypeError" not in err
 
 
+def test_eval_rejects_a_bundle_whose_cap_is_true(tmp_path, capsys):
+    # JSON's true is not the cap 1 it equals in Python: a run at cap 1
+    # rejects it rather than reusing the bundle as its own.
+    bundle = tmp_path / "lists.bundle"
+    base = ["eval", "--train", TRAIN, "--test", TEST, "--max-compressors", "1",
+            "--bundle", str(bundle)]
+    assert run(base) == EXIT_OK
+    doc = json.loads(bundle.read_text())
+    doc["plan"]["max_compressors_per_class"] = True
+    bundle.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(base) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1
+    assert "max_compressors_per_class must be an integer >= 1" in err
+
+
+@pytest.mark.parametrize("label, text", [("text", "text"), ("0", "0"), ("label", "0")])
+def test_eval_rejects_one_column_as_label_and_text(label, text, capsys):
+    # By name, by index (headerless) and by both: every text would
+    # otherwise become its own class, with no error.
+    code = run(["eval", "--train", TRAIN, "--test", TEST,
+                "--label-column", label, "--text-column", text])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {TRAIN}: label column ") and err.count("\n") == 1
+    assert "are the same column" in err
+
+
 def test_eval_reuses_a_bundle_that_records_a_level(tmp_path, capsys):
     # Bundles used to record the level of the run that saved them, as
     # "backend": {"kind": "zstd", "level": L}; such a bundle still loads,

@@ -312,14 +312,14 @@ def test_prefixed_sizes_reject_an_empty_prefix():
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7])
 def test_prefixed_sizes_are_the_same_on_any_lane_count(count, monkeypatch):
-    # Fewer suffixes than lanes included: four lanes, forced through the CPU
-    # count that sizes the lane pool, share 0, 1, 2 or 7 forks.
-    monkeypatch.setattr(compression, "usable_cpus", lambda: 4)
+    # Fewer suffixes than lanes included: one, two and four lanes, forced
+    # through the CPU count that lane_map reads, share 0, 1, 2 or 7 forks.
     prefix = motif_bytes(1)
     suffixes = [motif_bytes(seed) for seed in range(2, 2 + count)]
     want = (len(zlib.compress(prefix, 6)), [len(zlib.compress(prefix + y, 6)) for y in suffixes])
-    for lanes in (1, 2, 4):
-        assert DeflateBackend().prefixed_sizes(prefix, suffixes, lanes=lanes) == want
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
+        assert DeflateBackend().prefixed_sizes(prefix, suffixes) == want
 
 
 def test_lane_map_shares_the_items_between_threads(monkeypatch):
@@ -341,11 +341,55 @@ def test_lane_map_shares_the_items_between_threads(monkeypatch):
     assert len(threads) == 2 and threading.get_ident() in threads
 
 
-def test_lane_map_takes_each_item_once_under_stress(monkeypatch):
+def test_lane_map_offers_its_items_to_a_task_per_cpu_but_the_callers(
+    monkeypatch, lane_tasks, lane_pool
+):
+    # On a pool made at 4 CPUs, with no count: three tasks, or one for two
+    # items, and none once one CPU is left; a count, as predict_corpus
+    # passes its worker count, overrides the CPUs.
+    lane_pool(4)
+    for cpus, items, lanes, tasks in [
+        (4, 8, None, 3), (4, 2, None, 1), (4, 8, 2, 1), (1, 8, None, 0), (1, 8, 3, 2)
+    ]:
+        monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
+        lane_tasks.clear()
+        assert compression.lane_map(abs, range(-items, 0), lanes) == list(range(items, 0, -1))
+        assert len(lane_tasks) == tasks
+    # The one lane pool, made at 8 CPUs, has a thread for each but the caller's.
+    assert lane_pool(8)._max_workers == 7
+
+
+def test_a_call_sends_no_task_while_every_pool_thread_is_busy(lane_tasks, lane_pool):
+    # Two pool threads run a call's items until released, so a second call
+    # finds none free: it runs its items alone and queues nothing that would
+    # wait, holding its call's objects, until a thread is free.
+    lane_pool(3)
+    release, started = threading.Event(), threading.Semaphore(0)
+
+    def held(item):
+        started.release()
+        return release.wait(20)
+
+    holder = ThreadPoolExecutor(1)
+    try:
+        outer = holder.submit(compression.lane_map, held, range(3))
+        for _ in range(3):
+            assert started.acquire(timeout=20)
+        lane_tasks.clear()
+        assert compression.lane_map(abs, range(-8, 0)) == list(range(8, 0, -1))
+        assert lane_tasks == []
+    finally:
+        release.set()
+        holder.shutdown()
+    assert outer.result() == [True] * 3
+
+
+def test_lane_map_takes_each_item_once_under_stress(monkeypatch, lane_pool):
     # Eight lanes, more than the cores, and a thread switch every
     # microsecond: an item taken twice or skipped shows in the call count
-    # or in the results.
-    monkeypatch.setattr(compression, "usable_cpus", lambda: 8)
+    # or in the results, and a task's free thread lost or counted twice,
+    # run or cancelled, in the pool's count of free threads.
+    pool = lane_pool(8)
     calls, lock = [0], threading.Lock()
 
     def fn(item):
@@ -360,6 +404,7 @@ def test_lane_map_takes_each_item_once_under_stress(monkeypatch):
             calls[0] = 0
             assert compression.lane_map(fn, range(500), 8) == [-i for i in range(500)]
             assert calls[0] == 500
+        assert [pool.free.acquire(blocking=False) for _ in range(8)] == [True] * 7 + [False]
         # Sixteen first uses at once make one pool (no task is sent to it).
         monkeypatch.setattr(compression, "_pool", None)
         start = threading.Barrier(16, timeout=20)

@@ -52,7 +52,7 @@ def test_segment_count_rejects_nonpositive():
 
 
 @pytest.mark.parametrize("field", ["step_size", "max_compressors_per_class"])
-@pytest.mark.parametrize("value", [None, 0, -1, 2.0, "16"])
+@pytest.mark.parametrize("value", [None, 0, -1, 2.0, "16", True])
 def test_segment_plan_takes_integers_at_least_one(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
         SegmentPlan(**{field: value})

@@ -56,10 +56,10 @@ def test_baseline_makes_one_ncd_per_training_text(pipelines, query):
     real = DeflateBackend.prefixed_sizes
     primed = []
 
-    def recording(self, prefix, suffixes, *, lanes):
+    def recording(self, prefix, suffixes):
         suffixes = list(suffixes)
         primed.append((prefix, suffixes))
-        return real(self, prefix, suffixes, lanes=lanes)
+        return real(self, prefix, suffixes)
 
     with (
         mock.patch.object(DeflateBackend, "compressed_size") as single,
