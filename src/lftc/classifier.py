@@ -28,11 +28,14 @@ thread and tasks of one process-wide pool, whose threads outlive the fit.
 ``predict_corpus`` passes it a count. The fit is one ``lane_map`` pass over
 two kinds of item: the training of one segment (``mcc.class_segments``),
 in class then segment order, whatever the segment size, then the C(y) of
-contiguous slices of the training texts, four per CPU, whose short items
-fill the tail; both are C calls that release the GIL. Sizes are joined
-back in corpus order and dictionaries in class order, the lowest-index
-failure is raised as itself, and the digests are made afterwards on the
-calling thread, so a fit's output is the same at any CPU count.
+contiguous slices of the training texts, four per CPU; both are C calls
+that release the GIL. The slices are the longer items: on the 16-class
+generated split at step 8192 a slice is 80 texts, about 3.6 ms on one
+thread, and a training about 0.25 ms, so the pass ends on the slices, and
+the threads' ends differ by up to one slice. Sizes are joined back in
+corpus order and dictionaries in class order, the lowest-index failure is
+raised as itself, and the digests are made afterwards on the calling
+thread, so a fit's output is the same at any CPU count.
 
 Nothing is written after the fit, so evaluation parallelizes over test
 samples with bit-identical results at any worker count:
@@ -96,7 +99,7 @@ class PipelineConfig:
             raise ValueError("threads must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     sample_index: int
     predicted: str
@@ -147,7 +150,7 @@ class Pipeline:
         with keep_heap():
             # One lane_map pass: a training per segment, in class then
             # segment order, then C(y) of the training texts in contiguous
-            # slices, four per CPU, whose short items even out the lanes' ends.
+            # slices, four per CPU.
             segments = []
             if config.variant != "baseline-ncd" and dictionaries is None:
                 segments = mcc.class_segments(train, list_plan(config))

@@ -22,7 +22,7 @@ class DatasetError(ValueError):
     """Bad input data: missing files, malformed rows, infeasible requests."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledText:
     label: str
     text: bytes
@@ -166,7 +166,9 @@ def save_csv(corpus: Corpus, path) -> None:
 
 
 def concat_class_text(corpus: Corpus, class_id: str) -> bytes:
-    """All texts of one class, corpus order, joined by ``DEFAULT_SEPARATOR``."""
+    """All texts of one class, corpus order, joined by ``DEFAULT_SEPARATOR``:
+    the text whose byte ranges dictionary spans name. A fit never builds it
+    (``mcc.class_segments`` joins only the texts each segment overlaps)."""
     if class_id not in corpus.classes:
         raise DatasetError(f"unknown class {class_id!r} in corpus {corpus.name!r}")
     return DEFAULT_SEPARATOR.join(s.text for s in corpus.samples if s.label == class_id)

@@ -37,14 +37,14 @@ class GoldData:
     corpus_indices: tuple[int, ...]  # positions in the training corpus and its sizes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NcdNeighbor:
     distance: float
     label: str
     index: int  # position within the gold data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReasoningOutcome:
     label: str
     neighbors: tuple[NcdNeighbor, ...]  # the k used for the decision

@@ -268,7 +268,7 @@ def _count_fit_tasks(monkeypatch):
 @pytest.mark.parametrize("split", ["bundled", "motif"])
 @pytest.mark.parametrize("variant", ["lftc", "lftc-mcc", "baseline-ncd"])
 def test_fit_is_the_same_at_any_fit_worker_count(
-    split, variant, bundled_train, bundled_test, motif_split, monkeypatch
+    split, variant, bundled_train, bundled_test, motif_split, monkeypatch, lane_pool
 ):
     # One CPU, three (which split a class's segments between threads) and
     # four (more than the classes of either split): the same dictionaries,
@@ -282,7 +282,7 @@ def test_fit_is_the_same_at_any_fit_worker_count(
         config = PipelineConfig(variant=variant, plan=SegmentPlan(step_size=step))
         fits = {}
         for cpus in (1, 3, 4):
-            _force_cpus(monkeypatch, cpus)
+            lane_pool(cpus)
             fits[cpus] = Pipeline(train, config)
             assert running[0] == 0
         one = fits[1]
@@ -294,11 +294,11 @@ def test_fit_is_the_same_at_any_fit_worker_count(
                 assert _decision(other.predict(s.text)) == _decision(one.predict(s.text))
 
 
-def _training_threads(train, monkeypatch, cpus=2):
+def _training_threads(train, monkeypatch, lane_pool, cpus=2):
     # The threads a default fit on ``cpus`` CPUs trains on. The first
     # training on each thread waits until trainings have started on
     # ``cpus`` threads, so a fit that trains on fewer threads fails here.
-    _force_cpus(monkeypatch, cpus)
+    lane_pool(cpus)
     original = mcc.train_dictionary
     threads, lock, barrier = set(), threading.Lock(), threading.Barrier(cpus, timeout=20)
 
@@ -315,36 +315,34 @@ def _training_threads(train, monkeypatch, cpus=2):
     return threads
 
 
-def test_fit_trains_on_two_threads(motif_split, monkeypatch):
-    threads = _training_threads(motif_split[0], monkeypatch)
+def test_fit_trains_on_two_threads(motif_split, monkeypatch, lane_pool):
+    threads = _training_threads(motif_split[0], monkeypatch, lane_pool)
     assert len(threads) == 2 and threading.get_ident() in threads
 
 
-def test_default_plan_segments_train_on_two_threads(bundled_train, monkeypatch):
+def test_default_plan_segments_train_on_two_threads(bundled_train, monkeypatch, lane_pool):
     # The bundled split's 64 KiB segments train on the lanes like any other.
     assert SegmentPlan().step_size == 65536
-    threads = _training_threads(bundled_train, monkeypatch)
+    threads = _training_threads(bundled_train, monkeypatch, lane_pool)
     assert len(threads) == 2 and threading.get_ident() in threads
 
 
-def test_trainings_run_on_more_threads_than_there_are_classes(bundled_train, monkeypatch):
+def test_trainings_run_on_more_threads_than_there_are_classes(
+    bundled_train, monkeypatch, lane_pool
+):
     # Two classes of two default-plan segments each, on three CPUs and a
     # fresh pool of two lane threads: each segment's training is its own
     # item, so three threads train, more than there are classes.
     two = Corpus("two", tuple(s for s in bundled_train.samples if s.label != "gamma"))
-    monkeypatch.setattr(compression, "_pool", None)
-    try:
-        threads = _training_threads(two, monkeypatch, cpus=3)
-    finally:
-        compression._pool.shutdown()
+    threads = _training_threads(two, monkeypatch, lane_pool, cpus=3)
     assert len(threads) == 3 and threading.get_ident() in threads
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch, cpus):
+def test_refused_segments_come_back_raw_from_the_pool(bundled_train, lane_pool, cpus):
     # libzstd refuses every 1 KiB segment; the refusal is handled inside
     # each segment's item, and the fit keeps the raw bytes.
-    _force_cpus(monkeypatch, cpus)
+    lane_pool(cpus)
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=4)
     pipeline = Pipeline(bundled_train, PipelineConfig(plan=plan))
     for class_id, ds in pipeline.dictionaries.items():
@@ -355,14 +353,14 @@ def test_refused_segments_come_back_raw_from_the_pool(bundled_train, monkeypatch
 
 @pytest.mark.parametrize("stage", ["training", "sizes", "both"])
 def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
-    motif_split, monkeypatch, stage
+    motif_split, monkeypatch, lane_pool, stage
 ):
     # A TypeError raised in one segment's training or in one slice of C(y)
     # reaches the caller as the same object; with one of each in the fit,
     # the training's, queued before every slice, does. No fit task runs
     # once the fit has failed.
     train, _ = motif_split
-    _force_cpus(monkeypatch, 4)
+    lane_pool(4)
     training_bug, sizes_bug = TypeError("injected training bug"), TypeError("injected sizes bug")
     if stage != "sizes":
         train_dictionary = mcc.train_dictionary
@@ -387,11 +385,6 @@ def test_programming_error_in_a_fit_task_leaves_the_fit_as_itself(
         Pipeline(train, PipelineConfig())
     assert caught.value is (sizes_bug if stage == "sizes" else training_bug)
     assert running[0] == 0
-
-
-def _force_cpus(monkeypatch, cpus):
-    # The one CPU count behind lane_map's lane tasks and the lane pool.
-    monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
 
 
 class _Stream:
@@ -448,7 +441,9 @@ def test_predict_corpus_passes_only_its_worker_count(threads, motif_split, monke
     assert counts == [threads] + [None] * (2 * len(test))
 
 
-def test_a_direct_predict_shares_its_compressions_with_idle_lanes(motif_split, monkeypatch):
+def test_a_direct_predict_shares_its_compressions_with_idle_lanes(
+    motif_split, monkeypatch, lane_pool
+):
     # A predict with no worker count, on 4 CPUs: in each query the calling
     # thread's first compression waits until a lane has taken one, so a
     # predict that runs its compressions alone fails here.
@@ -466,7 +461,7 @@ def test_a_direct_predict_shares_its_compressions_with_idle_lanes(motif_split, m
         return compute()
 
     _hook_compressions(monkeypatch, pipeline, hook)
-    _force_cpus(monkeypatch, 4)
+    lane_pool(4)
     for s in test.samples:
         taken.clear()
         assert pipeline.predict(s.text).error is None
@@ -476,7 +471,7 @@ def test_a_direct_predict_shares_its_compressions_with_idle_lanes(motif_split, m
 @pytest.mark.parametrize("split", ["bundled", "motif"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_answers_are_the_same_at_any_lane_count(
-    split, variant, bundled_train, bundled_test, motif_split, monkeypatch
+    split, variant, bundled_train, bundled_test, motif_split, lane_pool
 ):
     # 1, 2 and 8 prediction workers on 1, 2 and 4 CPUs: each query's calls
     # offer 0 to 3 lane tasks, and take the pool threads that no worker
@@ -488,14 +483,16 @@ def test_answers_are_the_same_at_any_lane_count(
     for threads in (1, 2, 8):
         config = replace(pipeline.config, threads=threads)
         for cpus in (1, 2, 4):
-            _force_cpus(monkeypatch, cpus)
+            lane_pool(cpus)
             preds, _ = classifier.predict_corpus(train, test, config, pipeline)
             decisions[threads, cpus] = [_decision(p) for p in preds]
     assert all(d == decisions[1, 1] for d in decisions.values())
 
 
 @pytest.mark.parametrize("stage", ["mcc", "cr"])
-def test_a_compressor_failure_is_the_same_error_at_any_lane_count(stage, motif_split, monkeypatch):
+def test_a_compressor_failure_is_the_same_error_at_any_lane_count(
+    stage, motif_split, monkeypatch, lane_pool
+):
     # Two items fail: the later one at once, the earlier one late. The
     # prediction reports the earlier one's error, whichever thread ran it.
     train, test = motif_split
@@ -517,13 +514,15 @@ def test_a_compressor_failure_is_the_same_error_at_any_lane_count(stage, motif_s
 
     _hook_compressions(monkeypatch, pipeline, hook)
     for cpus in (1, 2, 4):
-        _force_cpus(monkeypatch, cpus)
+        lane_pool(cpus)
         preds, _ = classifier.predict_corpus(train, Corpus("one", query), pipeline.config, pipeline)
         assert preds[0].error == f"CompressionError: {stage}: injected at item 0"
 
 
 @pytest.mark.parametrize("stage", ["mcc", "cr"])
-def test_a_programming_error_on_a_lane_propagates_as_itself(stage, motif_split, monkeypatch):
+def test_a_programming_error_on_a_lane_propagates_as_itself(
+    stage, motif_split, monkeypatch, lane_pool
+):
     # The calling thread's first item waits until a lane has taken one, and
     # every item a lane takes raises the one TypeError.
     train, test = motif_split
@@ -542,13 +541,13 @@ def test_a_programming_error_on_a_lane_propagates_as_itself(stage, motif_split, 
         return compute()
 
     _hook_compressions(monkeypatch, pipeline, hook)
-    _force_cpus(monkeypatch, 2)
+    lane_pool(2)
     with pytest.raises(TypeError) as caught:
         classifier.predict_corpus(train, test, pipeline.config, pipeline)
     assert caught.value is bug
 
 
-def test_no_lane_task_outlives_its_query(motif_split, monkeypatch):
+def test_no_lane_task_outlives_its_query(motif_split, monkeypatch, lane_pool):
     # In every query the calling thread's first item waits until a lane has
     # taken one, and items on lanes are slower, so the calling thread runs
     # out of items first: when predict returns, none of its query's
@@ -583,7 +582,7 @@ def test_no_lane_task_outlives_its_query(motif_split, monkeypatch):
         return pred
 
     pipeline.predict = checked
-    _force_cpus(monkeypatch, 4)
+    lane_pool(4)
     preds, _ = classifier.predict_corpus(train, test, pipeline.config, pipeline)
     assert all(p.error is None for p in preds)
     assert after == [0] * len(test)

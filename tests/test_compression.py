@@ -311,14 +311,15 @@ def test_prefixed_sizes_reject_an_empty_prefix():
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7])
-def test_prefixed_sizes_are_the_same_on_any_lane_count(count, monkeypatch):
+def test_prefixed_sizes_are_the_same_on_any_lane_count(count, lane_pool):
     # Fewer suffixes than lanes included: one, two and four lanes, forced
-    # through the CPU count that lane_map reads, share 0, 1, 2 or 7 forks.
+    # through the CPU count that lane_map reads, each on a pool with a
+    # thread for every lane but the caller's, share 0, 1, 2 or 7 forks.
     prefix = motif_bytes(1)
     suffixes = [motif_bytes(seed) for seed in range(2, 2 + count)]
     want = (len(zlib.compress(prefix, 6)), [len(zlib.compress(prefix + y, 6)) for y in suffixes])
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(compression, "usable_cpus", lambda: cpus)
+        lane_pool(cpus)
         assert DeflateBackend().prefixed_sizes(prefix, suffixes) == want
 
 
@@ -420,10 +421,11 @@ def test_lane_map_takes_each_item_once_under_stress(monkeypatch, lane_pool):
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 4])
-def test_lane_map_raises_the_lowest_index_failure(lanes, monkeypatch):
+def test_lane_map_raises_the_lowest_index_failure(lanes, lane_pool):
     # Item 3 fails late and item 5 at once: item 3's exception is raised, as
-    # the same object, at any lane count, and no item runs after the call.
-    monkeypatch.setattr(compression, "usable_cpus", lambda: 4)
+    # the same object, at any lane count (on a pool of three lane threads),
+    # and no item runs after the call.
+    lane_pool(4)
     errors = {3: TypeError("item 3"), 5: CompressionError("deflate: item 5")}
     running = []
 

@@ -10,7 +10,7 @@ from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.classifier import WHOLE_CLASS_DICT_LIMIT, Pipeline, PipelineConfig
 from lftc.compression import SourceSpan, TrainedDictionary, train_dictionary
-from lftc.corpus import Corpus, concat_class_text
+from lftc.corpus import DEFAULT_SEPARATOR, Corpus, concat_class_text
 from lftc.mcc import (
     BundleSource,
     ClassScore,
@@ -129,6 +129,67 @@ def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
             (i * 1024, min(lengths[class_id], (i + 1) * 1024)) for i in indices
         ]
         assert spans(ds)[0][0] == 0
+
+
+def _training_inputs(corpus, plan, monkeypatch):
+    """``(texts, base, span, segment)`` for each of ``class_segments``'
+    items, where ``segment`` is the bytes its ``train_segment`` trains on."""
+    inputs = []
+    monkeypatch.setattr(mcc, "train_dictionary",
+                        lambda segment, span, mode: inputs.append(segment))
+    items = mcc.class_segments(corpus, plan)
+    for item in items:
+        mcc.train_segment(item, "trained")
+    return [(*item, segment) for item, segment in zip(items, inputs)]
+
+
+def _separator_corpus():
+    # "a" is one text. "b" joins as b"abc|de|fghij|k", | being the separator
+    # at 3, 6 and 12: at step 2 segments end on 3 and start on 6 and 12, at
+    # step 4 the first ends on 3 and the last starts on 12.
+    return corpus_from([("a", b"0123456789ABCDEF"), ("b", b"abc"), ("b", b"de"),
+                        ("b", b"fghij"), ("b", b"k")], name="separators")
+
+
+@pytest.mark.parametrize("split, plan", [
+    ("bundled", SegmentPlan()),
+    ("bundled", SegmentPlan(1024, 4)),
+    ("generated", SegmentPlan(8192)),
+    ("separators", SegmentPlan(2, 16)),
+    ("separators", SegmentPlan(4, 16)),
+])
+def test_a_segment_trains_on_its_span_of_the_class_text_from_its_own_texts(
+    split, plan, bundled_train, monkeypatch
+):
+    # Each item trains on the bytes of its span in the class's joined text,
+    # and holds no more than the span plus one training text on each side,
+    # so where texts are far shorter than a step, as in the bundled and
+    # generated splits, no item keeps the whole of a multi-segment class.
+    if split == "bundled":
+        corpus = bundled_train
+    elif split == "generated":
+        corpus = MotifGenerator(7, tokens_per_doc=(200, 400)).corpus("g", 40, "train")
+    else:
+        corpus = _separator_corpus()
+    wholes = {c: concat_class_text(corpus, c) for c in corpus.classes}
+    items = _training_inputs(corpus, plan, monkeypatch)
+    edges = set()
+    for texts, base, span, segment in items:
+        whole = wholes[span.class_id]
+        joined = DEFAULT_SEPARATOR.join(texts)
+        assert segment == whole[span.start:span.stop]
+        assert whole[base:base + len(joined)] == joined
+        assert len(joined) <= (span.stop - span.start + len(texts[0]) + len(texts[-1])
+                               + 2 * len(DEFAULT_SEPARATOR))
+        if split != "separators" and segment_count(len(whole), plan.step_size) > 1:
+            assert len(joined) < len(whole)
+        if whole[span.start:span.start + 1] == DEFAULT_SEPARATOR:
+            edges.add("starts")
+        if whole[span.stop - 1:span.stop] == DEFAULT_SEPARATOR:
+            edges.add("ends")
+    if split == "separators":
+        assert any(len(corpus.by_class()[c]) == 1 for c in corpus.classes)
+        assert edges == {"starts", "ends"}
 
 
 def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
