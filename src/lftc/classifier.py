@@ -3,8 +3,8 @@
 Variants:
 
 * ``lftc``         -- compressor-list scoring, two-candidate shortlist, NCD-KNN.
-* ``lftc-mcc``     -- ablation: one whole-class dictionary per class instead of
-                      a segment list; reasoning stage unchanged.
+* ``lftc-mcc``     -- ablation: lftc at the whole-class plan (one dictionary
+                      per class, not a segment list); reasoning unchanged.
 * ``lftc-cr``      -- ablation: no reasoning stage; the lowest-scoring class wins.
 * ``baseline-ncd`` -- the reasoning stage over every class: NCD-KNN with the
                       whole training set as gold data (gzip-KNN).
@@ -70,13 +70,13 @@ from .zstd_bindings import MAX_LEVEL, MIN_LEVEL, keep_heap
 
 VARIANTS = ("lftc", "lftc-mcc", "lftc-cr", "baseline-ncd")
 
-# The whole-class dictionary of the lftc-mcc ablation is built from at most
-# this many bytes of the class's concatenated text.
-WHOLE_CLASS_DICT_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A fit's configuration. ``lftc-mcc`` sets its own plan, whatever it is
+    given, so ``dataclasses.replace(cfg, variant="lftc")`` of an ``lftc-mcc``
+    config keeps the whole-class plan."""
+
     variant: str = "lftc"
     plan: SegmentPlan = field(default_factory=SegmentPlan)
     k: int = 1
@@ -87,6 +87,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.variant == "lftc-mcc":
+            # One dictionary per class, from the first MiB of the class's text.
+            object.__setattr__(self, "plan", SegmentPlan(1 << 20, 1))
         if self.dict_mode not in DICT_MODES:
             raise ValueError(
                 f"unknown dictionary mode {self.dict_mode!r}, expected one of {DICT_MODES}"
@@ -112,15 +115,6 @@ class Prediction:
     tie: bool = False
     neighbors: tuple[cr.NcdNeighbor, ...] = ()
     error: str | None = None
-
-
-def list_plan(config: PipelineConfig) -> SegmentPlan:
-    """The segment plan the variant's compressor lists are built with: the
-    lftc-mcc ablation trains one dictionary per class on the first
-    WHOLE_CLASS_DICT_LIMIT bytes of the concatenated class text."""
-    if config.variant == "lftc-mcc":
-        return SegmentPlan(step_size=WHOLE_CLASS_DICT_LIMIT, max_compressors_per_class=1)
-    return config.plan
 
 
 class Pipeline:
@@ -153,7 +147,7 @@ class Pipeline:
             # slices, four per CPU.
             segments = []
             if config.variant != "baseline-ncd" and dictionaries is None:
-                segments = mcc.class_segments(train, list_plan(config))
+                segments = mcc.class_segments(train, config.plan)
             tasks = [functools.partial(mcc.train_segment, s, config.dict_mode) for s in segments]
             if config.variant != "lftc-cr":
                 n = len(train.samples)
@@ -272,13 +266,11 @@ def evaluate(pipeline: Pipeline, test: Corpus) -> tuple[EvalReport, list[Predict
 
 
 def config_echo(config: PipelineConfig, train: Corpus, test: Corpus) -> dict:
-    """Full run configuration for the report; the plan is the one the
-    variant's lists are built with."""
-    plan = list_plan(config)
+    """Full run configuration for the report."""
     return {
         "variant": config.variant,
-        "step_size": plan.step_size,
-        "max_compressors": plan.max_compressors_per_class,
+        "step_size": config.plan.step_size,
+        "max_compressors": config.plan.max_compressors_per_class,
         "mcc_backend": {"kind": "zstd", "level": config.level},
         "ncd_backend": {"kind": cr.NCD_BACKEND.kind, "level": cr.NCD_BACKEND.level},
         "k": config.k,

@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train", required=True, help="training CSV")
         p.add_argument("--test", required=True, help="test CSV")
         if variants:
-            p.add_argument("--variant", choices=VARIANTS, default="lftc")
+            p.add_argument("--variant", choices=VARIANTS, default="lftc",
+                           help="default lftc; lftc-mcc trains one dictionary per "
+                                "class, ignoring --step-size and --max-compressors")
         p.add_argument("--step-size", type=positive, default="65536",
                        help=f"bytes per dictionary segment{axis} (default 65536)")
         p.add_argument("--max-compressors", type=positive, default="16",
@@ -167,7 +169,7 @@ def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
         return classifier.Pipeline(train, config)
     if config.variant == "baseline-ncd":
         raise ValueError("--bundle: baseline-ncd builds no compressor lists")
-    source = mcc.BundleSource(classifier.list_plan(config), train.digest(), config.dict_mode)
+    source = mcc.BundleSource(config.plan, train.digest(), config.dict_mode)
     if not args.bundle.exists():
         pipeline = classifier.Pipeline(train, config)
         mcc.save_bundle(args.bundle, pipeline.dictionaries, source)
@@ -240,9 +242,8 @@ def run_sweep(args) -> int:
             **vars(args) | {"step_size": step, "level": level, "max_compressors": cap}
         )
         config = _config(point)
-        plan = classifier.list_plan(config)
-        pipeline = classifier.Pipeline(train, config, dictionaries.get(plan))
-        dictionaries[plan] = pipeline.dictionaries
+        pipeline = classifier.Pipeline(train, config, dictionaries.get(config.plan))
+        dictionaries[config.plan] = pipeline.dictionaries
         report, _ = classifier.evaluate(pipeline, test)
         reports.append(report)
     out.write_text(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -50,29 +49,6 @@ class EvalReport:
             "ci95": list(self.ci95) if self.ci95 is not None else None,
             "errors": self.errors,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalReport":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported report schema {doc.get('schema_version')}")
-        return cls(
-            dataset=doc["dataset"],
-            variant=doc["variant"],
-            config=doc["config"],
-            accuracy=doc["accuracy"],
-            per_class=doc["per_class"],
-            timings=doc["timings"],
-            trials=doc["trials"],
-            ci95=tuple(doc["ci95"]) if doc["ci95"] is not None else None,
-            errors=doc["errors"],
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
 
 
 def confidence_interval(values: list[float]) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from lftc.corpus import Corpus, DatasetError, concat_class_text
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
-from conftest import DATA_DIR, REPO_ROOT, corpus_from
+from conftest import DATA_DIR, REPO_ROOT, corpus_from, make_motif_split
 
 
 def test_two_class_corpus_forces_pair(motif_split):
@@ -77,6 +77,31 @@ def test_ablation_mcc_tiny_class_uses_raw_fallback():
     pipeline = Pipeline(train, PipelineConfig(variant="lftc-mcc"))
     for ds in pipeline.dictionaries.values():
         assert ds[0].source_span.mode == "raw"
+
+
+def test_lftc_mcc_config_sets_the_whole_class_plan():
+    whole_class, given = SegmentPlan(1 << 20, 1), SegmentPlan(1024, 4)
+    config = PipelineConfig(variant="lftc-mcc", plan=given)
+    assert config.plan == whole_class
+    assert replace(config, variant="lftc").plan == whole_class
+    assert PipelineConfig(variant="lftc", plan=given).plan == given
+
+
+@pytest.mark.parametrize("split", ["bundled", "noise-0.9"])
+def test_lftc_mcc_is_lftc_at_the_whole_class_plan(split, bundled_train, bundled_test):
+    if split == "bundled":
+        train, test = bundled_train, bundled_test
+    else:
+        train, test = make_motif_split(5, train_docs=20, test_docs=10, classes=4,
+                                       tokens_per_doc=(20, 40), noise_ratio=0.9)
+    ablation = Pipeline(train, PipelineConfig(variant="lftc-mcc"))
+    lftc = Pipeline(train, PipelineConfig(plan=SegmentPlan(1 << 20, 1)))
+    assert ablation.dictionaries == lftc.dictionaries
+    for s in test.samples:
+        a, b = ablation.predict(s.text), lftc.predict(s.text)
+        assert a.error is None
+        assert (a.predicted, a.candidate_pair, a.neighbors, a.tie) == (
+            b.predicted, b.candidate_pair, b.neighbors, b.tie)
 
 
 def test_baseline_counts_whole_train(motif_split):

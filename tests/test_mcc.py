@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lftc import mcc
 from lftc import zstd_bindings as zb
-from lftc.classifier import WHOLE_CLASS_DICT_LIMIT, Pipeline, PipelineConfig
+from lftc.classifier import Pipeline, PipelineConfig
 from lftc.compression import SourceSpan, TrainedDictionary, train_dictionary
 from lftc.corpus import DEFAULT_SEPARATOR, Corpus, concat_class_text
 from lftc.mcc import (
@@ -295,7 +295,8 @@ def test_compressor_lists_reject_unequal_lengths(motif_split):
 def whole_class_dictionary():
     """A trained lftc-mcc dictionary at ZDICT's 110 KiB capacity."""
     gen = MotifGenerator(7, classes=1, motifs_per_class=400, tokens_per_doc=(200, 400))
-    text = concat_class_text(gen.corpus("w", 220, "train"), "alpha")[:WHOLE_CLASS_DICT_LIMIT]
+    limit = PipelineConfig(variant="lftc-mcc").plan.step_size
+    text = concat_class_text(gen.corpus("w", 220, "train"), "alpha")[:limit]
     dictionary = train_dictionary(text, SourceSpan("alpha", 0, 0, len(text)))
     assert dictionary.source_span.mode == "trained"
     assert len(dictionary.payload) == 110 * 1024

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lftc import cr, mcc
-from lftc.classifier import VARIANTS, Pipeline, PipelineConfig, list_plan
+from lftc.classifier import VARIANTS, Pipeline, PipelineConfig
 from lftc.compression import DeflateBackend
 from lftc.corpus import Corpus, LabeledText
 
@@ -98,9 +98,7 @@ def reloaded(pipelines, tmp_path_factory):
     for variant in ("lftc", "lftc-mcc"):
         pipe = pipelines[variant]
         path = tmp_path_factory.mktemp("bundle") / f"{variant}.bundle"
-        source = mcc.BundleSource(
-            list_plan(pipe.config), pipe.train.digest(), pipe.config.dict_mode
-        )
+        source = mcc.BundleSource(pipe.config.plan, pipe.train.digest(), pipe.config.dict_mode)
         mcc.save_bundle(path, pipe.dictionaries, source)
         dictionaries, _ = mcc.load_bundle(path)
         out[variant] = Pipeline(pipe.train, pipe.config, dictionaries)
