@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +59,8 @@ class Corpus:
 
     def digest(self) -> str:
         """Order-sensitive checksum of the full sample list."""
+        import hashlib  # here, not at import: it loads OpenSSL's libcrypto
+
         h = hashlib.sha256()
         for s in self.samples:
             lab = s.label.encode("utf-8", "surrogateescape")
@@ -176,6 +177,8 @@ def concat_class_text(corpus: Corpus, class_id: str) -> bytes:
 
 def _draw_rank(seed: int, trial_index: int, class_id: str, sample_index: int) -> bytes:
     # Keyed PRF: stable across platforms and library versions.
+    import hashlib  # see Corpus.digest
+
     key = struct.pack("<qq", seed, trial_index)
     h = hashlib.blake2b(digest_size=8, key=key)
     h.update(class_id.encode("utf-8", "surrogateescape"))

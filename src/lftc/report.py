@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
@@ -56,6 +55,8 @@ def confidence_interval(values: list[float]) -> tuple[float, float]:
     sample standard deviation."""
     if len(values) < 2:
         raise ValueError("confidence interval needs >= 2 values")
+    import statistics  # here, not at import: it loads decimal and fractions
+
     mean = sum(values) / len(values)
     half = 1.96 * statistics.stdev(values) / math.sqrt(len(values))
     return (mean, half)

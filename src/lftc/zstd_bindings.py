@@ -5,7 +5,13 @@ compressed size of a frame made with a digested dictionary (CDict).
 Besides the stable API they use libzstd's experimental calls, which the
 shared library exports: ``ZSTD_getCParams``, ``ZSTD_createCDict_advanced``,
 ``ZSTD_compress_usingCDict_advanced`` and ``ZDICT_trainFromBuffer_fastCover``.
-libzstd is loaded on the first call that needs it. Compression contexts
+libzstd is loaded on the first call that needs it, by its Linux soname,
+``libzstd.so.1``. Where the dynamic loader knows no such name (macOS names
+it ``libzstd.1.dylib``) the platform's search,
+``ctypes.util.find_library("zstd")``, names the file; on Linux that search
+runs ``ldconfig -p`` in a child process, so it is neither imported nor run
+where the soname loads. If neither finds libzstd, the call raises
+``CompressionError`` ("zstd: cannot load libzstd ..."). Compression contexts
 and their output buffers are kept thread-local because a ZSTD_CCtx is not
 thread-safe; CDict handles are immutable and may be shared freely between
 threads.
@@ -78,7 +84,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import ctypes.util
 import functools
 import threading
 import weakref
@@ -156,12 +161,21 @@ class _FastCoverParams(ctypes.Structure):
 @functools.cache
 def _load():
     """libzstd, loaded on the first call, with the signatures of the calls
-    this module makes declared."""
-    name = ctypes.util.find_library("zstd") or "libzstd.so.1"
+    this module makes declared (see the module docstring for how it is
+    found)."""
+    name = "libzstd.so.1"
     try:
         lib = ctypes.CDLL(name)
-    except OSError as exc:  # pragma: no cover - environment dependent
-        raise CompressionError(f"zstd: cannot load libzstd ({name}): {exc}") from exc
+    except OSError as exc:
+        from ctypes.util import find_library  # here, not at import: it loads subprocess
+
+        name = find_library("zstd")
+        if name is None:
+            raise CompressionError(f"zstd: cannot load libzstd (libzstd.so.1): {exc}") from exc
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError as exc:
+            raise CompressionError(f"zstd: cannot load libzstd ({name}): {exc}") from exc
 
     c = ctypes
     lib.ZSTD_versionNumber.restype = c.c_uint

@@ -13,7 +13,7 @@ from lftc.corpus import (
     save_csv,
 )
 
-from conftest import corpus_from
+from conftest import BUNDLED_DIGESTS, DATA_DIR, corpus_from
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -166,6 +166,15 @@ def test_fewshot_forced_selection():
     assert set(sub.samples) == set(corpus.samples)
 
 
+def test_fewshot_draw_is_pinned(bundled_train):
+    # _draw_rank is a keyed blake2b, so the draw is the same on every
+    # platform and Python version.
+    sub = few_shot_sample(bundled_train, 2, 0, 0)
+    picked = [i for i, s in enumerate(bundled_train.samples) if s in sub.samples]
+    assert picked == [21, 33, 50, 75, 81, 99]
+    assert sub.samples == tuple(bundled_train.samples[i] for i in picked)
+
+
 def test_fewshot_cardinality(bundled_train):
     sub = few_shot_sample(bundled_train, shots=5, seed=1, trial_index=1)
     assert len(sub) == 5 * len(bundled_train.classes)
@@ -222,3 +231,8 @@ def test_digest_is_order_sensitive():
     c2 = corpus_from([("b", b"y"), ("a", b"x")])
     assert c1.digest() != c2.digest()
     assert c1.digest() == corpus_from([("a", b"x"), ("b", b"y")]).digest()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_digest_of_the_bundled_split_is_pinned(name):
+    assert load_csv(DATA_DIR / name).digest() == BUNDLED_DIGESTS[name]
