@@ -121,7 +121,7 @@ class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query. A
     train split of fewer than two classes raises ``DegenerateCorpusError``.
     Given ``dictionaries`` (a list for each training class, from a fit at
-    any level or a bundle), it digests those and trains none."""
+    any level), it digests those and trains none."""
 
     def __init__(
         self,

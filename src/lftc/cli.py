@@ -14,13 +14,12 @@ Exit codes: 0 success, 2 validation error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
 from pathlib import Path
 
-from . import classifier, mcc
+from . import classifier
 from .compression import DICT_MODES, CompressionError
 from .corpus import Corpus, DatasetError, load_csv
 from .classifier import PipelineConfig, VARIANTS
@@ -96,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval)
     p_eval.add_argument("--audit", type=Path, default=None,
                         help="write one JSON audit line per prediction")
-    p_eval.add_argument("--bundle", type=Path, default=None,
-                        help="compressor-list bundle: reused when present, else written")
 
     p_few = sub.add_parser("fewshot", help="repeated few-shot trials")
     add_common(p_few)
@@ -161,34 +158,9 @@ def _write_audit(path: Path, predictions) -> None:
             }) + "\n")
 
 
-def _fitted_pipeline(train, config, args) -> classifier.Pipeline:
-    """Honour --bundle: reuse persisted dictionaries, at any zstd level, or
-    persist fresh ones. A bundle of another plan, train split or dictionary
-    mode, or whose dictionaries digest into no comparable lists, is rejected."""
-    if not args.bundle:
-        return classifier.Pipeline(train, config)
-    if config.variant == "baseline-ncd":
-        raise ValueError("--bundle: baseline-ncd builds no compressor lists")
-    source = mcc.BundleSource(config.plan, train.digest(), config.dict_mode)
-    if not args.bundle.exists():
-        pipeline = classifier.Pipeline(train, config)
-        mcc.save_bundle(args.bundle, pipeline.dictionaries, source)
-        return pipeline
-    dictionaries, stored = mcc.load_bundle(args.bundle)
-    diffs = [f.name for f in dataclasses.fields(source)
-             if getattr(stored, f.name) != getattr(source, f.name)]
-    if diffs:
-        raise ValueError(f"{args.bundle}: built with another {', '.join(diffs)}; "
-                         "delete it to rebuild")
-    try:
-        return classifier.Pipeline(train, config, dictionaries)
-    except (ValueError, CompressionError) as exc:
-        raise ValueError(f"{args.bundle}: {exc}; delete it to rebuild") from exc
-
-
 def run_eval(args) -> int:
     train, test = _load_split(args)
-    pipeline = _fitted_pipeline(train, _config(args), args)
+    pipeline = classifier.Pipeline(train, _config(args))
     report, preds = classifier.evaluate(pipeline, test)
     if args.audit:
         _write_audit(args.audit, preds)

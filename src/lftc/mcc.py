@@ -25,21 +25,16 @@ one fit of the 16-class generated split at step 8192 adds 5.9 MB of VmRSS
 instead of 7.25 MB (2-CPU x86-64 Xeon, Python 3.11, glibc 2.36).
 Dictionaries get no zstd level: the level applies only to their digests.
 ``compressor_lists`` is the one place that digests them, so every set of
-dictionaries, fitted or loaded from a bundle, becomes lists of one length,
-at one level, with match tables of one size (set by the set's largest
-dictionary): class scores are comparable.
-
-A saved bundle holds a fit's dictionaries and what they were built from
-(``BundleSource``); a run with the same source reuses it at any zstd level.
+dictionaries, trained by a fit or given to ``Pipeline``, becomes lists of
+one length, at one level, with match tables of one size (set by the set's
+largest dictionary): class scores are comparable.
 """
 
 from __future__ import annotations
 
-import base64
 import bisect
 import itertools
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .compression import (
     DictCompressor,
@@ -50,9 +45,6 @@ from .compression import (
 )
 from .corpus import DEFAULT_SEPARATOR, Corpus
 from .zstd_bindings import MIN_TABLE_LOG
-
-BUNDLE_FORMAT = "lftc-compressor-bundle"
-BUNDLE_VERSION = 5
 
 
 class DegenerateCorpusError(ValueError):
@@ -69,8 +61,7 @@ class SegmentPlan:
     max_compressors_per_class: int = 16
 
     def __post_init__(self):
-        # A plan is also read back from a bundle's JSON, where true is a
-        # bool, and a bool is an int that equals 1.
+        # A bool is an int (True == 1), but no library caller means it as a size.
         for name in ("step_size", "max_compressors_per_class"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -180,7 +171,8 @@ def compressor_lists(
     """One compressor list per class, all of one length, digested at
     ``level``. Every digest gets the table log of the set's largest
     dictionary (see ``zstd_bindings``), so all classes score a query with
-    tables of one size, and a reused bundle scores as the fit that saved it."""
+    tables of one size, and given dictionaries score as the fit that trained
+    them."""
     lengths = {len(ds) for ds in dictionaries.values()}
     if len(lengths) > 1:
         raise ValueError(f"compressor lists have unequal lengths {sorted(lengths)}; "
@@ -230,85 +222,3 @@ def select_candidates(scores: list[ClassScore]) -> CandidatePair:
         )
     ordered = sorted(scores, key=lambda s: (s.score, s.class_id))
     return CandidatePair(ordered[0].class_id, ordered[1].class_id, tuple(scores))
-
-
-@dataclass(frozen=True)
-class BundleSource:
-    """What a bundle's dictionaries were built from. ``dict_mode`` is the
-    requested mode: a segment's own ``mode`` reads "raw" under "trained"
-    when ZDICT refused it. No zstd level: dictionaries carry none."""
-
-    plan: SegmentPlan
-    train_sha256: str
-    dict_mode: str
-
-
-def save_bundle(
-    path, dictionaries: dict[str, list[TrainedDictionary]], source: BundleSource
-) -> None:
-    """Persist dictionary payloads so repeated runs skip training.
-    Versioned JSON container; not a cross-version stability promise."""
-    doc = {
-        "format": BUNDLE_FORMAT,
-        "version": BUNDLE_VERSION,
-        "plan": asdict(source.plan),
-        "train_sha256": source.train_sha256,
-        "dict_mode": source.dict_mode,
-        "classes": [
-            {
-                "class": class_id,
-                "segments": [
-                    {
-                        "index": d.source_span.segment_index,
-                        "start": d.source_span.start,
-                        "stop": d.source_span.stop,
-                        "mode": d.source_span.mode,
-                        "payload": base64.b64encode(d.payload).decode("ascii"),
-                    }
-                    for d in ds
-                ],
-            }
-            for class_id, ds in sorted(dictionaries.items())
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_bundle(path) -> tuple[dict[str, list[TrainedDictionary]], BundleSource]:
-    """A bundle's dictionaries, undigested, and their source; a ValueError
-    that names the bundle when it is not a well-formed version 5 bundle."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON
-            raise ValueError(f"{path}: not a compressor bundle ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != BUNDLE_FORMAT:
-        raise ValueError(f"{path}: not a compressor bundle")
-    if doc.get("version") != BUNDLE_VERSION:
-        # Version 1 recorded neither the train split nor the dictionary mode;
-        # version 2 trained with libzstd's default table and ragged lists;
-        # version 3 trained with the fastCover optimiser's five-k search;
-        # version 4 gave segments above 8 KiB frequency tables up to f=20.
-        raise ValueError(
-            f"{path}: unsupported bundle version {doc.get('version')}; delete it to rebuild"
-        )
-    try:
-        dictionaries: dict[str, list[TrainedDictionary]] = {}
-        for entry in doc["classes"]:
-            if entry["class"] in dictionaries:
-                raise ValueError(f"class {entry['class']!r} appears twice")
-            dictionaries[entry["class"]] = [
-                TrainedDictionary(
-                    base64.b64decode(seg["payload"]),
-                    SourceSpan(
-                        entry["class"], seg["index"], seg["start"], seg["stop"], seg["mode"]
-                    ),
-                )
-                for seg in entry["segments"]
-            ]
-        plan = SegmentPlan(**doc["plan"])
-        source = BundleSource(plan, doc["train_sha256"], doc["dict_mode"])
-        return dictionaries, source
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed bundle ({type(exc).__name__}: {exc})") from exc

@@ -73,9 +73,10 @@ returns the free heap to the system with ``malloc_trim(0)``. The
 thresholds are set on the first entry and stay set for the rest of the
 process, so the predictions after a fit run under them too. There they
 keep zlib's ~256 KB deflate state, taken afresh by every NCD
-compression, off fresh pages: under the defaults a process that reused a
-bundle took, depending on its heap layout, up to ~1,600 minor faults per
-query of the bundled corpus, and under the thresholds fewer than 10.
+compression, off fresh pages: under the defaults a process whose fit
+trained nothing (``baseline-ncd``) took, depending on its heap layout,
+about 2,000 minor faults per query of the bundled corpus, and under the
+thresholds fewer than 10.
 Where libc lacks ``mallopt`` or ``malloc_trim`` the block does nothing.
 The allocator changes no compressor's output.
 """

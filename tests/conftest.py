@@ -16,7 +16,7 @@ DATASET_DIR = Path(os.environ.get("LFTC_DATA_DIR", DATA_DIR))
 
 
 # Corpus.digest of the bundled split: the train_sha256 and test_sha256 that
-# reports and bundles record.
+# reports record.
 BUNDLED_DIGESTS = {
     "synthetic_train.csv": "b4e9b224c84247b192daac6a07e77ef4a90d9fce2d3888f5c9f57de6a036e044",
     "synthetic_test.csv": "0785ba329df9d9af0eeeddca11982f69885f145c6322d121c2d69d4c9851b1a0",

@@ -666,16 +666,14 @@ def test_given_dictionaries_share_one_table_log_across_classes(bundled_train):
     assert {x.cdict.table_log for cl in lists.values() for x in cl.compressors} == {12}
 
 
-# Predicts 20 bundled test queries with lists read from a bundle, and prints
-# the minor page faults per query.
-_BUNDLE_REUSE_FAULTS = """
+# Fits baseline-ncd, which trains no dictionary, on the bundled split,
+# predicts 20 of its test queries and prints the minor page faults per query.
+_UNTRAINED_FIT_FAULTS = """
 import resource, sys
-from lftc import mcc
 from lftc.classifier import Pipeline, PipelineConfig
 from lftc.corpus import load_csv
-train, test, bundle = (load_csv(sys.argv[1]), load_csv(sys.argv[2]), sys.argv[3])
-dictionaries, _ = mcc.load_bundle(bundle)
-pipeline = Pipeline(train, PipelineConfig(), dictionaries)
+train, test = load_csv(sys.argv[1]), load_csv(sys.argv[2])
+pipeline = Pipeline(train, PipelineConfig(variant="baseline-ncd"))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for sample in test.samples[:20]:
     pipeline.predict(sample.text)
@@ -684,18 +682,13 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 
 @pytest.mark.skipif(zb._tuned_libc() is None, reason="libc cannot keep the heap (not glibc)")
-def test_bundle_reuse_predicts_without_fresh_pages(bundled_train, tmp_path):
-    # A process that only loads a bundle still fits inside keep_heap(), so
-    # each deflate state comes from the kept heap. Under glibc's default
-    # thresholds the same loop took about 1,600 faults per query.
-    config = PipelineConfig()
-    dictionaries = Pipeline(bundled_train, config).dictionaries
-    bundle = tmp_path / "bundle.json"
-    source = mcc.BundleSource(config.plan, bundled_train.digest(), "trained")
-    mcc.save_bundle(bundle, dictionaries, source)
+def test_a_fit_that_trains_nothing_predicts_without_fresh_pages():
+    # A fit that trains no dictionary still runs inside keep_heap(), so each
+    # deflate state comes from the kept heap. Under glibc's default
+    # thresholds the same loop took about 2,000 faults per query.
     proc = subprocess.run(
-        [sys.executable, "-c", _BUNDLE_REUSE_FAULTS, str(DATA_DIR / "synthetic_train.csv"),
-         str(DATA_DIR / "synthetic_test.csv"), str(bundle)],
+        [sys.executable, "-c", _UNTRAINED_FIT_FAULTS, str(DATA_DIR / "synthetic_train.csv"),
+         str(DATA_DIR / "synthetic_test.csv")],
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )

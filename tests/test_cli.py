@@ -1,4 +1,3 @@
-import base64
 import json
 import time
 
@@ -103,102 +102,6 @@ def test_single_class_train_exit_code(tmp_path, args, capsys):
     assert err.count("\n") == 1
 
 
-def test_eval_bundle_reuse(tmp_path, capsys):
-    bundle = tmp_path / "lists.bundle"
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run(["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle),
-                "--out", str(out1)]) == EXIT_OK
-    assert bundle.exists()
-    assert run(["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle),
-                "--out", str(out2)]) == EXIT_OK
-    a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
-    assert a["accuracy"] == b["accuracy"]
-    assert b["timings"]["list_build_seconds"] <= a["timings"]["list_build_seconds"]
-
-
-def test_eval_bundle_config_mismatch(tmp_path, capsys):
-    bundle = tmp_path / "lists.bundle"
-    base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
-    assert run(base + ["--step-size", "65536"]) == EXIT_OK
-    capsys.readouterr()
-    # Same classes, one training text fewer: another split.
-    train = load_csv(TRAIN)
-    other_train = tmp_path / "other_train.csv"
-    save_csv(Corpus("other", train.samples[1:]), other_train)
-    for other in (["--step-size", "4096"], ["--variant", "lftc-mcc"],
-                  ["--train", str(other_train)], ["--dict-mode", "raw"]):
-        assert run(base + other) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(bundle) in err
-        assert err.count("\n") == 1
-    # Dictionaries carry no level: another level reuses the bundle, as a
-    # fresh fit at that level predicts, and leaves it as it was.
-    saved = bundle.read_bytes()
-    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
-    assert run(base + ["--level", "5", "--audit", str(reused)]) == EXIT_OK
-    assert run(["eval", "--train", TRAIN, "--test", TEST, "--level", "5",
-                "--audit", str(fresh)]) == EXIT_OK
-    assert reused.read_bytes() == fresh.read_bytes()
-    assert bundle.read_bytes() == saved
-    capsys.readouterr()
-    # Lists of unequal length give class scores that cannot be compared.
-    doc = json.loads(bundle.read_text())
-    assert [len(c["segments"]) for c in doc["classes"]] == [2, 2, 2]
-    ragged = json.loads(json.dumps(doc))
-    del ragged["classes"][0]["segments"][1]
-    bundle.write_text(json.dumps(ragged))
-    assert run(base) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bundle}: ") and "unequal lengths" in err
-    assert err.count("\n") == 1
-    # A version 4 bundle gave segments above 8 KiB larger frequency tables,
-    # a version 3 bundle trained its dictionaries with the fastCover
-    # optimiser, a version 2 bundle with libzstd's default table, and a
-    # version 1 bundle does not record its split: all must be rebuilt.
-    for version in (4, 3, 2, 1):
-        doc["version"] = version
-        if version == 1:
-            del doc["train_sha256"], doc["dict_mode"]
-        bundle.write_text(json.dumps(doc))
-        assert run(base) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"version {version}; delete it to rebuild" in err
-
-
-def test_eval_rejects_a_bundle_saved_without_a_cap(tmp_path, capsys):
-    # A plan saved with no cap records "max_compressors_per_class": null;
-    # every plan now has an integer cap.
-    bundle = tmp_path / "lists.bundle"
-    base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
-    assert run(base) == EXIT_OK
-    doc = json.loads(bundle.read_text())
-    doc["plan"]["max_compressors_per_class"] = None
-    bundle.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(base) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1
-    assert "max_compressors_per_class must be an integer >= 1" in err
-    assert "TypeError" not in err
-
-
-def test_eval_rejects_a_bundle_whose_cap_is_true(tmp_path, capsys):
-    # JSON's true is not the cap 1 it equals in Python: a run at cap 1
-    # rejects it rather than reusing the bundle as its own.
-    bundle = tmp_path / "lists.bundle"
-    base = ["eval", "--train", TRAIN, "--test", TEST, "--max-compressors", "1",
-            "--bundle", str(bundle)]
-    assert run(base) == EXIT_OK
-    doc = json.loads(bundle.read_text())
-    doc["plan"]["max_compressors_per_class"] = True
-    bundle.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(base) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1
-    assert "max_compressors_per_class must be an integer >= 1" in err
-
-
 @pytest.mark.parametrize("label, text", [("text", "text"), ("0", "0"), ("label", "0")])
 def test_eval_rejects_one_column_as_label_and_text(label, text, capsys):
     # By name, by index (headerless) and by both: every text would
@@ -209,76 +112,6 @@ def test_eval_rejects_one_column_as_label_and_text(label, text, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {TRAIN}: label column ") and err.count("\n") == 1
     assert "are the same column" in err
-
-
-def test_eval_reuses_a_bundle_that_records_a_level(tmp_path, capsys):
-    # Bundles used to record the level of the run that saved them, as
-    # "backend": {"kind": "zstd", "level": L}; such a bundle still loads,
-    # and reuses at any level as a fresh fit at that level.
-    bundle = tmp_path / "lists.bundle"
-    base = ["eval", "--train", TRAIN, "--test", TEST]
-    assert run(base + ["--bundle", str(bundle), "--level", "5"]) == EXIT_OK
-    doc = json.loads(bundle.read_text())
-    assert "backend" not in doc
-    written = mcc.load_bundle(bundle)
-    old = {k: doc[k] for k in ("format", "version")}
-    old["backend"] = {"kind": "zstd", "level": 5}
-    old.update((k, v) for k, v in doc.items() if k not in old)
-    bundle.write_text(json.dumps(old))
-    assert mcc.load_bundle(bundle) == written
-    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
-    assert run(base + ["--bundle", str(bundle), "--audit", str(reused)]) == EXIT_OK
-    assert run(base + ["--audit", str(fresh)]) == EXIT_OK
-    assert reused.read_bytes() == fresh.read_bytes()
-    capsys.readouterr()
-
-
-def _drop_classes(doc):
-    del doc["classes"]
-    return json.dumps(doc)
-
-
-def _unknown_plan_key(doc):
-    doc["plan"]["segment_bytes"] = 1
-    return json.dumps(doc)
-
-
-def _class_twice(doc):
-    # the last class's dictionaries, filed a second time under the first class
-    doc["classes"].append({**doc["classes"][-1], "class": doc["classes"][0]["class"]})
-    return json.dumps(doc)
-
-
-def _unknown_mode(doc):
-    doc["classes"][0]["segments"][0]["mode"] = "bogus"
-    return json.dumps(doc)
-
-
-def _undigestible_dictionary(doc):
-    # a trained dictionary's magic number and ID, then no entropy tables
-    # libzstd can read: the digest fails
-    seg = doc["classes"][0]["segments"][0]
-    assert seg["mode"] == "trained"
-    head = base64.b64decode(seg["payload"])[:8]
-    seg["payload"] = base64.b64encode(head + b"\xff" * 64).decode("ascii")
-    return json.dumps(doc)
-
-
-@pytest.mark.parametrize("corrupt", [
-    _drop_classes, _unknown_plan_key, lambda doc: json.dumps([doc]), lambda doc: "{not json",
-    _class_twice, _unknown_mode, _undigestible_dictionary,
-], ids=["missing-classes", "unknown-plan-key", "top-level-list", "not-json",
-        "class-twice", "unknown-mode", "undigestible-dictionary"])
-def test_eval_malformed_bundle_exit_code(tmp_path, capsys, corrupt):
-    bundle = tmp_path / "lists.bundle"
-    base = ["eval", "--train", TRAIN, "--test", TEST, "--bundle", str(bundle)]
-    assert run(base) == EXIT_OK
-    bundle.write_text(corrupt(json.loads(bundle.read_text())))
-    capsys.readouterr()
-    assert run(base) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(bundle) in err
-    assert err.count("\n") == 1
 
 
 def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
@@ -294,6 +127,7 @@ def test_eval_lftc_mcc_echoes_its_list_plan(tmp_path, capsys):
     ("compare", "--seed=1"),
     ("sweep", "--seed=1"),
     ("fewshot", "--audit=a.jsonl"),
+    ("eval", "--bundle=b.bundle"),
     ("compare", "--bundle=b.bundle"),
     ("sweep", "--bundle=b.bundle"),
     ("eval", "--backend=zstd"),

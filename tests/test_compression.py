@@ -166,6 +166,21 @@ def test_mismatched_dictionary_raises_zstd_error():
         frames.decompress(frame, other.payload)
 
 
+def test_a_dictionary_libzstd_cannot_read_fails_its_digest():
+    # A trained dictionary's magic number and ID, then no entropy tables.
+    seg = motif_bytes(5, tokens=2000)
+    dictionary = train_dictionary(seg, SourceSpan("c", 0, 0, len(seg)))
+    assert dictionary.source_span.mode == "trained"
+    broken = TrainedDictionary(dictionary.payload[:8] + b"\xff" * 64, dictionary.source_span)
+    with pytest.raises(CompressionError, match="^zstd: "):
+        digested(broken)
+
+
+def test_a_dictionary_of_an_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match="unknown dictionary mode: 'bogus'"):
+        TrainedDictionary(b"x", SourceSpan("c", 0, 0, 1, "bogus"))
+
+
 def test_scored_frames_carry_no_dictionary_id():
     # The low 2 bits of the frame header descriptor, the byte after the
     # magic number, give the size of the dictionary ID field: 0 means none.

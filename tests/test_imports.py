@@ -1,5 +1,5 @@
 """What a process loads: a fit and its predictions import no module that
-only reports, bundles and few-shot draws use, and libzstd is found by its
+only reports and few-shot draws use, and libzstd is found by its
 soname before the platform's library search runs.
 
 Each check runs in a fresh interpreter, because pytest and Hypothesis

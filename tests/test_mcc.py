@@ -12,14 +12,11 @@ from lftc.classifier import Pipeline, PipelineConfig
 from lftc.compression import SourceSpan, TrainedDictionary, train_dictionary
 from lftc.corpus import DEFAULT_SEPARATOR, Corpus, concat_class_text
 from lftc.mcc import (
-    BundleSource,
     ClassScore,
     DegenerateCorpusError,
     SegmentPlan,
     build_all_lists,
     compressor_lists,
-    load_bundle,
-    save_bundle,
     score_query,
     segment_count,
     select_candidates,
@@ -434,26 +431,3 @@ def test_reference_and_zstd_rankings_agree():
             trials += 1
     assert trials == 50
     assert agree / trials >= 0.90
-
-
-def test_bundle_round_trip(tmp_path, motif_split):
-    train, test = motif_split
-    plan = SegmentPlan(step_size=2048)
-    dictionaries = build_all_lists(train, plan)
-    path = tmp_path / "lists.bundle"
-    source = BundleSource(plan, train.digest(), "trained")
-    save_bundle(path, dictionaries, source)
-    loaded, loaded_source = load_bundle(path)
-    assert loaded_source == source
-    assert loaded == dictionaries
-    q = test.samples[0].text
-    assert score_query(compressor_lists(loaded, 3), q) == score_query(
-        compressor_lists(dictionaries, 3), q
-    )
-
-
-def test_bundle_rejects_other_files(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError, match="not a compressor bundle"):
-        load_bundle(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lftc import cr, mcc
+from lftc import cr
 from lftc.classifier import VARIANTS, Pipeline, PipelineConfig
 from lftc.compression import DeflateBackend
 from lftc.corpus import Corpus, LabeledText
@@ -91,24 +91,16 @@ def test_baseline_is_knn_over_the_whole_train_set(baselines, query, k):
 
 
 @pytest.fixture(scope="module")
-def reloaded(pipelines, tmp_path_factory):
-    """lftc and lftc-mcc pipelines on dictionaries saved to a bundle and
-    loaded back."""
-    out = {}
-    for variant in ("lftc", "lftc-mcc"):
-        pipe = pipelines[variant]
-        path = tmp_path_factory.mktemp("bundle") / f"{variant}.bundle"
-        source = mcc.BundleSource(pipe.config.plan, pipe.train.digest(), pipe.config.dict_mode)
-        mcc.save_bundle(path, pipe.dictionaries, source)
-        dictionaries, _ = mcc.load_bundle(path)
-        out[variant] = Pipeline(pipe.train, pipe.config, dictionaries)
-    return out
+def from_dictionaries(pipelines):
+    """lftc and lftc-mcc pipelines given the fresh fits' dictionaries."""
+    fits = {v: pipelines[v] for v in ("lftc", "lftc-mcc")}
+    return {v: Pipeline(p.train, p.config, p.dictionaries) for v, p in fits.items()}
 
 
 @settings(max_examples=20, deadline=None)
 @given(query=queries)
-def test_bundle_round_trip_predicts_as_a_fresh_fit(pipelines, reloaded, query):
-    for variant, pipe in reloaded.items():
+def test_given_dictionaries_predict_as_a_fresh_fit(pipelines, from_dictionaries, query):
+    for variant, pipe in from_dictionaries.items():
         a, b = pipelines[variant].predict(query), pipe.predict(query)
         assert (a.predicted, a.candidate_pair, a.neighbors, a.tie) == (
             b.predicted, b.candidate_pair, b.neighbors, b.tie), variant
