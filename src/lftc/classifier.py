@@ -13,13 +13,13 @@ Every variant goes through the one ``Pipeline.predict`` body: MCC when the
 pipeline has lists, CR when it has fitted sizes. A train split needs two or
 more classes, for MCC's pair and for every variant alike.
 
-A pipeline is fitted once per (train corpus, config) and reused for every
-query. The fit trains the level-free dictionaries of the compressor lists
-(``Pipeline.dictionaries``), or takes those it is given, digests them at
-``PipelineConfig.level``, and computes each training text's NCD size C(y)
-(``Pipeline.sizes``). It runs inside ``zstd_bindings.keep_heap()`` for
-every variant: ZDICT's scratch tables stay mapped from one training to the
-next, and every process that predicts does so on the tuned heap, where
+A pipeline is fitted once per (train corpus, config), from those two
+alone, and reused for every query. The fit trains the level-free
+dictionaries of the compressor lists (``Pipeline.dictionaries``), digests
+them at ``PipelineConfig.level``, and computes each training text's NCD
+size C(y) (``Pipeline.sizes``). It runs inside ``zstd_bindings.keep_heap()``
+for every variant: ZDICT's scratch tables stay mapped from one training to
+the next, and every process that predicts does so on the tuned heap, where
 each query's deflate state is served without fresh pages.
 
 All parallel work goes through ``compression.lane_map``: the calling
@@ -119,34 +119,26 @@ class Prediction:
 
 class Pipeline:
     """Fitted classifier; ``predict`` is a pure function of the query. A
-    train split of fewer than two classes raises ``DegenerateCorpusError``.
-    Given ``dictionaries`` (a list for each training class, from a fit at
-    any level), it digests those and trains none."""
+    train split of fewer than two classes raises ``DegenerateCorpusError``."""
 
-    def __init__(
-        self,
-        train: Corpus,
-        config: PipelineConfig,
-        dictionaries: dict[str, list[TrainedDictionary]] | None = None,
-    ):
+    def __init__(self, train: Corpus, config: PipelineConfig):
         if len(train.classes) < 2:
             raise mcc.DegenerateCorpusError(
                 f"train split {train.name!r} has {len(train.classes)} class; "
                 "classification needs at least 2"
             )
-        if config.variant == "baseline-ncd" and dictionaries is not None:
-            raise ValueError("baseline-ncd builds no compressor lists")
         self.train = train
         self.config = config
         self.classes = sorted(train.classes)
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
+        self.dictionaries: dict[str, list[TrainedDictionary]] | None = None
         with keep_heap():
             # One lane_map pass: a training per segment, in class then
             # segment order, then C(y) of the training texts in contiguous
             # slices, four per CPU.
             segments = []
-            if config.variant != "baseline-ncd" and dictionaries is None:
+            if config.variant != "baseline-ncd":
                 segments = mcc.class_segments(train, config.plan)
             tasks = [functools.partial(mcc.train_segment, s, config.dict_mode) for s in segments]
             if config.variant != "lftc-cr":
@@ -157,17 +149,10 @@ class Pipeline:
                     tasks.append(functools.partial(cr.sample_sizes, part))
             done = lane_map(lambda task: task(), tasks)
             if segments:
-                dictionaries = mcc.by_class(done[:len(segments)])
-            if config.variant != "baseline-ncd":
-                differ = set(self.classes) ^ set(dictionaries)
-                if differ:
-                    raise ValueError(
-                        f"dictionaries do not match the training classes: {sorted(differ)}"
-                    )
-                self.lists = mcc.compressor_lists(dictionaries, config.level)
+                self.dictionaries = mcc.by_class(done[:len(segments)])
+                self.lists = mcc.compressor_lists(self.dictionaries, config.level)
             self.sizes = tuple(itertools.chain.from_iterable(done[len(segments):]))
         self.list_build_seconds = time.perf_counter() - t0
-        self.dictionaries: dict[str, list[TrainedDictionary]] | None = dictionaries
 
     def predict(self, text: bytes, sample_index: int = 0, truth: str | None = None) -> Prediction:
         """MCC shortlists a pair when the pipeline has lists; CR then votes

@@ -208,15 +208,11 @@ def run_sweep(args) -> int:
         raise ValueError(f"--out {out}: the CSV summary would overwrite the JSON reports")
     train, test = _load_split(args)
     reports = []
-    dictionaries = {}  # by list plan: grid points that differ in level share them
     for step, level, cap in itertools.product(args.step_size, args.level, args.max_compressors):
         point = argparse.Namespace(
             **vars(args) | {"step_size": step, "level": level, "max_compressors": cap}
         )
-        config = _config(point)
-        pipeline = classifier.Pipeline(train, config, dictionaries.get(config.plan))
-        dictionaries[config.plan] = pipeline.dictionaries
-        report, _ = classifier.evaluate(pipeline, test)
+        report, _ = classifier.evaluate(classifier.Pipeline(train, _config(point)), test)
         reports.append(report)
     out.write_text(
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",

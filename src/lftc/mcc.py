@@ -25,9 +25,9 @@ one fit of the 16-class generated split at step 8192 adds 5.9 MB of VmRSS
 instead of 7.25 MB (2-CPU x86-64 Xeon, Python 3.11, glibc 2.36).
 Dictionaries get no zstd level: the level applies only to their digests.
 ``compressor_lists`` is the one place that digests them, so every set of
-dictionaries, trained by a fit or given to ``Pipeline``, becomes lists of
-one length, at one level, with match tables of one size (set by the set's
-largest dictionary): class scores are comparable.
+dictionaries becomes lists of one length, at one level, with match tables
+of one size (set by the set's largest dictionary): class scores are
+comparable.
 """
 
 from __future__ import annotations
@@ -171,8 +171,7 @@ def compressor_lists(
     """One compressor list per class, all of one length, digested at
     ``level``. Every digest gets the table log of the set's largest
     dictionary (see ``zstd_bindings``), so all classes score a query with
-    tables of one size, and given dictionaries score as the fit that trained
-    them."""
+    tables of one size."""
     lengths = {len(ds) for ds in dictionaries.values()}
     if len(lengths) > 1:
         raise ValueError(f"compressor lists have unequal lengths {sorted(lengths)}; "

@@ -21,7 +21,7 @@ from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
 from codec_helpers import ncd
-from conftest import DATA_DIR, DATASET_DIR
+from conftest import DATASET_DIR
 from reference_lz import ref_entropy_coded_size, ref_longest_match
 
 

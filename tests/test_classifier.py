@@ -614,42 +614,21 @@ def test_no_lane_task_outlives_its_query(motif_split, monkeypatch, lane_pool):
     assert len(threads) > 1
 
 
-def test_fitted_dictionaries_reuse(motif_split):
-    # Given a fit's dictionaries, a pipeline digests them as the fit did:
-    # it shares the fit's digests and predicts the same.
+def test_fits_at_two_levels_train_the_same_dictionaries(motif_split):
+    # Dictionaries carry no level: a level-3 fit and a level-19 fit train
+    # equal dictionaries, and the level-19 fit's digests and report say 19.
     train, test = motif_split
-    config = PipelineConfig()
-    fitted = Pipeline(train, config)
-    reused = Pipeline(train, config, fitted.dictionaries)
-    for c, cl in reused.lists.items():
-        pairs = zip(cl.compressors, fitted.lists[c].compressors, strict=True)
-        assert all(x.cdict is y.cdict for x, y in pairs)
-    a, b = (p.predict(test.samples[0].text) for p in (reused, fitted))
-    assert (a.predicted, a.candidate_pair, a.neighbors) == (
-        b.predicted, b.candidate_pair, b.neighbors
-    )
-
-
-def test_given_dictionaries_digest_at_the_configs_level(motif_split):
-    # Dictionaries carry no level: a level-3 fit's dictionaries under a
-    # level-19 config score as a level-19 fit, and the report says 19.
-    train, test = motif_split
-    dictionaries = Pipeline(train, PipelineConfig()).dictionaries
-    reused = Pipeline(train, PipelineConfig(level=19), dictionaries)
-    assert {x.cdict.level for cl in reused.lists.values() for x in cl.compressors} == {19}
-    fresh = Pipeline(train, PipelineConfig(level=19))
-    for sample in test.samples:
-        assert mcc.score_query(reused.lists, sample.text) == mcc.score_query(
-            fresh.lists, sample.text
-        )
-    report, _ = evaluate(reused, test)
+    low, high = (Pipeline(train, PipelineConfig(level=level)) for level in (3, 19))
+    assert high.dictionaries == low.dictionaries
+    assert {x.cdict.level for cl in high.lists.values() for x in cl.compressors} == {19}
+    report, _ = evaluate(high, test)
     assert report.config["mcc_backend"] == {"kind": "zstd", "level": 19}
 
 
 def test_given_dictionaries_share_one_table_log_across_classes(bundled_train):
     # Raw 4 KiB dictionaries with alpha's cut to 1,000 bytes: digested class
-    # by class they would take table logs 10, 12 and 12; the pipeline gives
-    # every class the largest dictionary's 12.
+    # by class they would take table logs 10, 12 and 12; compressor_lists
+    # gives every class the largest dictionary's 12.
     config = PipelineConfig(
         plan=SegmentPlan(step_size=4096, max_compressors_per_class=2), dict_mode="raw"
     )
@@ -662,7 +641,7 @@ def test_given_dictionaries_share_one_table_log_across_classes(bundled_train):
     }
     alone = mcc.compressor_lists({"alpha": dictionaries["alpha"]}, 3)["alpha"]
     assert {x.cdict.table_log for x in alone.compressors} == {10}
-    lists = Pipeline(bundled_train, config, dictionaries).lists
+    lists = mcc.compressor_lists(dictionaries, 3)
     assert {x.cdict.table_log for cl in lists.values() for x in cl.compressors} == {12}
 
 
@@ -693,19 +672,6 @@ def test_a_fit_that_trains_nothing_predicts_without_fresh_pages():
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert float(proc.stdout) < 100, proc.stdout
-
-
-def test_given_dictionaries_must_match_training_classes(motif_split):
-    train, _ = motif_split
-    dictionaries = Pipeline(train, PipelineConfig()).dictionaries
-    two = Corpus("two", tuple(s for s in train.samples if s.label in ("alpha", "beta")))
-    with pytest.raises(ValueError, match="gamma"):
-        Pipeline(two, PipelineConfig(), dictionaries)  # an extra class
-    fewer = {c: ds for c, ds in dictionaries.items() if c != "gamma"}
-    with pytest.raises(ValueError, match="gamma"):
-        Pipeline(train, PipelineConfig(), fewer)  # a missing class
-    with pytest.raises(ValueError, match="baseline-ncd builds no compressor lists"):
-        Pipeline(train, PipelineConfig(variant="baseline-ncd"), dictionaries)
 
 
 def test_fewshot_evaluate_trials_and_ci(motif_split):

@@ -3,10 +3,9 @@ import time
 
 import pytest
 
-from lftc import classifier, mcc
+from lftc import classifier
 from lftc.cli import EXIT_OK, EXIT_VALIDATION, main
 from lftc.corpus import Corpus, load_csv, save_csv
-from lftc.mcc import SegmentPlan
 from lftc.report import EvalReport, confidence_interval, write_csv_summary
 
 from conftest import DATA_DIR
@@ -225,9 +224,9 @@ def test_fit_is_outside_total_seconds(tmp_path, monkeypatch):
     real_init = classifier.Pipeline.__init__
     built = []
 
-    def slow_init(self, train, config, dictionaries=None):
+    def slow_init(self, train, config):
         time.sleep(delay)
-        real_init(self, train, config, dictionaries)
+        real_init(self, train, config)
         built.append(config.variant)
 
     monkeypatch.setattr(classifier.Pipeline, "__init__", slow_init)
@@ -256,39 +255,27 @@ def test_sweep_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variant", ["lftc", "lftc-mcc"])
-def test_sweep_trains_once_per_list_plan(variant, tmp_path, monkeypatch, capsys):
-    # Grid points that differ only in level share one set of dictionaries;
-    # lftc-mcc's whole-class plan ignores the step size, so its two steps
-    # share one too.
-    train = load_csv(TRAIN)
-    plans = {classifier.PipelineConfig(variant=variant, plan=SegmentPlan(step)).plan
-             for step in (8192, 65536)}
-    assert len(plans) == (1 if variant == "lftc-mcc" else 2)
-    expected = sum(len(ds) for plan in plans for ds in mcc.build_all_lists(train, plan).values())
-    trained = []
-    train_dictionary = mcc.train_dictionary
-
-    def counting(segment, span, **kwargs):
-        trained.append(span)
-        return train_dictionary(segment, span, **kwargs)
-
-    monkeypatch.setattr(mcc, "train_dictionary", counting)
-
-    def sweep(levels):
-        trained.clear()
-        out = tmp_path / "sweep.json"
-        assert run(["sweep", "--train", TRAIN, "--test", TEST, "--variant", variant,
-                    "--step-size", "8192,65536", "--level", levels, "--out", str(out)]) == EXIT_OK
-        reports = json.loads(out.read_text())
-        return len(trained), [(r["config"]["step_size"], r["config"]["mcc_backend"]["level"])
-                              for r in reports]
-
-    alone, _ = sweep("3")
-    both, order = sweep("1,3")
-    assert alone == both == expected
+def test_sweep_reports_equal_eval_at_each_point(variant, tmp_path, capsys):
+    # Every grid point is a fresh fit: its report, without timings, is
+    # lftc eval's at that point. Points come step-major, then by level;
+    # lftc-mcc's whole-class plan ignores the step size, and the echo says so.
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--train", TRAIN, "--test", TEST, "--variant", variant,
+                "--step-size", "8192,65536", "--level", "1,3", "--out", str(out)]) == EXIT_OK
+    reports = json.loads(out.read_text())
     whole_class = classifier.PipelineConfig(variant="lftc-mcc").plan.step_size
     steps = (8192, 65536) if variant == "lftc" else (whole_class,) * 2
-    assert order == [(step, level) for step in steps for level in (1, 3)]
+    assert [(r["config"]["step_size"], r["config"]["mcc_backend"]["level"])
+            for r in reports] == [(step, level) for step in steps for level in (1, 3)]
+    points = [(step, level) for step in (8192, 65536) for level in (1, 3)]
+    for report, (step, level) in zip(reports, points, strict=True):
+        single = tmp_path / "eval.json"
+        assert run(["eval", "--train", TRAIN, "--test", TEST, "--variant", variant,
+                    "--step-size", str(step), "--level", str(level),
+                    "--out", str(single)]) == EXIT_OK
+        want = json.loads(single.read_text())
+        del report["timings"], want["timings"]
+        assert report == want
 
 
 def test_sweep_out_that_the_csv_summary_would_overwrite(tmp_path, capsys):

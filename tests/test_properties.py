@@ -90,22 +90,6 @@ def test_baseline_is_knn_over_the_whole_train_set(baselines, query, k):
     assert pred.candidate_pair is None
 
 
-@pytest.fixture(scope="module")
-def from_dictionaries(pipelines):
-    """lftc and lftc-mcc pipelines given the fresh fits' dictionaries."""
-    fits = {v: pipelines[v] for v in ("lftc", "lftc-mcc")}
-    return {v: Pipeline(p.train, p.config, p.dictionaries) for v, p in fits.items()}
-
-
-@settings(max_examples=20, deadline=None)
-@given(query=queries)
-def test_given_dictionaries_predict_as_a_fresh_fit(pipelines, from_dictionaries, query):
-    for variant, pipe in from_dictionaries.items():
-        a, b = pipelines[variant].predict(query), pipe.predict(query)
-        assert (a.predicted, a.candidate_pair, a.neighbors, a.tie) == (
-            b.predicted, b.candidate_pair, b.neighbors, b.tie), variant
-
-
 texts = st.binary(min_size=1, max_size=300)
 
 
