@@ -9,9 +9,8 @@
 A compressor that fails raises ``CompressionError`` (from
 ``lftc.zstd_bindings``), its message starting with the compressor's kind,
 "zstd: " or "deflate: "; nothing here catches or re-words it, except that
-``train_dictionary`` keeps the raw segment when ZDICT refuses it. The
-trainer's parameters belong to ``zstd_bindings.train_dictionary``; this
-module only chooses between its dictionary and the raw segment. Empty
+``train_dictionary`` keeps the raw segment when ZDICT refuses it (the
+trainer's parameters belong to ``zstd_bindings.train_dictionary``). Empty
 input is a ``ValueError``.
 
 ``lane_map`` is the package's one way to run work in parallel, and the
@@ -19,9 +18,11 @@ only code that decides how many threads share a call: a fit's segment
 trainings and C(y) slices, ``predict_corpus``'s queries, and one query's
 compressions (MCC's class sums, CR's forks), mostly C calls that release
 the GIL. It shares them between the calling thread and the free threads
-of one process-wide lane pool of ``usable_cpus() - 1`` threads (at least
-one), started on first use and kept for the life of the process. Results
-are joined by index, so they are the same at any lane count.
+of one process-wide lane pool of ``usable_cpus() - 1`` daemon threads (at
+least one) on one ``_queue.SimpleQueue``, started on first use and kept
+for the life of the process; ``concurrent.futures`` would load
+``logging``, ``queue`` and ``traceback`` into every process that predicts.
+Results are joined by index, so they are the same at any lane count.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import os
 import threading
 import weakref
 import zlib
+from _queue import SimpleQueue
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import zstd_bindings as zb
 from .zstd_bindings import CompressionError
@@ -42,18 +44,15 @@ DICT_MODES = ("trained", "raw")
 
 
 class DeflateBackend:
-    """zlib container (RFC 1950) at level 6, the NCD stage's one compressor;
-    no dictionary support in this toolkit."""
+    """zlib container (RFC 1950) at level 6, the NCD stage's one compressor."""
 
     kind = "deflate"
     level = 6
 
     def compressed_size(self, data: bytes) -> int:
-        _require_nonempty(data)
-        try:
-            return len(zlib.compress(data, self.level))
-        except zlib.error as exc:  # pragma: no cover - zlib does not fail on bytes
-            raise CompressionError(f"deflate: {exc}") from exc
+        if not data:
+            raise ValueError("data must be non-empty")
+        return len(zlib.compress(data, self.level))
 
     def prefixed_sizes(self, prefix: bytes, suffixes: Iterable[bytes]) -> tuple[int, list[int]]:
         """C(prefix), and the list of C(prefix + suffix), one per suffix.
@@ -64,7 +63,8 @@ class DeflateBackend:
         output does not depend on how its input is split, so every size
         equals ``compressed_size(prefix + suffix)``.
         """
-        _require_nonempty(prefix)
+        if not prefix:
+            raise ValueError("data must be non-empty")
         primed = zlib.compressobj(self.level)
         head = len(primed.compress(prefix))
 
@@ -76,24 +76,37 @@ class DeflateBackend:
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on; ``lane_map`` and its pool are
-    sized from it."""
+    """The CPUs this process may run on, which size ``lane_map`` and its pool."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
 
 
-class _LanePool(ThreadPoolExecutor):
-    """A thread pool that counts its threads no lane task holds."""
+class _LanePool(SimpleQueue):
+    """A queue of lane tasks, the threads that run them, and a count of the
+    threads that no lane task holds."""
 
     def __init__(self, threads: int):
-        super().__init__(threads, thread_name_prefix="lftc-lane")
         self.free = threading.Semaphore(threads)
+        self.threads = [threading.Thread(target=self._serve, name=f"lftc-lane_{n}", daemon=True)
+                        for n in range(threads)]
+        for thread in self.threads:
+            thread.start()
+
+    def _serve(self):
+        for task in iter(self.get, None):
+            task()
+            del task  # so no call's items outlive it here, waiting for the next
+
+    def shutdown(self):
+        for thread in self.threads:
+            self.put(None)
+        for thread in self.threads:
+            thread.join()
 
 
-# The lane pool, made on first use with one thread per CPU but the
-# caller's; the lock keeps two first uses at once from making two.
+# The lane pool, made on first use; the lock keeps two first uses from making two.
 _pool: _LanePool | None = None
 _pool_lock = threading.Lock()
 
@@ -112,46 +125,47 @@ def lane_map(fn: Callable, items: Iterable, lanes: int | None = None) -> list:
     is given), each taking the next item from one iterator (``next`` on a
     C iterator is atomic under the GIL). A task is sent only while a pool
     thread is free, so none waits behind busy threads; with none free the
-    caller runs the items alone. Lane tasks not started when the items run
-    out are cancelled and the others awaited, so none outlives the call.
-    The lowest-index item's exception is raised as itself, as the serial
-    loop would raise it. ``fn`` may call ``lane_map`` itself: a call awaits
-    only tasks that have started, so nested calls cannot deadlock."""
+    caller runs the items alone. When the items run out the caller claims
+    each task not yet started, so it never runs, and awaits the others:
+    none outlives the call, and ``fn`` may call ``lane_map`` without
+    deadlock. The lowest-index item's exception (any ``BaseException``) is
+    raised as itself, as the serial loop would raise it."""
     items = list(items)
-    if lanes is None:
-        lanes = usable_cpus()
+    lanes = usable_cpus() if lanes is None else lanes
     if lanes < 2 or len(items) < 2:
         return [fn(item) for item in items]
-    results = [None] * len(items)
-    failures = {}
-    todo = enumerate(items)
+    results, failures, todo = [None] * len(items), {}, enumerate(items)
 
     def work():
         for i, item in todo:
             try:
                 results[i] = fn(item)
-            except Exception as exc:
+            except BaseException as exc:
                 failures[i] = exc
 
-    pool = _lane_pool()
+    pool, tasks = _lane_pool(), []
 
-    def lane():
-        try:
-            work()
-        finally:
-            pool.free.release()
+    def lane(claim, done):
+        if claim.acquire(blocking=False):
+            try:
+                work()
+            finally:
+                pool.free.release()
+                done.release()
 
-    tasks = []
     while len(tasks) < min(lanes, len(items)) - 1 and pool.free.acquire(blocking=False):
-        tasks.append(pool.submit(lane))
+        claim, done = threading.Lock(), threading.Lock()
+        done.acquire()
+        pool.put(partial(lane, claim, done))
+        tasks.append((claim, done))
     try:
         work()
     finally:
-        for task in tasks:
-            if task.cancel():
+        for claim, done in tasks:
+            if claim.acquire(blocking=False):  # not started: it never will
                 pool.free.release()
             else:
-                task.result()
+                done.acquire()
     if failures:
         raise failures[min(failures)]
     return results
@@ -184,25 +198,20 @@ class TrainedDictionary:
             raise ValueError(f"unknown dictionary mode: {self.source_span.mode!r}")
 
 
-# Live digests by (payload, level, table_log). A digest is a pure function
-# of its key, so every DictCompressor with the same dictionary, level and
-# table log shares one, and pipelines fitted on the same corpus hold one
-# set of digests (4.6 MiB for the 176 level-3 dictionaries of a 16-class
-# generated split at step 8192, at table log 11).
+# Live digests by (payload, level, table_log), a digest being a pure function
+# of its key: pipelines fitted on the same corpus hold one set of digests
+# (4.6 MiB for the 176 level-3 dictionaries of a 16-class generated split at
+# step 8192, at table log 11).
 _digests: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _digests_lock = threading.Lock()
 
 
 class DictCompressor:
     """Scores byte strings by their zstd-compressed size against one
-    dictionary.
-
-    The dictionary is digested at construction, at zstd ``level`` with
-    match tables capped by ``table_log`` (``zstd_bindings.CDict``), or the
-    live digest of an identical dictionary is reused; a digest is never
-    written again and is shared across threads, so scoring is a single C
-    call.
-    """
+    dictionary, digested at construction at zstd ``level`` with match tables
+    capped by ``table_log`` (``zstd_bindings.CDict``), or the live digest of
+    an identical dictionary; a digest is never written again and is shared
+    across threads, so scoring is a single C call."""
 
     def __init__(self, dictionary: TrainedDictionary, level: int, table_log: int):
         key = (dictionary.payload, level, table_log)
@@ -212,26 +221,22 @@ class DictCompressor:
                 self.cdict = _digests[key] = zb.CDict(*key)
 
     def score(self, data: bytes) -> int:
-        if not data:  # _require_nonempty, inlined for the lanes' GIL
+        if not data:
             raise ValueError("data must be non-empty")
         return zb.compressed_size_with_cdict(data, self.cdict)
 
 
 def train_dictionary(segment: bytes, span: SourceSpan, mode: str = "trained") -> TrainedDictionary:
-    """Build a dictionary from one corpus segment.
-
-    ``mode="trained"`` trains one with ``zstd_bindings.train_dictionary``,
-    which sets every ZDICT parameter, and keeps the raw segment bytes when
-    libzstd refuses the segment (1 KiB or less, too uniform, ...); the
-    span's ``mode`` records which. ``mode="raw"`` skips training entirely.
-    No zstd level enters the dictionary: ZDICT is given none, and the level
-    applies only when ``DictCompressor`` digests it.
-    """
+    """Build a dictionary from one corpus segment: ``mode="trained"``
+    trains one with ``zstd_bindings.train_dictionary``, which sets every
+    ZDICT parameter, and keeps the raw segment bytes when libzstd refuses
+    the segment (1 KiB or less, too uniform, ...), the span's ``mode``
+    recording which; ``mode="raw"`` skips training. No zstd level enters the
+    dictionary: it applies only when ``DictCompressor`` digests it."""
     if not segment:
         raise ValueError("segment must be non-empty")
     if mode not in DICT_MODES:
         raise ValueError(f"unknown dictionary mode: {mode!r}")
-
     if mode == "trained":
         try:
             return TrainedDictionary(zb.train_dictionary(segment), replace(span, mode="trained"))
@@ -243,8 +248,3 @@ def train_dictionary(segment: bytes, span: SourceSpan, mode: str = "trained") ->
 def ncd_value(c_xy: int, c_x: int, c_y: int) -> float:
     """Normalized compression distance from the sizes C(xy), C(x), C(y)."""
     return (c_xy - min(c_x, c_y)) / max(c_x, c_y)
-
-
-def _require_nonempty(data: bytes) -> None:
-    if not data:
-        raise ValueError("data must be non-empty")

@@ -59,9 +59,15 @@ class Corpus:
 
     def digest(self) -> str:
         """Order-sensitive checksum of the full sample list."""
-        import hashlib  # here, not at import: it loads OpenSSL's libcrypto
-
-        h = hashlib.sha256()
+        # CPython's own sha256, as hashlib loads OpenSSL's libcrypto to make one.
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:  # an interpreter built without them
+                from hashlib import sha256
+        h = sha256()
         for s in self.samples:
             lab = s.label.encode("utf-8", "surrogateescape")
             h.update(struct.pack("<II", len(lab), len(s.text)))
@@ -177,7 +183,7 @@ def concat_class_text(corpus: Corpus, class_id: str) -> bytes:
 
 def _draw_rank(seed: int, trial_index: int, class_id: str, sample_index: int) -> bytes:
     # Keyed PRF: stable across platforms and library versions.
-    import hashlib  # see Corpus.digest
+    import hashlib  # here, not at import: it loads OpenSSL's libcrypto
 
     key = struct.pack("<qq", seed, trial_index)
     h = hashlib.blake2b(digest_size=8, key=key)

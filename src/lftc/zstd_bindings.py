@@ -342,9 +342,10 @@ def keep_heap():
     """Keep freed memory mapped, from here to the end of the process: ZDICT's
     scratch tables across the trainings in the block, and the deflate state
     of every NCD compression after it. The free heap is released once at the
-    block's end (see the module docstring). Only the main glibc arena can be
-    trimmed: what trainings on other threads took stays resident in their
-    arenas, which the trainer's cap at f=16 keeps small."""
+    block's end (see the module docstring). ``malloc_trim(0)`` trims the lane
+    threads' arenas too, but it returned only about two thirds of the free
+    space at the top of a thread's heap (glibc 2.36); what stays there, the
+    trainer's cap at f=16 keeps small."""
     libc = _tuned_libc()
     try:
         yield

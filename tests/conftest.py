@@ -42,15 +42,17 @@ def make_motif_split(
 
 @pytest.fixture
 def lane_tasks(monkeypatch) -> list:
-    """Every task that ``lane_map`` sends to a lane pool; each still runs."""
-    submitted, submit = [], compression._LanePool.submit
+    """Every task that ``lane_map`` puts on a lane pool's queue; each still
+    runs."""
+    sent, put = [], compression._LanePool.put
 
-    def recorded(pool, fn):
-        submitted.append(fn)
-        return submit(pool, fn)
+    def recorded(pool, task):
+        if task is not None:  # not shutdown()'s end marker
+            sent.append(task)
+        return put(pool, task)
 
-    monkeypatch.setattr(compression._LanePool, "submit", recorded)
-    return submitted
+    monkeypatch.setattr(compression._LanePool, "put", recorded)
+    return sent
 
 
 @pytest.fixture

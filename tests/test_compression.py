@@ -372,7 +372,7 @@ def test_lane_map_offers_its_items_to_a_task_per_cpu_but_the_callers(
         assert compression.lane_map(abs, range(-items, 0), lanes) == list(range(items, 0, -1))
         assert len(lane_tasks) == tasks
     # The one lane pool, made at 8 CPUs, has a thread for each but the caller's.
-    assert lane_pool(8)._max_workers == 7
+    assert len(lane_pool(8).threads) == 7
 
 
 def test_a_call_sends_no_task_while_every_pool_thread_is_busy(lane_tasks, lane_pool):
@@ -457,6 +457,31 @@ def test_lane_map_raises_the_lowest_index_failure(lanes, lane_pool):
         compression.lane_map(fn, range(8), lanes)
     assert caught.value is errors[3]
     assert running == []
+
+
+def test_a_base_exception_on_a_lane_reaches_the_caller_as_itself(lane_pool):
+    # Every item a lane takes raises one exception outside Exception, and the
+    # calling thread's first item waits until a lane has taken one: the call
+    # raises it as itself, and the lane thread lives on, free for the next call.
+    class Stop(BaseException):
+        pass
+
+    pool = lane_pool(2)
+    stop, taken = Stop("on a lane"), threading.Event()
+
+    def fn(item):
+        if threading.current_thread() is not threading.main_thread():
+            taken.set()
+            raise stop
+        assert taken.wait(timeout=20)
+        return item
+
+    with pytest.raises(Stop) as caught:
+        compression.lane_map(fn, range(8), 2)
+    assert caught.value is stop
+    assert all(thread.is_alive() for thread in pool.threads)
+    assert compression.lane_map(abs, range(-4, 0), 2) == [4, 3, 2, 1]
+    assert [pool.free.acquire(blocking=False) for _ in range(2)] == [True, False]
 
 
 # --- dictionary training -----------------------------------------------------

@@ -1,11 +1,13 @@
 """What a process loads: a fit and its predictions import no module that
-only reports and few-shot draws use, and libzstd is found by its
-soname before the platform's library search runs.
+only reports and few-shot draws use and no thread-pool machinery, ``lftc
+eval`` no OpenSSL, and libzstd is found by its soname before the
+platform's library search runs.
 
 Each check runs in a fresh interpreter, because pytest and Hypothesis
 import ``hashlib`` themselves.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -23,6 +25,10 @@ TRAIN, TEST = DATA_DIR / "synthetic_train.csv", DATA_DIR / "synthetic_test.csv"
 # and ctypes.util loads subprocess.
 REPORT_ONLY_MODULES = ("_hashlib", "hashlib", "ctypes.util", "subprocess", "statistics")
 
+# concurrent.futures loads logging, queue and traceback; the lane pool needs
+# only threading and _queue.
+THREAD_POOL_MODULES = ("concurrent.futures", "logging", "queue", "traceback")
+
 _FIT_AND_PREDICT = """
 import json, sys
 import lftc
@@ -32,6 +38,16 @@ predictions, _ = predict_corpus(train, test, PipelineConfig())
 assert len(predictions) == len(test)
 loaded = [name for name in sys.argv[3:] if name in sys.modules]
 print(json.dumps({"loaded": loaded, "digest": train.digest()}))
+"""
+
+# Runs argv[2:] as an lftc command line, then prints its exit code and which
+# of the comma-separated modules in argv[1] it loaded.
+_CLI = """
+import json, sys
+from lftc.cli import main
+code = main(sys.argv[2:])
+loaded = [name for name in sys.argv[1].split(",") if name in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 # Runs with ctypes.CDLL refusing libzstd's soname and find_library("zstd")
@@ -83,13 +99,34 @@ def _libzstd_path() -> str:
     return paths.pop()
 
 
-def test_a_fit_and_its_predictions_load_no_report_only_module():
-    proc = _python(_FIT_AND_PREDICT, TRAIN, TEST, *REPORT_ONLY_MODULES)
+@functools.cache
+def _fit_and_predict() -> dict:
+    proc = _python(_FIT_AND_PREDICT, TRAIN, TEST, *REPORT_ONLY_MODULES, *THREAD_POOL_MODULES)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["loaded"] == []
-    # hashlib, imported where the digest runs, gives the same sha256.
+    return json.loads(proc.stdout)
+
+
+def test_a_fit_and_its_predictions_load_no_report_only_module():
+    out = _fit_and_predict()
+    assert not set(out["loaded"]) & set(REPORT_ONLY_MODULES)
+    # The digest, made after the predictions, gives the same sha256.
     assert out["digest"] == BUNDLED_DIGESTS[TRAIN.name]
+
+
+def test_a_fit_and_its_predictions_load_no_thread_pool_module():
+    assert not set(_fit_and_predict()["loaded"]) & set(THREAD_POOL_MODULES)
+
+
+def test_lftc_eval_loads_no_libcrypto(tmp_path):
+    # The report's sha256 of each split comes from CPython's own module.
+    report = tmp_path / "report.json"
+    proc = _python(_CLI, "_hashlib,hashlib", "eval", "--train", TRAIN, "--test", TEST,
+                   "--out", report)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+    split = json.loads(report.read_text())["config"]
+    assert split["train_sha256"] == BUNDLED_DIGESTS[TRAIN.name]
+    assert split["test_sha256"] == BUNDLED_DIGESTS[TEST.name]
 
 
 def test_libzstd_falls_back_to_find_library():
