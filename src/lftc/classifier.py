@@ -221,23 +221,16 @@ def evaluate(pipeline: Pipeline, test: Corpus) -> tuple[EvalReport, list[Predict
     preds, _ = predict_corpus(train, test, config, pipeline)
     total_seconds = time.perf_counter() - t0
 
-    correct = sum(1 for p in preds if p.error is None and p.predicted == p.truth)
-    per_class_total: dict[str, int] = {}
-    per_class_correct: dict[str, int] = {}
-    for p in preds:
-        per_class_total[p.truth] = per_class_total.get(p.truth, 0) + 1
-        if p.error is None and p.predicted == p.truth:
-            per_class_correct[p.truth] = per_class_correct.get(p.truth, 0) + 1
-    per_class = {
-        c: per_class_correct.get(c, 0) / n for c, n in sorted(per_class_total.items())
-    }
+    right = [p.error is None and p.predicted == p.truth for p in preds]
+    per_class = {c: sum(right[i] for i in indices) / len(indices)
+                 for c, indices in test.by_class.items()}
     errors = sum(1 for p in preds if p.error is not None)
 
     report = EvalReport(
         dataset=test.name,
         variant=config.variant,
         config=config_echo(config, train, test),
-        accuracy=correct / len(preds),
+        accuracy=sum(right) / len(preds),
         per_class=per_class,
         timings={
             "list_build_seconds": pipeline.list_build_seconds,

@@ -128,8 +128,10 @@ def lane_map(fn: Callable, items: Iterable, lanes: int | None = None) -> list:
     caller runs the items alone. When the items run out the caller claims
     each task not yet started, so it never runs, and awaits the others:
     none outlives the call, and ``fn`` may call ``lane_map`` without
-    deadlock. The lowest-index item's exception (any ``BaseException``) is
-    raised as itself, as the serial loop would raise it."""
+    deadlock. A failure or an interrupt of the caller empties the iterator,
+    so no thread takes another item; the lowest-index item's exception (any
+    ``BaseException``) is raised as itself, as the serial loop would raise
+    it, since every lower item was handed out first."""
     items = list(items)
     lanes = usable_cpus() if lanes is None else lanes
     if lanes < 2 or len(items) < 2:
@@ -137,11 +139,16 @@ def lane_map(fn: Callable, items: Iterable, lanes: int | None = None) -> list:
     results, failures, todo = [None] * len(items), {}, enumerate(items)
 
     def work():
-        for i, item in todo:
-            try:
-                results[i] = fn(item)
-            except BaseException as exc:
-                failures[i] = exc
+        try:
+            for i, item in todo:
+                try:
+                    results[i] = fn(item)
+                except BaseException as exc:
+                    failures[i] = exc
+                    break
+        finally:  # after a failure or an interrupt, no thread takes another item
+            for _ in todo:
+                pass
 
     pool, tasks = _lane_pool(), []
 

@@ -1,9 +1,11 @@
-"""Labeled text corpora: CSV loading, class concatenation, few-shot draws.
+"""Labeled text corpora: CSV loading, the per-class index, few-shot draws.
 
 Everything downstream is byte-oriented, so texts are stored as bytes
 (UTF-8 with surrogate escapes, which keeps CSV round-trips lossless even
 for non-UTF-8 input). Corpora are immutable after construction and safe
-to share across worker threads.
+to share across worker threads. ``Corpus.by_class``, each class's sample
+indices, is the one grouping of a corpus by label: MCC's segments, CR's
+gold data, few-shot draws and per-class accuracy all read it.
 """
 
 from __future__ import annotations
@@ -43,19 +45,20 @@ class Corpus:
             raise DatasetError(f"corpus {self.name!r} has no samples")
 
     @functools.cached_property
-    def classes(self) -> frozenset[str]:
-        """The labels of the samples, computed on first use and kept."""
-        return frozenset(s.label for s in self.samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def by_class(self) -> dict[str, list[int]]:
-        """Class -> sample indices, in corpus order."""
+    def by_class(self) -> dict[str, tuple[int, ...]]:
+        """Class -> its sample indices in corpus order, classes sorted;
+        computed on first use and kept."""
         out: dict[str, list[int]] = {}
         for i, s in enumerate(self.samples):
             out.setdefault(s.label, []).append(i)
-        return out
+        return {label: tuple(out[label]) for label in sorted(out)}
+
+    @functools.cached_property
+    def classes(self) -> frozenset[str]:
+        return frozenset(self.by_class)
+
+    def __len__(self) -> int:
+        return len(self.samples)
 
     def digest(self) -> str:
         """Order-sensitive checksum of the full sample list."""
@@ -172,15 +175,6 @@ def save_csv(corpus: Corpus, path) -> None:
             writer.writerow([s.label, s.text.decode("utf-8", "surrogateescape")])
 
 
-def concat_class_text(corpus: Corpus, class_id: str) -> bytes:
-    """All texts of one class, corpus order, joined by ``DEFAULT_SEPARATOR``:
-    the text whose byte ranges dictionary spans name. A fit never builds it
-    (``mcc.class_segments`` joins only the texts each segment overlaps)."""
-    if class_id not in corpus.classes:
-        raise DatasetError(f"unknown class {class_id!r} in corpus {corpus.name!r}")
-    return DEFAULT_SEPARATOR.join(s.text for s in corpus.samples if s.label == class_id)
-
-
 def _draw_rank(seed: int, trial_index: int, class_id: str, sample_index: int) -> bytes:
     # Keyed PRF: stable across platforms and library versions.
     import hashlib  # here, not at import: it loads OpenSSL's libcrypto
@@ -203,7 +197,7 @@ def few_shot_sample(corpus: Corpus, shots: int, seed: int, trial_index: int = 0)
     if shots < 1:
         raise DatasetError("shots must be >= 1")
     selected: list[int] = []
-    for class_id, indices in sorted(corpus.by_class().items()):
+    for class_id, indices in corpus.by_class.items():
         if len(indices) < shots:
             raise DatasetError(
                 f"class {class_id!r} has {len(indices)} samples, fewer than shots={shots}"

@@ -2,10 +2,12 @@
 
 Gold data is every training sample labeled with one of the labels reasoned
 over: the MCC candidate pair for lftc, every class for baseline-ncd
-(gzip-KNN). Nothing is removed: candidates are class labels, not
-individual training texts, so there is no sample-level exclusion to
-perform. The query's NCD to each gold sample feeds a KNN vote; on a tied
-vote the label of the single closest neighbour wins. There is no fallback:
+(gzip-KNN). ``extract_gold`` reads it from the training corpus's
+``Corpus.by_class``, so a query touches only its gold texts. Nothing is
+removed: candidates are class labels, not individual training texts, so
+there is no sample-level exclusion to perform. The query's NCD to each
+gold sample feeds a KNN vote; on a tied vote the label of the single
+closest neighbour wins. There is no fallback:
 labels with no training text are an error.
 
 Every compression goes through ``NCD_BACKEND`` (DEFLATE level 6). Each
@@ -58,16 +60,14 @@ def sample_sizes(samples: tuple[LabeledText, ...]) -> tuple[int, ...]:
 
 
 def extract_gold(corpus: Corpus, labels: Collection[str]) -> GoldData:
-    """Training samples labeled with any of ``labels``, corpus order
-    preserved; a ValueError when there are none."""
+    """Training samples labeled with any of ``labels``, in corpus order:
+    the labels' ``Corpus.by_class`` indices merged, so no other sample is
+    read; a ValueError when there are none."""
     wanted = set(labels)
-    picked = [(i, s) for i, s in enumerate(corpus.samples) if s.label in wanted]
-    if not picked:
+    indices = tuple(sorted(i for label in wanted for i in corpus.by_class.get(label, ())))
+    if not indices:
         raise ValueError(f"no training samples labeled {sorted(wanted)}")
-    return GoldData(
-        samples=tuple(s for _, s in picked),
-        corpus_indices=tuple(i for i, _ in picked),
-    )
+    return GoldData(tuple(corpus.samples[i] for i in indices), indices)
 
 
 def ncd_distances(

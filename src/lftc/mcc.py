@@ -11,18 +11,19 @@ the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
 
 ``class_segments`` lists every class's segments, one item per
-dictionary, and ``by_class`` groups their dictionaries back into lists.
+dictionary, reading each class's texts through ``Corpus.by_class``, and
+``by_class`` groups their dictionaries back into lists.
 The fit trains each segment (``train_segment``) as one item of its one
 ``compression.lane_map`` pass; ``build_all_lists`` trains them the same
 way on its own. No class's text is ever concatenated whole: an item holds
 the training texts its span overlaps (and one more at an end that falls
 on a separator) and the first one's offset in the class's join, and its
-training joins only those, so its bytes are the same as a slice of
-``corpus.concat_class_text`` and the fit keeps no second copy of the
-training texts. With that and slotted per-sample and per-query records
-(``LabeledText``, ``ClassScore``, ``NcdNeighbor``, ``Prediction``, ...),
-one fit of the 16-class generated split at step 8192 adds 5.9 MB of VmRSS
-instead of 7.25 MB (2-CPU x86-64 Xeon, Python 3.11, glibc 2.36).
+training joins only those, so its bytes are the same as a slice of the
+whole join and the fit keeps no second copy of the training texts. With
+that and slotted per-sample and per-query records (``LabeledText``,
+``ClassScore``, ``NcdNeighbor``, ``Prediction``, ...), one fit of the
+16-class generated split at step 8192 adds 5.9 MB of VmRSS instead of
+7.25 MB (2-CPU x86-64 Xeon, Python 3.11, glibc 2.36).
 Dictionaries get no zstd level: the level applies only to their digests.
 ``compressor_lists`` is the one place that digests them, so every set of
 dictionaries becomes lists of one length, at one level, with match tables
@@ -121,9 +122,8 @@ def class_segments(
     one more on either side where it starts or ends on a separator, and
     ``base`` is the first one's offset in the join, so no class's text is
     ever joined whole."""
-    texts: dict[str, list[bytes]] = {class_id: [] for class_id in sorted(corpus.classes)}
-    for s in corpus.samples:
-        texts[s.label].append(s.text)
+    texts = {class_id: [corpus.samples[i].text for i in indices]
+             for class_id, indices in corpus.by_class.items()}
     # Where each class's texts start and end in their join.
     bounds = {}
     for class_id, class_texts in texts.items():

@@ -245,7 +245,7 @@ def test_criterion_6_speed_synthetic(status, bundled_train, bundled_test):
     rep_base, preds_base = evaluate(base, bundled_test)
 
     # instrumented NCD-evaluation counts are exact
-    by_class = bundled_train.by_class()
+    by_class = bundled_train.by_class
     for p in preds_lftc:
         gold = len(by_class[p.candidate_pair.first]) + len(by_class[p.candidate_pair.second])
         assert p.ncd_calls == gold

@@ -20,11 +20,11 @@ from lftc.classifier import (
 from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.compression import CompressionError, TrainedDictionary
-from lftc.corpus import Corpus, DatasetError, concat_class_text
+from lftc.corpus import Corpus, DatasetError
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
-from conftest import DATA_DIR, REPO_ROOT, corpus_from, make_motif_split
+from conftest import DATA_DIR, REPO_ROOT, class_text, corpus_from, make_motif_split
 
 
 def test_two_class_corpus_forces_pair(motif_split):
@@ -371,7 +371,7 @@ def test_refused_segments_come_back_raw_from_the_pool(bundled_train, lane_pool, 
     plan = SegmentPlan(step_size=1024, max_compressors_per_class=4)
     pipeline = Pipeline(bundled_train, PipelineConfig(plan=plan))
     for class_id, ds in pipeline.dictionaries.items():
-        text = concat_class_text(bundled_train, class_id)
+        text = class_text(bundled_train, class_id)
         assert [d.source_span.mode for d in ds] == ["raw"] * 4
         assert all(d.payload == text[d.source_span.start:d.source_span.stop] for d in ds)
 

@@ -484,6 +484,29 @@ def test_a_base_exception_on_a_lane_reaches_the_caller_as_itself(lane_pool):
     assert [pool.free.acquire(blocking=False) for _ in range(2)] == [True, False]
 
 
+def test_a_failure_on_the_calling_thread_stops_the_call(lane_pool):
+    # Ctrl-C's stand-in, raised by the calling thread's first item of 500
+    # on two lanes: the call raises it as itself after a few items,
+    # where running the rest first took 500 items' time.
+    class Interrupt(BaseException):
+        pass
+
+    lane_pool(2)
+    caller, interrupt, ran = threading.get_ident(), Interrupt("Ctrl-C"), []
+
+    def fn(item):
+        ran.append(item)
+        time.sleep(0.002)
+        if threading.get_ident() == caller:
+            raise interrupt
+        return item
+
+    with pytest.raises(Interrupt) as caught:
+        compression.lane_map(fn, range(500), 2)
+    assert caught.value is interrupt
+    assert len(ran) < 50
+
+
 # --- dictionary training -----------------------------------------------------
 
 def test_train_dictionary_benefit():

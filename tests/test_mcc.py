@@ -10,7 +10,7 @@ from lftc import mcc
 from lftc import zstd_bindings as zb
 from lftc.classifier import Pipeline, PipelineConfig
 from lftc.compression import SourceSpan, TrainedDictionary, train_dictionary
-from lftc.corpus import DEFAULT_SEPARATOR, Corpus, concat_class_text
+from lftc.corpus import DEFAULT_SEPARATOR, Corpus
 from lftc.mcc import (
     ClassScore,
     DegenerateCorpusError,
@@ -24,7 +24,7 @@ from lftc.mcc import (
 from lftc.synthetic import MotifGenerator
 
 from codec_helpers import sizeof_cdict
-from conftest import corpus_from, make_motif_split
+from conftest import class_text, corpus_from, make_motif_split
 from reference_lz import ref_compress_size
 
 
@@ -69,7 +69,7 @@ def spans(dictionaries):
 def uncapped(corpus, step_size):
     """A plan whose cap is every class's segment count or more: it binds no
     class, so the lists keep the fewest segments any class has."""
-    largest = max(segment_count(len(concat_class_text(corpus, c)), step_size)
+    largest = max(segment_count(len(class_text(corpus, c)), step_size)
                   for c in corpus.classes)
     return SegmentPlan(step_size=step_size, max_compressors_per_class=largest)
 
@@ -114,7 +114,7 @@ def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
     # the fewest segments any class has; the first slice starts at 0.
     train, _ = motif_split
     dictionaries = build_all_lists(train, uncapped(train, 1024))
-    lengths = {c: len(concat_class_text(train, c)) for c in dictionaries}
+    lengths = {c: len(class_text(train, c)) for c in dictionaries}
     counts = {c: segment_count(n, 1024) for c, n in lengths.items()}
     m = min(counts.values())
     assert (m, max(counts.values())) == (3, 4)  # the split is ragged
@@ -168,7 +168,7 @@ def test_a_segment_trains_on_its_span_of_the_class_text_from_its_own_texts(
         corpus = MotifGenerator(7, tokens_per_doc=(200, 400)).corpus("g", 40, "train")
     else:
         corpus = _separator_corpus()
-    wholes = {c: concat_class_text(corpus, c) for c in corpus.classes}
+    wholes = {c: class_text(corpus, c) for c in corpus.classes}
     items = _training_inputs(corpus, plan, monkeypatch)
     edges = set()
     for texts, base, span, segment in items:
@@ -185,7 +185,7 @@ def test_a_segment_trains_on_its_span_of_the_class_text_from_its_own_texts(
         if whole[span.stop - 1:span.stop] == DEFAULT_SEPARATOR:
             edges.add("ends")
     if split == "separators":
-        assert any(len(corpus.by_class()[c]) == 1 for c in corpus.classes)
+        assert any(len(corpus.by_class[c]) == 1 for c in corpus.classes)
         assert edges == {"starts", "ends"}
 
 
@@ -196,7 +196,7 @@ def test_build_all_lists_equal_lengths_on_a_ragged_corpus():
     full = gen.corpus("t", 24, "train")
     small = [s for s in full.samples if s.label == "alpha"][:4]
     train = Corpus("ragged", tuple(small) + tuple(s for s in full.samples if s.label != "alpha"))
-    counts = {c: segment_count(len(concat_class_text(train, c)), 4096) for c in train.classes}
+    counts = {c: segment_count(len(class_text(train, c)), 4096) for c in train.classes}
     assert counts["alpha"] < min(n for c, n in counts.items() if c != "alpha")
     for cap, m in ((max(counts.values()), counts["alpha"]), (16, counts["alpha"]), (2, 2)):
         plan = SegmentPlan(step_size=4096, max_compressors_per_class=cap)
@@ -293,7 +293,7 @@ def whole_class_dictionary():
     """A trained lftc-mcc dictionary at ZDICT's 110 KiB capacity."""
     gen = MotifGenerator(7, classes=1, motifs_per_class=400, tokens_per_doc=(200, 400))
     limit = PipelineConfig(variant="lftc-mcc").plan.step_size
-    text = concat_class_text(gen.corpus("w", 220, "train"), "alpha")[:limit]
+    text = class_text(gen.corpus("w", 220, "train"), "alpha")[:limit]
     dictionary = train_dictionary(text, SourceSpan("alpha", 0, 0, len(text)))
     assert dictionary.source_span.mode == "trained"
     assert len(dictionary.payload) == 110 * 1024
@@ -415,7 +415,7 @@ def test_reference_and_zstd_rankings_agree():
         zstd_lists = compressor_lists(dictionaries, 3)
         segments = {}
         for class_id, ds in dictionaries.items():
-            text = concat_class_text(train, class_id)
+            text = class_text(train, class_id)
             spans = [d.source_span for d in ds]
             segments[class_id] = [text[s.start : s.stop] for s in spans]
         rng = random.Random(f"agree:{seed}")

@@ -1,16 +1,20 @@
 """Properties of fitted pipelines over arbitrary queries and corpora."""
 
 import copy
+import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lftc import cr
-from lftc.classifier import VARIANTS, Pipeline, PipelineConfig
+from lftc import cr, mcc
+from lftc.classifier import VARIANTS, Pipeline, PipelineConfig, evaluate
 from lftc.compression import DeflateBackend
-from lftc.corpus import Corpus, LabeledText
+from lftc.corpus import DEFAULT_SEPARATOR, Corpus, LabeledText
+from lftc.synthetic import CLASS_NAMES
+
+from conftest import class_text, make_motif_split
 
 queries = st.binary(min_size=1, max_size=600)
 
@@ -109,3 +113,52 @@ def test_fitted_sizes_for_each_reasoning_variant(pipelines):
             DeflateBackend().compressed_size(s.text) for s in pipe.train.samples
         )
     assert pipelines["lftc-cr"].sizes == ()
+
+
+@pytest.fixture(scope="module")
+def five_classes():
+    """An lftc-cr pipeline over five generated classes: the cheapest fit
+    whose evaluate reports per-class accuracy for any of their labels."""
+    train, _ = make_motif_split(7, train_docs=4, test_docs=1, classes=5, tokens_per_doc=(20, 40))
+    return Pipeline(train, PipelineConfig(variant="lftc-cr"))
+
+
+@st.composite
+def interleaved_corpora(draw):
+    """2-5 labels, one drawn for each sample, so classes interleave."""
+    labels = CLASS_NAMES[:draw(st.integers(min_value=2, max_value=5))]
+    items = draw(st.lists(st.tuples(st.sampled_from(labels), st.binary(min_size=1, max_size=30)),
+                          min_size=1, max_size=16))
+    return Corpus("mixed", tuple(LabeledText(label, text) for label, text in items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=interleaved_corpora(), step=st.integers(min_value=1, max_value=8))
+def test_the_class_index_on_interleaved_labels(five_classes, corpus, step):
+    samples = corpus.samples
+    index = corpus.by_class
+    assert index is corpus.by_class and corpus.classes == frozenset(index)
+    assert list(index) == sorted({s.label for s in samples})
+    assert index == {c: tuple(i for i, s in enumerate(samples) if s.label == c) for c in index}
+    # CR's gold data is the full scan's, for every subset of the labels and
+    # one no sample carries; a subset with no known label has none.
+    for n in range(6):
+        for subset in itertools.combinations(CLASS_NAMES[:5], n):
+            picked = tuple(i for i, s in enumerate(samples) if s.label in subset)
+            if not picked:
+                with pytest.raises(ValueError, match="no training samples"):
+                    cr.extract_gold(corpus, subset)
+                continue
+            gold = cr.extract_gold(corpus, subset + ("nowhere",))
+            assert gold.corpus_indices == picked
+            assert gold.samples == tuple(samples[i] for i in picked)
+    # Every segment's bytes are a slice of its class's whole join.
+    for texts, base, span in mcc.class_segments(corpus, mcc.SegmentPlan(step, 1 << 20)):
+        segment = DEFAULT_SEPARATOR.join(texts)[span.start - base:span.stop - base]
+        assert segment == class_text(corpus, span.class_id)[span.start:span.stop]
+    report, preds = evaluate(five_classes, corpus)
+    want = {}
+    for c in sorted(index):
+        mine = [p for p in preds if p.truth == c]
+        want[c] = sum(p.error is None and p.predicted == c for p in mine) / len(mine)
+    assert report.per_class == want and list(report.per_class) == list(want)
