@@ -129,7 +129,7 @@ class Pipeline:
             )
         self.train = train
         self.config = config
-        self.classes = sorted(train.classes)
+        self.classes = list(train.by_class)
         t0 = time.perf_counter()
         self.lists: dict[str, mcc.ClassCompressorList] | None = None
         self.dictionaries: dict[str, list[TrainedDictionary]] | None = None
@@ -289,16 +289,10 @@ def evaluate_fewshot(
         variant=config.variant,
         config=echo,
         accuracy=sum(accs) / len(accs),
-        per_class=_mean_per_class(reports),
+        per_class={c: sum(r.per_class[c] for r in reports) / trials for c in test.by_class},
         timings=timings,
         trials=accs,
         ci95=confidence_interval(accs) if trials >= 2 else None,
         errors=sum(r.errors for r in reports),
     )
 
-
-def _mean_per_class(reports: list[EvalReport]) -> dict[str, float]:
-    keys = sorted({c for r in reports for c in r.per_class})
-    return {
-        c: sum(r.per_class.get(c, 0.0) for r in reports) / len(reports) for c in keys
-    }

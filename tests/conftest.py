@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from lftc import compression
-from lftc.corpus import DEFAULT_SEPARATOR, Corpus, LabeledText, load_csv
+from lftc.corpus import Corpus, LabeledText, load_csv
 from lftc.synthetic import MotifGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -25,13 +25,6 @@ BUNDLED_DIGESTS = {
 
 def corpus_from(pairs, name="tiny") -> Corpus:
     return Corpus(name=name, samples=tuple(LabeledText(l, t) for l, t in pairs))
-
-
-def class_text(corpus: Corpus, class_id: str) -> bytes:
-    """One class's texts in corpus order, joined by ``DEFAULT_SEPARATOR``:
-    the text whose byte ranges dictionary spans name. A fit never builds
-    it (``mcc.class_segments`` joins only the texts each segment overlaps)."""
-    return DEFAULT_SEPARATOR.join(corpus.samples[i].text for i in corpus.by_class[class_id])
 
 
 def make_motif_split(

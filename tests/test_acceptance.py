@@ -20,6 +20,7 @@ from lftc.cr import NcdNeighbor, vote_detail
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
+import paper_reference
 from codec_helpers import ncd
 from conftest import DATASET_DIR
 from reference_lz import ref_entropy_coded_size, ref_longest_match
@@ -108,16 +109,6 @@ def test_criterion_1_formula_fidelity(status):
 
 # --- criterion 2: knn oracle equivalence ---------------------------------------
 
-def brute_vote(neighbors, k):
-    ranked = sorted(neighbors, key=lambda n: (n.distance, n.index))
-    votes = Counter(n.label for n in ranked[:k])
-    top = max(votes.values())
-    tied = sorted(label for label, c in votes.items() if c == top)
-    if len(tied) > 1:
-        return ranked[0].label
-    return tied[0]
-
-
 def test_criterion_2_knn_oracle(status):
     t0 = time.perf_counter()
     rng = random.Random(202)
@@ -135,7 +126,8 @@ def test_criterion_2_knn_oracle(status):
             for i in range(size)
         ]
         for k in (1, 2, 3, 5):
-            assert vote_detail(nbrs, k).label == brute_vote(nbrs, k)
+            triples = [(n.distance, n.label, n.index) for n in nbrs]
+            assert vote_detail(nbrs, k).label == paper_reference.vote(triples, k)[0]
             checked += 1
     assert checked == 10_000
     elapsed = time.perf_counter() - t0

@@ -24,7 +24,8 @@ from lftc.corpus import Corpus, DatasetError
 from lftc.mcc import SegmentPlan
 from lftc.synthetic import MotifGenerator
 
-from conftest import DATA_DIR, REPO_ROOT, class_text, corpus_from, make_motif_split
+from conftest import DATA_DIR, REPO_ROOT, corpus_from, make_motif_split
+from paper_reference import class_text
 
 
 def test_two_class_corpus_forces_pair(motif_split):
@@ -625,7 +626,7 @@ def test_fits_at_two_levels_train_the_same_dictionaries(motif_split):
     assert report.config["mcc_backend"] == {"kind": "zstd", "level": 19}
 
 
-def test_given_dictionaries_share_one_table_log_across_classes(bundled_train):
+def test_compressor_lists_give_every_class_the_largest_table_log(bundled_train):
     # Raw 4 KiB dictionaries with alpha's cut to 1,000 bytes: digested class
     # by class they would take table logs 10, 12 and 12; compressor_lists
     # gives every class the largest dictionary's 12.

@@ -740,32 +740,6 @@ def test_longest_match_position_bounds():
         ref_longest_match(b"", b"abc", 3)
 
 
-def brute_longest_match(window: bytes, text: bytes, position: int):
-    """Independent O(n^2) oracle: scan every start, extend byte by byte."""
-    buf = window + text
-    pos = len(window) + position
-    best_len, best_off = 0, 0
-    for start in range(pos):
-        length = 0
-        while pos + length < len(buf) and buf[start + length] == buf[pos + length]:
-            length += 1
-        # ties prefer the smallest offset: >= on later (nearer) starts
-        if length >= 3 and length >= best_len:
-            best_len, best_off = length, pos - start
-    return (best_len, best_off) if best_len >= 3 else (0, 0)
-
-
-def test_longest_match_against_brute_force_spot():
-    rng = random.Random(11)
-    for _ in range(60):
-        alphabet = rng.choice([2, 4, 8])
-        n = rng.randint(4, 200)
-        text = bytes(rng.randrange(alphabet) for _ in range(n))
-        window = bytes(rng.randrange(alphabet) for _ in range(rng.randint(0, 40)))
-        pos = rng.randrange(n)
-        assert ref_longest_match(window, text, pos) == brute_longest_match(window, text, pos)
-
-
 # --- ref_entropy_coded_size --------------------------------------------------
 
 def test_entropy_uniform_four_symbols():
@@ -778,18 +752,6 @@ def test_entropy_single_symbol():
 
 def test_entropy_three_one_split():
     assert ref_entropy_coded_size(["a", "a", "a", "b"]) == pytest.approx(3.2451124978, abs=1e-9)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=200))
-def test_entropy_matches_closed_form(tokens):
-    from collections import Counter
-
-    counts = Counter(tokens)
-    total = len(tokens)
-    expected = -sum(c * math.log2(c / total) for c in counts.values())
-    got = ref_entropy_coded_size(tokens)
-    assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_entropy_empty_rejected():

@@ -12,7 +12,8 @@ from lftc.corpus import (
     save_csv,
 )
 
-from conftest import BUNDLED_DIGESTS, DATA_DIR, class_text, corpus_from
+from conftest import BUNDLED_DIGESTS, DATA_DIR, corpus_from
+from paper_reference import class_text
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -136,7 +137,7 @@ def test_csv_round_trip(tmp_path_factory, rows):
     assert loaded == corpus
 
 
-# class_text (conftest) is the tests' reference for the bytes a span names.
+# class_text (paper_reference) is the tests' reference for the bytes a span names.
 
 def test_concat_single_element():
     corpus = corpus_from([("a", b"abc")])
@@ -150,7 +151,7 @@ def test_concat_join_order():
 
 def test_concat_unknown_class():
     corpus = corpus_from([("a", b"abc")])
-    with pytest.raises(KeyError):  # by_class has no entry for it
+    with pytest.raises(KeyError):  # no sample carries it
         class_text(corpus, "zzz")
 
 

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -143,34 +142,6 @@ def test_k1_equal_distance_index_tiebreak():
 
 def test_k_larger_than_pool():
     assert vote_detail(neighbors((0.3, "p"), (0.2, "p"), (0.1, "q")), 10).label == "p"
-
-
-def brute_knn(nbrs, k):
-    """Independent oracle: full sort, explicit vote count, closest-on-tie."""
-    ranked = sorted(nbrs, key=lambda n: (n.distance, n.index))
-    top = ranked[:k]
-    votes = Counter(n.label for n in top)
-    most = votes.most_common()
-    top_count = most[0][1]
-    tied = [label for label, c in most if c == top_count]
-    if len(tied) == 1:
-        return tied[0]
-    return ranked[0].label
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0, max_value=1.2, allow_nan=False),
-                  st.sampled_from("pqrs")),
-        min_size=1,
-        max_size=12,
-    ),
-    st.sampled_from([1, 2, 3, 5]),
-)
-def test_knn_matches_brute_oracle(items, k):
-    nbrs = neighbors(*items)
-    assert vote_detail(nbrs, k).label == brute_knn(nbrs, k)
 
 
 @settings(max_examples=100, deadline=None)

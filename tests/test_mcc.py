@@ -24,7 +24,8 @@ from lftc.mcc import (
 from lftc.synthetic import MotifGenerator
 
 from codec_helpers import sizeof_cdict
-from conftest import class_text, corpus_from, make_motif_split
+from conftest import corpus_from, make_motif_split
+from paper_reference import class_text
 from reference_lz import ref_compress_size
 
 
@@ -55,77 +56,15 @@ def test_segment_plan_takes_integers_at_least_one(field, value):
         SegmentPlan(**{field: value})
 
 
-def one_text_per_class(total_len: int):
-    # single samples avoid separator arithmetic in span checks; "b" is as
-    # long as "a", so the shared list length is a's own segment count
-    return corpus_from([("a", bytes(i % 251 for i in range(total_len))),
-                        ("b", bytes(i % 13 for i in range(total_len)))])
-
-
-def spans(dictionaries):
-    return [(d.source_span.start, d.source_span.stop) for d in dictionaries]
-
-
-def uncapped(corpus, step_size):
-    """A plan whose cap is every class's segment count or more: it binds no
-    class, so the lists keep the fewest segments any class has."""
-    largest = max(segment_count(len(class_text(corpus, c)), step_size)
-                  for c in corpus.classes)
-    return SegmentPlan(step_size=step_size, max_compressors_per_class=largest)
-
-
 def fitted_lists(corpus, plan):
     """Compressor lists as a fit builds them: trained, then digested at 3."""
     return compressor_lists(build_all_lists(corpus, plan), 3)
-
-
-def test_build_class_list_spans_tile():
-    corpus = one_text_per_class(1000)
-    ds = build_all_lists(corpus, uncapped(corpus, 400))["a"]
-    assert len(ds) == 3
-    assert spans(ds) == [(0, 400), (400, 800), (800, 1000)]
-
-
-def test_build_class_list_cap_evenly_spaced():
-    corpus = one_text_per_class(10_000)
-    ds = build_all_lists(corpus, SegmentPlan(step_size=100, max_compressors_per_class=10))["a"]
-    assert len(ds) == 10
-    got = [d.source_span.segment_index for d in ds]
-    assert got == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
-    starts = [s for s, _ in spans(ds)]
-    assert starts[0] == 0 and starts[-1] == 9000
-
-
-def test_build_class_list_single_short_text():
-    corpus = corpus_from([("a", b"tiny text of fifty bytes or so, quite short."), ("b", b"zz")])
-    ds = build_all_lists(corpus, SegmentPlan(step_size=400))["a"]
-    assert len(ds) == 1
-    assert ds[0].source_span.mode == "raw"  # too small to train
 
 
 def test_build_all_lists_keys(motif_split):
     train, _ = motif_split
     dictionaries = build_all_lists(train, SegmentPlan(step_size=1024))
     assert set(dictionaries) == train.classes
-
-
-def test_build_all_lists_spans_are_evenly_spaced_steps(motif_split):
-    # Every class keeps m step-size slices of its concatenated text, with m
-    # the fewest segments any class has; the first slice starts at 0.
-    train, _ = motif_split
-    dictionaries = build_all_lists(train, uncapped(train, 1024))
-    lengths = {c: len(class_text(train, c)) for c in dictionaries}
-    counts = {c: segment_count(n, 1024) for c, n in lengths.items()}
-    m = min(counts.values())
-    assert (m, max(counts.values())) == (3, 4)  # the split is ragged
-    for class_id, ds in dictionaries.items():
-        assert len(ds) == m
-        indices = mcc._segment_indices(counts[class_id], m)
-        assert [d.source_span.segment_index for d in ds] == indices
-        assert spans(ds) == [
-            (i * 1024, min(lengths[class_id], (i + 1) * 1024)) for i in indices
-        ]
-        assert spans(ds)[0][0] == 0
 
 
 def _training_inputs(corpus, plan, monkeypatch):
@@ -222,7 +161,7 @@ def test_dictionaries_do_not_depend_on_the_level(motif_split):
     # ZDICT is given no level: fits at levels 1, 3 and 19 train the same
     # dictionaries, and the level enters only the digests.
     train, _ = motif_split
-    plan = uncapped(train, 2048)
+    plan = SegmentPlan(2048, 1 << 20)
     fits = {level: Pipeline(train, PipelineConfig(plan=plan, level=level)) for level in (1, 3, 19)}
     fast = fits[1].dictionaries
     assert [len(ds) for ds in fast.values()] == [2] * len(train.classes)
@@ -255,7 +194,7 @@ def test_build_all_lists_faults_in_one_dictionarys_tables():
     one = SegmentPlan(step_size=8192, max_compressors_per_class=1)
     faults(one)  # loads libzstd and settles the allocator
     few, small = faults(one)
-    many, large = faults(uncapped(train, 8192))
+    many, large = faults(SegmentPlan(8192, 1 << 20))
     assert (small, large) == (4, 48)
     assert (many - few) / (large - small) < 50, (many, few)
 
@@ -352,7 +291,7 @@ def test_pair_recall_with_equal_lists_on_32_classes():
     # fewer segments sum lower, and only 0.7375 of these queries have their
     # class in the pair; with equal lists every one does.
     train, test = make_motif_split(1, classes=32, tokens_per_doc=(200, 400), noise_ratio=0.3)
-    lists = fitted_lists(train, uncapped(train, 8192))
+    lists = fitted_lists(train, SegmentPlan(8192, 1 << 20))
     assert {len(cl.compressors) for cl in lists.values()} == {11}
     queries = test.samples[::3]
     assert len(queries) == 320

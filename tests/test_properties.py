@@ -2,6 +2,8 @@
 
 import copy
 import itertools
+import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -10,13 +12,15 @@ from hypothesis import strategies as st
 
 from lftc import cr, mcc
 from lftc.classifier import VARIANTS, Pipeline, PipelineConfig, evaluate
-from lftc.compression import DeflateBackend
-from lftc.corpus import DEFAULT_SEPARATOR, Corpus, LabeledText
-from lftc.synthetic import CLASS_NAMES
+from lftc.compression import DICT_MODES, DeflateBackend
+from lftc.corpus import Corpus, LabeledText
+from lftc.synthetic import CLASS_NAMES, MotifGenerator
 
-from conftest import class_text, make_motif_split
+import paper_reference
+from conftest import make_motif_split
 
 queries = st.binary(min_size=1, max_size=600)
+texts = st.binary(min_size=1, max_size=300)
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +50,52 @@ def test_arbitrary_bytes_never_raise(pipelines, query):
         assert fitted_state(pipe) == fitted  # predict writes nothing back
 
 
-@settings(max_examples=30, deadline=None)
-@given(query=queries)
-def test_lftc_prediction_in_candidate_pair(pipelines, query):
-    pred = pipelines["lftc"].predict(query)
-    assert pred.predicted in (pred.candidate_pair.first, pred.candidate_pair.second)
+@st.composite
+def oracle_cases(draw):
+    """A train split with two or more classes, a config with no variant or
+    dictionary mode, and queries. The split is generated, with one class
+    thinned so that the classes' segment counts differ, or arbitrary bytes
+    under interleaved labels."""
+    if draw(st.booleans()):
+        gen = MotifGenerator(draw(st.integers(0, 99)), classes=draw(st.integers(2, 4)),
+                             tokens_per_doc=(20, 60))
+        thin, keep = draw(st.sampled_from(gen.class_names)), draw(st.integers(1, 3))
+        full = gen.corpus("generated", draw(st.integers(6, 14)), "train").samples
+        samples = [s for s in full if s.label != thin] + [s for s in full if s.label == thin][:keep]
+        rng = random.Random(draw(st.integers(0, 99)))
+        asked = [gen.document(c, rng) for c in gen.class_names]
+    else:
+        items = draw(st.lists(st.tuples(st.sampled_from("abc"), texts), min_size=2, max_size=10))
+        assume(len({label for label, _ in items}) >= 2)
+        samples = [LabeledText(label, text) for label, text in items]
+        asked = [draw(st.sampled_from(samples)).text]
+    config = PipelineConfig(
+        k=draw(st.sampled_from([1, 2, 3])), level=draw(st.sampled_from([1, 3, 19])),
+        plan=mcc.SegmentPlan(draw(st.sampled_from([64, 256, 1024, 2048, 4096])),
+                             draw(st.sampled_from([1, 2, 3, 16]))))
+    return Corpus("train", tuple(samples)), config, asked + [draw(queries)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=oracle_cases())
+def test_pipeline_is_the_paper(case):
+    # For every variant and dictionary mode, the fit's dictionaries and
+    # every field of each answer are those of the paper's classifier
+    # stated the slow way (tests/paper_reference.py).
+    train, base, asked = case
+    for variant, dict_mode in itertools.product(VARIANTS, DICT_MODES):
+        config = replace(base, variant=variant, dict_mode=dict_mode)
+        pipe = Pipeline(train, config)
+        dictionaries = paper_reference.dictionaries(train, config)
+        assert pipe.dictionaries == dictionaries, variant
+        for query in asked:
+            got = pipe.predict(query)
+            pair = got.candidate_pair and (
+                got.candidate_pair.first, got.candidate_pair.second,
+                tuple((s.class_id, s.score) for s in got.candidate_pair.scores))
+            neighbors = tuple((n.distance, n.label, n.index) for n in got.neighbors)
+            assert (got.error, got.predicted, pair, neighbors, got.tie, got.ncd_calls) == (
+                None, *paper_reference.predict(train, config, dictionaries, query)), variant
 
 
 @settings(max_examples=10, deadline=None)
@@ -76,25 +121,6 @@ def test_baseline_makes_one_ncd_per_training_text(pipelines, query):
     assert single.call_count == 0
     assert primed == [(query, [s.text for s in pipe.train.samples])]
 
-
-@pytest.fixture(scope="module")
-def baselines(motif_split):
-    train, _ = motif_split
-    return {k: Pipeline(train, PipelineConfig(variant="baseline-ncd", k=k)) for k in (1, 3)}
-
-
-@settings(max_examples=20, deadline=None)
-@given(query=queries, k=st.sampled_from([1, 3]))
-def test_baseline_is_knn_over_the_whole_train_set(baselines, query, k):
-    # CR over every class is NCD-KNN over every training text, in corpus order.
-    pipe = baselines[k]
-    pred = pipe.predict(query)
-    want = cr.vote_detail(cr.ncd_distances(query, pipe.train.samples, pipe.sizes), k)
-    assert (pred.predicted, pred.neighbors, pred.tie) == (want.label, want.neighbors, want.tie)
-    assert pred.candidate_pair is None
-
-
-texts = st.binary(min_size=1, max_size=300)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,8 +159,8 @@ def interleaved_corpora(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(corpus=interleaved_corpora(), step=st.integers(min_value=1, max_value=8))
-def test_the_class_index_on_interleaved_labels(five_classes, corpus, step):
+@given(corpus=interleaved_corpora())
+def test_the_class_index_on_interleaved_labels(five_classes, corpus):
     samples = corpus.samples
     index = corpus.by_class
     assert index is corpus.by_class and corpus.classes == frozenset(index)
@@ -152,10 +178,6 @@ def test_the_class_index_on_interleaved_labels(five_classes, corpus, step):
             gold = cr.extract_gold(corpus, subset + ("nowhere",))
             assert gold.corpus_indices == picked
             assert gold.samples == tuple(samples[i] for i in picked)
-    # Every segment's bytes are a slice of its class's whole join.
-    for texts, base, span in mcc.class_segments(corpus, mcc.SegmentPlan(step, 1 << 20)):
-        segment = DEFAULT_SEPARATOR.join(texts)[span.start - base:span.stop - base]
-        assert segment == class_text(corpus, span.class_id)[span.start:span.stop]
     report, preds = evaluate(five_classes, corpus)
     want = {}
     for c in sorted(index):
