@@ -2,6 +2,8 @@
 
 * ``DictCompressor`` -- zstd with one dictionary, digested once and scored
   with whatever the query's size; ``lftc.mcc.compressor_lists`` builds them.
+  MCC sums a class's digests in one ``zstd_bindings.summed_size`` call, and
+  ``score`` is its one-digest case.
 * ``DeflateBackend`` -- zlib/DEFLATE containers, C(.) of the NCD
   distances: ``compressed_size`` for one text, ``prefixed_sizes`` for one
   prefix followed by each of many suffixes, with the prefix compressed once.
@@ -218,7 +220,7 @@ class DictCompressor:
     dictionary, digested at construction at zstd ``level`` with match tables
     capped by ``table_log`` (``zstd_bindings.CDict``), or the live digest of
     an identical dictionary; a digest is never written again and is shared
-    across threads, so scoring is a single C call."""
+    across threads, so a score is a single C call."""
 
     def __init__(self, dictionary: TrainedDictionary, level: int, table_log: int):
         key = (dictionary.payload, level, table_log)

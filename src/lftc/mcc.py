@@ -6,6 +6,10 @@ per segment) and scores queries by summing their dictionary-compressed
 sizes per list. The two lowest-scoring classes form the candidate pair
 handed to the reasoning stage.
 
+A class's sum is one ``zstd_bindings.summed_size`` call over its digests,
+one ``compression.lane_map`` item per class, with no Python frame between
+two of its scores.
+
 Per-class scores are plain sums over the list, so every list of a fit has
 the same length: the fewest segments any class has, capped by the plan,
 taken evenly spaced over each class's text.
@@ -36,7 +40,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
+from . import zstd_bindings as zb
 from .compression import (
     DictCompressor,
     SourceSpan,
@@ -45,7 +51,6 @@ from .compression import (
     train_dictionary,
 )
 from .corpus import DEFAULT_SEPARATOR, Corpus
-from .zstd_bindings import MIN_TABLE_LOG
 
 
 class DegenerateCorpusError(ValueError):
@@ -177,7 +182,7 @@ def compressor_lists(
         raise ValueError(f"compressor lists have unequal lengths {sorted(lengths)}; "
                          "class scores would not be comparable")
     largest = max((len(d.payload) for ds in dictionaries.values() for d in ds), default=1)
-    table_log = max(MIN_TABLE_LOG, (largest - 1).bit_length())
+    table_log = max(zb.MIN_TABLE_LOG, (largest - 1).bit_length())
     return {
         class_id: ClassCompressorList(
             class_id, tuple(DictCompressor(d, level, table_log) for d in ds)
@@ -200,15 +205,16 @@ def build_all_lists(
 def score_query(lists: dict[str, ClassCompressorList], query: bytes) -> list[ClassScore]:
     """Sum of dictionary-compressed sizes of the query bytes per class, all
     classes, sorted by class id for a stable audit trail. Each class's sum
-    is one item of ``compression.lane_map``."""
+    is one item of ``compression.lane_map``: one ``zstd_bindings.summed_size``
+    call over the class's digests."""
     if not lists:
         raise ValueError("no compressor lists")
     if not query:
         raise ValueError("query text must be non-empty")
     class_ids = sorted(lists)
     sums = lane_map(
-        lambda compressors: sum(c.score(query) for c in compressors),
-        [lists[class_id].compressors for class_id in class_ids],
+        partial(zb.summed_size, query),
+        [[c.cdict for c in lists[class_id].compressors] for class_id in class_ids],
     )
     return [ClassScore(class_id, total) for class_id, total in zip(class_ids, sums)]
 

@@ -3,7 +3,7 @@ dictionary scores measure, decompression for round trips, the memory a
 digest holds, and NCD from three one-shot compressions.
 
 The program never builds a frame it keeps; it scores dictionary frames by
-size (``lftc.zstd_bindings.compressed_size_with_cdict``) and computes NCD
+size (``lftc.zstd_bindings.summed_size``) and computes NCD
 from sizes taken at fit and from one primed deflate stream per query
 (``lftc.cr``). These helpers state the same quantities the long way, so
 the tests can check one against the other.

@@ -433,13 +433,14 @@ class _Stream:
 
 
 def _hook_compressions(monkeypatch, pipeline, hook):
-    """Every MCC score goes through ``hook(class_id, compute)`` and every CR
-    fork through ``hook(gold_text, compute)``; ``compute()`` is the call."""
-    owner = {id(c): cid for cid, cl in (pipeline.lists or {}).items() for c in cl.compressors}
-    score = compression.DictCompressor.score
+    """Every MCC class sum goes through ``hook(class_id, compute)`` and every
+    CR fork through ``hook(gold_text, compute)``; ``compute()`` is the call."""
+    owner = {tuple(id(c.cdict) for c in cl.compressors): cid
+             for cid, cl in (pipeline.lists or {}).items()}
+    summed_size = zb.summed_size
     compressobj = zlib.compressobj
-    monkeypatch.setattr(compression.DictCompressor, "score",
-                        lambda self, data: hook(owner[id(self)], lambda: score(self, data)))
+    monkeypatch.setattr(zb, "summed_size", lambda data, cdicts: hook(
+        owner[tuple(map(id, cdicts))], lambda: summed_size(data, cdicts)))
     monkeypatch.setattr(zlib, "compressobj", lambda level: _Stream(compressobj(level), hook))
 
 

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import gc
 import math
 import random
@@ -712,6 +713,53 @@ def test_dictionary_benefit_property():
         query = motif_bytes(100 + seed, tokens=60)
         assert len(query) >= 256
         assert comp.score(query) < zstd_size(query)
+
+
+# --- zstd_bindings.summed_size ----------------------------------------------
+
+@functools.cache
+def _summed_payloads() -> tuple[TrainedDictionary, ...]:
+    """Two trained dictionaries and three raw ones, 1 byte to 4 KiB."""
+    trained = [train_dictionary(seg, SourceSpan("c", i, 0, len(seg)))
+               for i, seg in enumerate(motif_bytes(seed, tokens=2000)[:8192] for seed in (20, 21))]
+    text = motif_bytes(22, tokens=2000)
+    raw = [train_dictionary(p, SourceSpan("c", 2 + i, 0, len(p)), mode="raw")
+           for i, p in enumerate((b"x", text[:1024], text[:4096]))]
+    return (*trained, *raw)
+
+
+@functools.cache
+def _summed_digests(level: int, table_log: int) -> tuple[zb.CDict, ...]:
+    return tuple(zb.CDict(d.payload, level, table_log) for d in _summed_payloads())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.binary(min_size=1, max_size=3000),
+    level=st.sampled_from([1, 3, 19]),
+    table_log=st.sampled_from([6, 9, 11, 13, 17]),
+    picks=st.lists(st.integers(0, 4), max_size=8),
+)
+def test_summed_size_is_the_sum_of_its_digests_scores(data, level, table_log, picks):
+    # One context serves every digest of a sum: nothing of one compression
+    # carries into the next, in any order, repeats included.
+    assert [d.source_span.mode for d in _summed_payloads()] == ["trained"] * 2 + ["raw"] * 3
+    digests = _summed_digests(level, table_log)
+    cdicts = [digests[i] for i in picks]
+    assert zb.summed_size(data, cdicts) == sum(
+        zb.compressed_size_with_cdict(data, c) for c in cdicts)
+
+
+def test_summed_size_of_no_digests_is_zero():
+    assert zb.summed_size(b"a query", []) == 0
+
+
+def test_summed_size_raises_libzstds_own_error(monkeypatch):
+    # A zero-byte output buffer is too small for any frame.
+    monkeypatch.setattr(zb, "_compress_bound", lambda size: 0)
+    with pytest.raises(CompressionError) as info:
+        zb.summed_size(b"a query", _summed_digests(3, 11))
+    assert str(info.value) == "zstd: Destination buffer is too small"
 
 
 # --- ref_longest_match -------------------------------------------------------

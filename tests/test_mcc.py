@@ -278,6 +278,8 @@ def test_score_query_deterministic(motif_split):
 
 
 def test_score_query_equals_recomputed_sum(motif_split):
+    # Each class sum is one summed_size loop on a lane; this pins it to the
+    # per-dictionary scores, one call each on the calling thread.
     train, test = motif_split
     lists = fitted_lists(train, SegmentPlan(step_size=2048))
     q = test.samples[1].text
